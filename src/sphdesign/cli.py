@@ -158,7 +158,7 @@ def _cmd_seed(args) -> int:
     from .optimizer import seed_points
     from .pointio import format_points
 
-    config = seed_points(args.d, 1, args.n)
+    config = seed_points(args.d, args.n)
     _emit(format_points(config), args.out)
     return EXIT_OK
 

@@ -27,14 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import harmonics
 from .kernel import (
     KernelModel,
     _degree_scan,
     clamp_cosine,
     kernel_derivative,
     kernel_value,
+    row_blocks,
 )
-from .sphere_geometry import PointConfiguration
+from .sphere_geometry import PointConfiguration, unit_rows
 
 _PAIR_BLOCK_ROWS = 256
 
@@ -55,58 +57,42 @@ def lower_bound(d: int, t: int) -> int:
     return 2 * math.comb(d + k, d)
 
 
-def _check_dimensions(model: KernelModel, config: PointConfiguration):
+def _pair_cosines(model: KernelModel, config: PointConfiguration):
+    """Yield (lo, hi, s): clamped inner products of rows lo..hi with all points."""
     if model.d != config.d:
-        raise ValueError(
-            f"model is on S^{model.d} but configuration is on S^{config.d}"
-        )
-
-
-def _row_blocks(n: int):
-    for start in range(0, n, _PAIR_BLOCK_ROWS):
-        yield start, min(start + _PAIR_BLOCK_ROWS, n)
+        raise ValueError(f"model is on S^{model.d} but configuration is on S^{config.d}")
+    pts = config.points
+    for lo, hi in row_blocks(config.n, _PAIR_BLOCK_ROWS):
+        yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
 
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
-    _check_dimensions(model, config)
-    pts = config.points
-    n = config.n
     row_sums = []
-    for lo, hi in _row_blocks(n):
-        s = clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
-        values = kernel_value(model, s)
-        row_sums.extend(math.fsum(row) for row in values)
-    return math.fsum(row_sums) / n**2
+    for _, _, s in _pair_cosines(model, config):
+        row_sums.extend(math.fsum(row) for row in kernel_value(model, s))
+    return math.fsum(row_sums) / config.n**2
 
 
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Per-degree residuals rho_1..rho_t; nonnegative and summing to the defect."""
-    _check_dimensions(model, config)
-    pts = config.points
-    n = config.n
     rows = [[] for _ in range(model.t)]
-    for lo, hi in _row_blocks(n):
-        s = clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
+    for _, _, s in _pair_cosines(model, config):
         for k, p, _ in _degree_scan(model.d, model.t, s):
             rows[k - 1].extend(math.fsum(row) for row in p)
     return np.array(
-        [model.dims[k] * math.fsum(rows[k]) / n**2 for k in range(model.t)]
+        [model.dims[k] * math.fsum(rows[k]) / config.n**2 for k in range(model.t)]
     )
 
 
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Spherical gradient of the defect: one tangent row per point."""
-    _check_dimensions(model, config)
     pts = config.points
-    n = config.n
     grad = np.empty(pts.shape)
-    for lo, hi in _row_blocks(n):
-        s = clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
-        w = (2.0 / n**2) * kernel_derivative(model, s)
-        raw = w @ pts
+    for lo, hi, s in _pair_cosines(model, config):
+        w = (2.0 / config.n**2) * kernel_derivative(model, s)
         radial = np.einsum("rj,rj->r", w, s)
-        grad[lo:hi] = raw - radial[:, None] * pts[lo:hi]
+        grad[lo:hi] = w @ pts - radial[:, None] * pts[lo:hi]
     return grad
 
 
@@ -144,6 +130,10 @@ class DesignReport:
 DEFAULT_TOLERANCE = 1e-10
 
 
+class CrossCheckError(RuntimeError):
+    """The kernel defect disagrees with the independent harmonic cross-check."""
+
+
 def verify_design(
     model: KernelModel,
     config: PointConfiguration,
@@ -155,7 +145,7 @@ def verify_design(
     On S^2 the kernel defect is additionally cross-checked against the
     squared empirical means of the explicit real harmonic basis; a
     disagreement beyond rounding scale indicates an internal bug and
-    raises.
+    raises CrossCheckError.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -163,16 +153,14 @@ def verify_design(
     total = defect(model, config)
     report_meta = dict(meta or {})
     if model.d == 2:
-        from .harmonics import mean_residuals
-
-        basis_means = mean_residuals(model.t, config.points)
+        basis_means = harmonics.mean_residuals(model.t, config.points)
         cross = float(math.fsum(r * r for r in basis_means))
-        scale = float(kernel_value(model, 1.0))
+        scale = model.space_dim  # K(1), exactly
         gap = abs(cross - total)
         report_meta["harmonic_cross_check"] = cross
         report_meta["harmonic_cross_check_gap"] = gap
         if gap > 1e-9 * max(total, cross) + 1e-12 * scale:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"kernel defect {total!r} disagrees with harmonic cross-check {cross!r}"
             )
     return DesignReport(
@@ -209,8 +197,7 @@ def _simplex(d: int) -> np.ndarray:
         h /= math.sqrt(j * (j + 1))
         rows.append(h)
     basis = np.stack(rows, axis=0)  # (d+1, d+2)
-    verts = basis.T
-    return verts / np.linalg.norm(verts, axis=1, keepdims=True)
+    return unit_rows(basis.T)
 
 
 def _cross_polytope(d: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from .quadrature import (
     QuadratureRule,
     sample_boundary_polynomial,
 )
-from .sphere_geometry import PointConfiguration, equal_area_partition, partition_norm
-
-INTEGRATORS = ("projected-rk4", "projected-euler")
+from .sphere_geometry import PointConfiguration, equal_area_partition, partition_norm, unit_rows
 
 
 class FlowStepError(RuntimeError):
@@ -75,20 +73,12 @@ def design_count_constant(d: int, diameter_constant: float, mesh_constant: float
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Clamp threshold, horizon, step count, and integrator choice.
-
-    The clamp kinks the field where the gradient norm crosses the
-    threshold, so smoothness-based error estimates do not apply; with
-    halving_check on, every integration is repeated at doubled resolution
-    and the endpoint gap is recorded on the trace.
-    """
+    """Clamp threshold, horizon, and step count of the projected RK4 flow."""
 
     epsilon: float
     horizon: float
     mesh_constant: float = 1.0
     step_count: int = 64
-    integrator: str = "projected-rk4"
-    halving_check: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -97,8 +87,6 @@ class FlowConfig:
             raise ValueError("horizon must be positive")
         if self.step_count < 1:
             raise ValueError("step_count must be >= 1")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
 
     @classmethod
     def defaults(
@@ -107,32 +95,36 @@ class FlowConfig:
         t: int,
         mesh_constant: float = 1.0,
         step_count: int = 64,
-        integrator: str = "projected-rk4",
     ) -> "FlowConfig":
         return cls(
             epsilon=default_epsilon(d),
             horizon=flow_horizon(t, mesh_constant),
             mesh_constant=mesh_constant,
             step_count=step_count,
-            integrator=integrator,
         )
+
+
+def _velocity(P: KernelPolynomial, pts: np.ndarray, epsilon: float) -> np.ndarray:
+    grad = P.gradient(unit_rows(pts))
+    norms = np.linalg.norm(grad, axis=1)
+    return grad / floor_clamp(norms, epsilon)[:, None]
 
 
 def flow_field(P: KernelPolynomial, y, epsilon: float):
     """Velocity grad P / floor_clamp(|grad P|): tangent, never longer than 1."""
     y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    pts = np.atleast_2d(y)
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    grad = P.gradient(pts)
-    norms = np.linalg.norm(grad, axis=1)
-    out = grad / floor_clamp(norms, epsilon)[:, None]
-    return out[0] if single else out
+    out = _velocity(P, np.atleast_2d(y), epsilon)
+    return out[0] if y.ndim == 1 else out
 
 
 @dataclass
 class FlowTrace:
-    """Sampled history of one flow integration."""
+    """Sampled history of one flow integration.
+
+    The clamp kinks the field, so smoothness-based error estimates do not
+    apply: every integration is repeated at doubled resolution, and
+    step_halving_gap is the endpoint gap between the two.
+    """
 
     initial: PointConfiguration
     final: PointConfiguration
@@ -141,32 +133,7 @@ class FlowTrace:
     max_displacements: np.ndarray  # max_i dist(x_i, y_i(s)) at each sample
     displacements: np.ndarray  # final per-point geodesic displacement
     velocity_tangency_max: float
-    step_halving_gap: float | None = None  # endpoint shift under doubled steps
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.initial.d,
-            "n": self.initial.n,
-            "s_values": self.s_values.tolist(),
-            "averages": self.averages.tolist(),
-            "max_displacements": self.max_displacements.tolist(),
-            "displacements": self.displacements.tolist(),
-            "velocity_tangency_max": self.velocity_tangency_max,
-            "step_halving_gap": self.step_halving_gap,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_table(self) -> str:
-        lines = ["s average max_displacement"]
-        for s, a, m in zip(self.s_values, self.averages, self.max_displacements):
-            lines.append(f"{s:.12g} {a:.12g} {m:.12g}")
-        return "\n".join(lines) + "\n"
-
-
-def _unit_rows(y: np.ndarray) -> np.ndarray:
-    return y / np.linalg.norm(y, axis=1, keepdims=True)
+    step_halving_gap: float  # endpoint shift under doubled steps
 
 
 def integrate_flow(
@@ -185,9 +152,7 @@ def integrate_flow(
     x0 = start.points
 
     def field(pts):
-        grad = P.gradient(_unit_rows(pts))
-        norms = np.linalg.norm(grad, axis=1)
-        return grad / floor_clamp(norms, cfg.epsilon)[:, None]
+        return _velocity(P, pts, cfg.epsilon)
 
     def displacement(pts):
         dots = np.clip(np.einsum("ij,ij->i", x0, pts), -1.0, 1.0)
@@ -206,13 +171,10 @@ def integrate_flow(
             tangency = max(
                 tangency, float(np.max(np.abs(np.einsum("ij,ij->i", k1, y))))
             )
-            if cfg.integrator == "projected-rk4":
-                k2 = field(y + 0.5 * h * k1)
-                k3 = field(y + 0.5 * h * k2)
-                k4 = field(y + h * k3)
-                raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                raw = y + h * k1
+            k2 = field(y + 0.5 * h * k1)
+            k3 = field(y + 0.5 * h * k2)
+            k4 = field(y + h * k3)
+            raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             norms = np.linalg.norm(raw, axis=1)
             shift = float(np.max(np.abs(norms - 1.0)))
             # negated comparison so non-finite states fail too
@@ -228,12 +190,10 @@ def integrate_flow(
         return y, s_values, averages, max_disp, tangency
 
     y, s_values, averages, max_disp, tangency = run(cfg.step_count)
-    halving_gap = None
-    if cfg.halving_check:
-        # Euclidean endpoint gap: arccos would amplify machine-level
-        # agreement into sqrt(eps)-sized angles
-        y_fine = run(2 * cfg.step_count)[0]
-        halving_gap = float(np.max(np.linalg.norm(y - y_fine, axis=1)))
+    # Euclidean endpoint gap: arccos would amplify machine-level agreement
+    # into sqrt(eps)-sized angles
+    y_fine = run(2 * cfg.step_count)[0]
+    halving_gap = float(np.max(np.linalg.norm(y - y_fine, axis=1)))
     return FlowTrace(
         initial=start,
         final=PointConfiguration(d=start.d, points=y),
@@ -320,7 +280,6 @@ def positivity_experiment(
     n_points: int,
     trials: int,
     seed: int,
-    anchor_count: int | None = None,
 ) -> PositivityReport:
     """Flow equal-area seeds under random unit-gradient-mass polynomials.
 
@@ -338,8 +297,7 @@ def positivity_experiment(
     seeds = PointConfiguration(d=d, points=partition.representatives)
     mesh = partition_norm(partition)
     threshold = mesh_threshold(d, t, cfg.mesh_constant)
-    if anchor_count is None:
-        anchor_count = 2 * model.space_dim
+    anchor_count = 2 * model.space_dim
     slope_bound = 1.0 / (6.0 * math.sqrt(d))
     target_bound = cfg.mesh_constant / (18.0 * math.sqrt(d) * t)
 
@@ -358,16 +316,13 @@ def positivity_experiment(
             "trials": trials,
             "anchor_count": anchor_count,
             "step_count": cfg.step_count,
-            "integrator": cfg.integrator,
+            "integrator": "projected-rk4",
             "rule_resolution": rule.resolution,
         },
     )
-    # every trace gets a doubled-resolution consistency pass: the clamp kink
-    # voids smooth-error guarantees, so convergence is checked, not assumed
-    traced_cfg = replace(cfg, halving_check=True)
     for i in range(trials):
         poly = sample_boundary_polynomial(model, rule, anchor_count, seed=(seed, i))
-        trace = integrate_flow(poly, seeds, traced_cfg)
+        trace = integrate_flow(poly, seeds, cfg)
         slopes = np.diff(trace.averages) / np.diff(trace.s_values)
         min_slope = float(np.min(slopes))
         initial = float(trace.averages[0])
@@ -388,7 +343,7 @@ def positivity_experiment(
                 final_average=final,
                 positive=bool(final > 0.0),
                 max_displacement=float(np.max(trace.displacements)),
-                step_halving_gap=float(trace.step_halving_gap),
+                step_halving_gap=trace.step_halving_gap,
             )
         )
     return report

@@ -23,9 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Inner products of unit vectors may land slightly outside [-1, 1] from
-# accumulated rounding; values within this distance are snapped back.
-SNAP_TOLERANCE = 1e-12
+from .sphere_geometry import CONFIG_NORM_TOLERANCE
+
+# Inner products of accepted points may land slightly outside [-1, 1]: by
+# (1 + delta)^2 - 1 from the norm tolerance delta, plus dot-product
+# rounding.  Values within this distance are snapped back.
+SNAP_TOLERANCE = (
+    (2.0 + CONFIG_NORM_TOLERANCE) * CONFIG_NORM_TOLERANCE + 64 * np.finfo(float).eps
+)
 
 MAX_DIMENSION = 8
 MAX_DEGREE = 200
@@ -87,7 +92,13 @@ def clamp_cosine(s, snap: float = SNAP_TOLERANCE):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _degree_scan(d: int, t: int, s: np.ndarray):
+def row_blocks(n: int, size: int):
+    """Yield (lo, hi) bounds that split n rows into blocks of at most size."""
+    for start in range(0, n, size):
+        yield start, min(start + size, n)
+
+
+def _degree_scan(d: int, t: int, s: np.ndarray, derivative: bool = False):
     """Yield (k, P_k(s), P_k'(s)) for k = 1..t by forward recurrence.
 
     The normalized family satisfies, for k >= 2,
@@ -96,19 +107,20 @@ def _degree_scan(d: int, t: int, s: np.ndarray):
 
     with P_0 = 1 and P_1 = s.  The denominator is >= 1 for every d >= 1, so
     the recurrence never degenerates; differentiating it gives the companion
-    recurrence for P_k'.
+    recurrence for P_k', which runs only when `derivative` is set (P_k' is
+    None otherwise).
     """
     p_prev = np.ones_like(s)
     p = s
-    dp_prev = np.zeros_like(s)
-    dp = np.ones_like(s)
+    dp_prev, dp = (np.zeros_like(s), np.ones_like(s)) if derivative else (None, None)
     yield 1, p, dp
     for k in range(2, t + 1):
         a = 2 * k + d - 3
         b = k - 1
         c = k + d - 2
         p, p_prev = (a * s * p - b * p_prev) / c, p
-        dp, dp_prev = (a * (p_prev + s * dp) - b * dp_prev) / c, dp
+        if derivative:
+            dp, dp_prev = (a * (p_prev + s * dp) - b * dp_prev) / c, dp
         yield k, p, dp
 
 
@@ -129,10 +141,9 @@ def gegenbauer_normalized(model: KernelModel, k: int, s):
     arr = clamp_cosine(s)
     if k == 0:
         return _as_input_shape(np.ones_like(arr), s)
-    for j, p, _ in _degree_scan(model.d, k, arr):
-        if j == k:
-            return _as_input_shape(p, s)
-    raise AssertionError("unreachable")
+    for _, p, _ in _degree_scan(model.d, k, arr):
+        pass  # the scan ends at degree k
+    return _as_input_shape(p, s)
 
 
 def kernel_value(model: KernelModel, s):
@@ -148,7 +159,7 @@ def kernel_derivative(model: KernelModel, s):
     """Derivative d/ds of `kernel_value`, by the differentiated recurrence."""
     arr = clamp_cosine(s)
     total = np.zeros_like(arr)
-    for k, _, dp in _degree_scan(model.d, model.t, arr):
+    for k, _, dp in _degree_scan(model.d, model.t, arr, derivative=True):
         total += model.dims[k - 1] * dp
     return _as_input_shape(total, s)
 
@@ -158,7 +169,7 @@ def kernel_value_and_derivative(model: KernelModel, s):
     arr = clamp_cosine(s)
     value = np.zeros_like(arr)
     deriv = np.zeros_like(arr)
-    for k, p, dp in _degree_scan(model.d, model.t, arr):
+    for k, p, dp in _degree_scan(model.d, model.t, arr, derivative=True):
         z = model.dims[k - 1]
         value += z * p
         deriv += z * dp

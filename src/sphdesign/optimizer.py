@@ -21,7 +21,15 @@ import numpy as np
 
 from .design import DesignReport, defect, defect_gradient, lower_bound, verify_design
 from .kernel import kernel_model
-from .sphere_geometry import PointConfiguration, equal_area_partition
+from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
+
+# Line search: Armijo slope, step growth after an accepted step, first
+# trial step, backtrack limit; then the seed noise scale of a restart.
+ARMIJO_SLOPE = 1e-4
+STEP_GROWTH = 2.0
+INITIAL_STEP = 1.0
+MAX_BACKTRACKS = 60
+PERTURBATION = 0.3
 
 
 @dataclass(frozen=True)
@@ -33,12 +41,7 @@ class FinderConfig:
     n: int
     max_iterations: int = 20000
     defect_target: float = 1e-12
-    armijo_slope: float = 1e-4
-    step_growth: float = 2.0
-    initial_step: float = 1.0
-    max_backtracks: int = 60
     restarts: int = 5
-    perturbation: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
@@ -46,21 +49,16 @@ class FinderConfig:
             raise ValueError("n must be >= 1")
         if self.defect_target <= 0.0:
             raise ValueError("defect_target must be positive")
-        if self.max_iterations < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
 
 
-def seed_points(d: int, t: int, n: int) -> PointConfiguration:
-    """Equal-area partition representatives; independent of the degree t."""
-    del t  # seeding depends only on the partition of S^d into n cells
+def seed_points(d: int, n: int) -> PointConfiguration:
+    """Equal-area partition representatives of S^d split into n cells."""
     partition = equal_area_partition(d, n)
     return PointConfiguration(d=d, points=partition.representatives)
-
-
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -83,7 +81,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     grad = grad_of(x)
     grad_sq = float((grad * grad).sum())
     direction = -grad
-    step = cfg.initial_step
+    step = INITIAL_STEP
     for _ in range(cfg.max_iterations):
         descent = float((grad * direction).sum())
         if descent >= 0.0:
@@ -91,11 +89,11 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
             descent = -grad_sq
         alpha = step
         accepted = None
-        for _ in range(cfg.max_backtracks):
-            candidate = _unit_rows(x + alpha * direction)
+        for _ in range(MAX_BACKTRACKS):
+            candidate = unit_rows(x + alpha * direction)
             candidate_value = f_of(candidate)
             if (
-                candidate_value <= value + cfg.armijo_slope * alpha * descent
+                candidate_value <= value + ARMIJO_SLOPE * alpha * descent
                 and candidate_value < value
             ):
                 accepted = (candidate, candidate_value)
@@ -104,7 +102,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         if accepted is None:
             break  # line search collapsed: local minimum at this precision
         x_new, value_new = accepted
-        step = alpha * cfg.step_growth
+        step = alpha * STEP_GROWTH
         grad_new = grad_of(x_new)
         grad_new_sq = float((grad_new * grad_new).sum())
         # Polak-Ribiere+ with tangent transport by projection
@@ -140,7 +138,7 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
             f"no {cfg.t}-design on S^{cfg.d} can have {cfg.n} points; "
             f"the minimum is {minimum}"
         )
-    seeds = seed_points(cfg.d, cfg.t, cfg.n).points
+    seeds = seed_points(cfg.d, cfg.n).points
     rng = np.random.default_rng(cfg.seed)
     best_x = None
     best_value = math.inf
@@ -151,9 +149,7 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
         if attempt == 0:
             start = seeds.copy()
         else:
-            start = _unit_rows(
-                seeds + cfg.perturbation * rng.standard_normal(seeds.shape)
-            )
+            start = unit_rows(seeds + PERTURBATION * rng.standard_normal(seeds.shape))
         x, value, trace = _minimize(model, cfg, start)
         if value < best_value:
             best_x, best_value, best_trace = x, value, trace

@@ -1,4 +1,4 @@
-"""Stable file formats: point sets, partition JSON, report JSON.
+"""Stable point-set file format and atomic text writes.
 
 Point-set format, shared project-wide:
 
@@ -12,13 +12,12 @@ bit-for-bit.  All writes go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
 import numpy as np
 
-from .sphere_geometry import PointConfiguration
+from .sphere_geometry import CONFIG_NORM_TOLERANCE, PointConfiguration
 
 POINT_NORM_TOLERANCE = 1e-9
 
@@ -71,7 +70,7 @@ def parse_points(text: str) -> PointConfiguration:
         rows.append(row)
     pts = np.array(rows)
     norms = np.linalg.norm(pts, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > 1e-12:
+    if float(np.max(np.abs(norms - 1.0))) > CONFIG_NORM_TOLERANCE:
         # sloppier external file: renormalize (the shift is within 1e-9);
         # files written by this package round-trip bit-identically and skip this
         pts = pts / norms[:, None]
@@ -99,7 +98,3 @@ def write_points(path: str, config: PointConfiguration):
 def read_points(path: str) -> PointConfiguration:
     with open(path) as handle:
         return parse_points(handle.read())
-
-
-def write_json(path: str, payload: dict):
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -23,17 +23,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_chebyu, roots_legendre
 
-from .kernel import KernelModel, kernel_value, kernel_value_and_derivative
+from .kernel import KernelModel, kernel_derivative, kernel_value, row_blocks
+from .sphere_geometry import random_points, unit_rows
 
 PRODUCT_RULE_MAX_D = 3
 
 # keep per-degree recurrence temporaries cache-sized on large node batches
 _EVAL_BLOCK_ROWS = 4096
-
-
-def _eval_blocks(n: int):
-    for start in range(0, n, _EVAL_BLOCK_ROWS):
-        yield start, min(start + _EVAL_BLOCK_ROWS, n)
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -119,8 +115,7 @@ def _cached_rule(d: int, resolution: int, seed: int) -> QuadratureRule:
     else:
         rng = np.random.default_rng(seed)
         count = 1024 * resolution
-        nodes = rng.standard_normal((count, d + 1))
-        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+        nodes = unit_rows(rng.standard_normal((count, d + 1)))
         weights = np.full(count, 1.0 / count)
         exact = 0
     weights = _exact_unit_weights(weights)
@@ -213,7 +208,7 @@ class KernelPolynomial:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         values = np.empty(pts.shape[0])
-        for lo, hi in _eval_blocks(pts.shape[0]):
+        for lo, hi in row_blocks(pts.shape[0], _EVAL_BLOCK_ROWS):
             s = pts[lo:hi] @ self.anchors.T
             values[lo:hi] = kernel_value(self.model, s) @ self.coefficients
         return float(values[0]) if single else values
@@ -224,11 +219,10 @@ class KernelPolynomial:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         grad = np.empty(pts.shape)
-        for lo, hi in _eval_blocks(pts.shape[0]):
+        for lo, hi in row_blocks(pts.shape[0], _EVAL_BLOCK_ROWS):
             block = pts[lo:hi]
             s = block @ self.anchors.T
-            _, deriv = kernel_value_and_derivative(self.model, s)
-            weighted = deriv * self.coefficients  # (rows, m)
+            weighted = kernel_derivative(self.model, s) * self.coefficients  # (rows, m)
             raw = weighted @ self.anchors
             radial = np.einsum("nm,nm->n", weighted, s)
             grad[lo:hi] = raw - radial[:, None] * block
@@ -262,8 +256,6 @@ def sample_boundary_polynomial(
     if rule.d != model.d:
         raise ValueError("rule and model are on different spheres")
     rng = np.random.default_rng(seed)
-    from .sphere_geometry import random_points
-
     for _ in range(100):
         anchors = random_points(model.d, m_anchors, rng)
         coefficients = rng.standard_normal(m_anchors)

@@ -30,6 +30,8 @@ from scipy.special import betainc, betaincinv
 TWO_PI = 2.0 * math.pi
 
 UNIT_NORM_TOLERANCE = 1e-9
+# Largest deviation of a point norm from 1 that a PointConfiguration accepts.
+CONFIG_NORM_TOLERANCE = 1e-12
 SUPPORTED_DIMENSIONS = range(1, 9)
 
 
@@ -49,14 +51,21 @@ class PointConfiguration:
         norms = np.linalg.norm(pts, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
         # negated comparison so NaN coordinates fail too
-        if not worst <= 1e-12:
-            raise ValueError(f"point norms deviate from 1 by {worst!r} (> 1e-12)")
+        if not worst <= CONFIG_NORM_TOLERANCE:
+            raise ValueError(
+                f"point norms deviate from 1 by {worst!r} (> {CONFIG_NORM_TOLERANCE!r})"
+            )
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Each row of x divided by its Euclidean norm."""
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _require_unit(x: np.ndarray, name: str):
@@ -98,9 +107,7 @@ def tangent_project(x, v) -> np.ndarray:
 
 def random_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform points on S^d, as an (n, d+1) array."""
-    pts = rng.standard_normal((n, d + 1))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts
+    return unit_rows(rng.standard_normal((n, d + 1)))
 
 
 def cap_measure(d: int, theta: float) -> float:

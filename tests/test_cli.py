@@ -111,6 +111,17 @@ class TestCliCommands:
         assert payload["verdict"] is False
         assert payload["meta"]["invocation"]["command"] == "verify"
 
+    def test_verify_cross_check_failure_is_an_error(self, tmp_path, capsys, monkeypatch):
+        import sphdesign.harmonics as harmonics
+
+        pts = tmp_path / "ico.txt"
+        write_points(str(pts), catalog_design("icosahedron"))
+        monkeypatch.setattr(
+            harmonics, "mean_residuals", lambda t, points: np.ones(harmonics.basis_size(t))
+        )
+        assert main(["verify", "--t", "5", "--in", str(pts)]) == 1
+        assert "error: kernel defect" in capsys.readouterr().err
+
     def test_verify_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n1 0 0\n0.5 0 0\n")

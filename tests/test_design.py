@@ -15,6 +15,7 @@ from sphdesign.design import (
 from sphdesign.harmonics import basis_size, basis_values, mean_residuals
 from sphdesign.kernel import kernel_model
 from sphdesign.sphere_geometry import (
+    CONFIG_NORM_TOLERANCE,
     PointConfiguration,
     random_points,
     tangent_project,
@@ -263,6 +264,17 @@ class TestVerifyDesign:
         import json
 
         assert json.loads(report.to_json()) == payload
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_accepts_points_near_norm_tolerance(self, rng, d):
+        # every configuration PointConfiguration accepts must evaluate: the
+        # self inner product of a point of norm 1 + delta is (1 + delta)^2
+        pts = random_points(d, 12, rng)
+        near = PointConfiguration(d=d, points=pts * (1.0 + 0.9 * CONFIG_NORM_TOLERANCE))
+        model = kernel_model(d, 4)
+        exact = defect(model, PointConfiguration(d=d, points=pts))
+        assert defect(model, near) == pytest.approx(exact, rel=1e-9)
+        assert verify_design(model, near).defect == pytest.approx(exact, rel=1e-9)
 
     def test_rejects_nonpositive_tolerance(self):
         model = kernel_model(2, 3)

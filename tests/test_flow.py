@@ -69,8 +69,6 @@ class TestDefaults:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(epsilon=0.0, horizon=1.0)
-        with pytest.raises(ValueError):
-            FlowConfig(epsilon=0.1, horizon=1.0, integrator="leapfrog")
         cfg = FlowConfig.defaults(2, 3)
         assert cfg.epsilon == default_epsilon(2)
         assert cfg.horizon == flow_horizon(3)
@@ -170,27 +168,6 @@ class TestIntegrateFlow:
         slope = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
         assert -slope >= 3.5
 
-    def test_euler_is_first_order(self):
-        eps = default_epsilon(2)
-        c = eps / 6.0
-        lam = 3.0 * c / eps
-        poly = self._meridian_setup(c)
-        theta0 = 2.0
-        start = PointConfiguration(
-            d=2, points=np.array([[math.sin(theta0), 0.0, math.cos(theta0)]])
-        )
-        theta_exact = 2.0 * math.atan(math.tan(theta0 / 2.0) * math.exp(-lam))
-        errors = []
-        for steps in (16, 32, 64, 128):
-            cfg = FlowConfig(
-                epsilon=eps, horizon=1.0, step_count=steps, integrator="projected-euler"
-            )
-            trace = integrate_flow(poly, start, cfg)
-            theta = math.acos(float(np.clip(trace.final.points[0, 2], -1, 1)))
-            errors.append(abs(theta - theta_exact))
-        slope = np.polyfit(np.log([16, 32, 64, 128]), np.log(errors), 1)[0]
-        assert -slope == pytest.approx(1.0, abs=0.3)
-
     def test_displacement_bounded_by_time(self, rng):
         model = kernel_model(2, 3)
         rule = build_quadrature(2, 5)
@@ -230,24 +207,18 @@ class TestIntegrateFlow:
         start = PointConfiguration(d=2, points=random_points(2, 5, rng))
         cfg = FlowConfig.defaults(2, 2, step_count=8)
         trace = integrate_flow(poly, start, cfg)
-        payload = trace.to_dict()
-        assert len(payload["s_values"]) == 9
-        assert payload["step_halving_gap"] is None
-        table = trace.to_table()
-        assert table.splitlines()[0] == "s average max_displacement"
-        assert len(table.splitlines()) == 10
+        # one sample at s = 0 and one after each of the 8 steps
+        for samples in (trace.s_values, trace.averages, trace.max_displacements):
+            assert samples.shape == (9,)
+        assert trace.s_values[-1] == pytest.approx(cfg.horizon)
 
     def test_step_halving_gap_recorded(self, rng):
         model = kernel_model(2, 3)
         rule = build_quadrature(2, 5)
         poly = sample_boundary_polynomial(model, rule, 24, seed=2)
         start = PointConfiguration(d=2, points=random_points(2, 10, rng))
-        cfg = FlowConfig.defaults(2, 3, step_count=32)
-        from dataclasses import replace
-
-        trace = integrate_flow(poly, start, replace(cfg, halving_check=True))
-        assert trace.step_halving_gap is not None
-        assert trace.step_halving_gap < 2e-5
+        trace = integrate_flow(poly, start, FlowConfig.defaults(2, 3, step_count=32))
+        assert 0.0 <= trace.step_halving_gap < 2e-5
 
     def test_dimension_mismatch(self, rng):
         model = kernel_model(2, 2)

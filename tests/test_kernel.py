@@ -183,12 +183,16 @@ class TestKernelDerivative:
             rel = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
             assert rel.max() < 1e-6
 
-    def test_combined_pass_agrees(self, rng):
-        model = kernel_model(3, 8)
-        s = rng.uniform(-1, 1, size=23)
+    @pytest.mark.parametrize(
+        "d, t", [(d, t) for d in range(1, 9) for t in (1, 2, 7, 40)]
+    )
+    def test_combined_pass_agrees(self, rng, d, t):
+        # the value-only and derivative-only scans match the combined pass
+        model = kernel_model(d, t)
+        s = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1, 1, size=23)])
         value, deriv = kernel_value_and_derivative(model, s)
-        assert np.array_equal(value, kernel_value(model, s))
-        assert np.array_equal(deriv, kernel_derivative(model, s))
+        assert np.array_equal(kernel_value(model, s), value)
+        assert np.array_equal(kernel_derivative(model, s), deriv)
 
 
 class TestModelValidation:

@@ -10,24 +10,19 @@ from sphdesign.optimizer import FinderConfig, find_design, seed_points
 
 class TestSeedPoints:
     def test_two_cells_give_poles(self):
-        seeds = seed_points(2, 4, 2)
+        seeds = seed_points(2, 2)
         assert np.allclose(np.abs(seeds.points[:, 0]), 1.0)
         assert np.allclose(seeds.points[0], -seeds.points[1])
 
     def test_circle_seeds_equally_spaced(self):
         n = 7
-        seeds = seed_points(1, 3, n)
+        seeds = seed_points(1, n)
         angles = np.sort(np.arctan2(seeds.points[:, 1], seeds.points[:, 0]) % (2 * math.pi))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * math.pi]]))
         assert np.allclose(gaps, 2 * math.pi / n, atol=1e-12)
 
-    def test_independent_of_degree(self):
-        a = seed_points(2, 1, 37)
-        b = seed_points(2, 9, 37)
-        assert np.array_equal(a.points, b.points)
-
     def test_unit_norms(self):
-        seeds = seed_points(3, 2, 50)
+        seeds = seed_points(3, 50)
         assert np.max(np.abs(np.linalg.norm(seeds.points, axis=1) - 1.0)) < 1e-12
 
 
