@@ -67,7 +67,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--out", default=None, help="write the point set here")
     p.add_argument("--report", default=None, help="write the report JSON here")
-    p.add_argument("--trace", default=None, help="write per-iteration defects as CSV")
+    p.add_argument("--trace", default=None, help="write per-iteration descent objectives as CSV")
 
     p = sub.add_parser("verify", help="verify a point set against a degree")
     p.add_argument("--t", type=int, required=True)
@@ -197,7 +197,8 @@ def _cmd_find(args) -> int:
         rows = "\n".join(f"{i},{v:.17g}" for i, v in enumerate(trace))
         _emit("iteration,defect\n" + rows + "\n", args.trace)
     print(
-        f"defect {report.defect:.3e} after {report.meta['attempts']} attempt(s); "
+        f"defect {report.defect:.3e} after {report.meta['attempts']} attempt(s), "
+        f"stopped on {report.meta['stop_reason']}; "
         f"verdict {'design' if report.verdict else 'NOT a design at target'}"
     )
     return EXIT_OK if report.verdict else EXIT_REFUTED

@@ -10,12 +10,18 @@ a nonnegative functional (it is the squared norm of the averaged kernel
 sections).  Splitting the kernel by harmonic degree gives residuals
 rho_1..rho_t with defect = sum_k rho_k.
 
-All pairwise double sums are accumulated with math.fsum per row and then
+In verification (`defect`, `degree_residuals`, `verify_design`) the
+pairwise double sums are accumulated with math.fsum per row and then
 across rows.  fsum returns the correctly rounded sum of its inputs, so the
 results are independent of point ordering: permutation invariance holds
 exactly, not just approximately.  The pair inner products go through
 einsum rather than BLAS matmul for the same reason: BLAS tiling makes the
 last ulp of a dot product depend on its position in the output matrix.
+
+The finder's line search evaluates `_descent_defect` instead, the same sum
+with plain np.sum accumulation: deterministic at a fixed thread count and
+within a few eps * K(1) of `defect`, but not exactly permutation-invariant.
+Every finder result is re-verified with the exact `verify_design`.
 """
 
 from __future__ import annotations
@@ -72,6 +78,19 @@ def defect(model: KernelModel, config: PointConfiguration) -> float:
     for _, _, s in _pair_cosines(model, config):
         row_sums.extend(math.fsum(row) for row in kernel_value(model, s))
     return math.fsum(row_sums) / config.n**2
+
+
+def _descent_defect(model: KernelModel, config: PointConfiguration) -> float:
+    """The finder's descent objective: `defect` with plain sums.
+
+    Each block is reduced by np.sum and the blocks are added in order, so
+    the value is bit-deterministic at a fixed thread count but not exactly
+    permutation-invariant.  It agrees with `defect` to a few eps * K(1).
+    """
+    total = 0.0
+    for _, _, s in _pair_cosines(model, config):
+        total += float(np.sum(kernel_value(model, s)))
+    return total / config.n**2
 
 
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:

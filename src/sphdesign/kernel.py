@@ -81,10 +81,10 @@ def clamp_cosine(s, snap: float = SNAP_TOLERANCE):
     """Clamp inner products to [-1, 1], rejecting values beyond the snap band.
 
     The negated comparison also rejects NaN, which would otherwise slip
-    through every downstream recurrence.
+    through every downstream recurrence: min and max propagate it.
     """
     arr = np.asarray(s, dtype=float)
-    if not (np.all(arr >= -1.0 - snap) and np.all(arr <= 1.0 + snap)):
+    if arr.size and not (arr.min() >= -1.0 - snap and arr.max() <= 1.0 + snap):
         bad = arr[~((arr >= -1.0 - snap) & (arr <= 1.0 + snap))]
         raise ValueError(
             f"inner product {float(bad.flat[0])!r} outside [-1, 1] beyond snap tolerance"

@@ -7,6 +7,12 @@ renormalization after every trial step).  The defect vanishes exactly at
 t-designs, so reaching the target tolerance is a certificate candidate that
 is always re-verified independently by `verify_design`.
 
+The line search minimizes `design._descent_defect`, the defect summed with
+plain np.sum instead of math.fsum; exact sums are kept for verification.
+So the per-iteration defects in `meta["defect_trace"]` (and in CLI
+`find --trace`) are descent-objective values, while `report.defect` is the
+exact verified defect.  They agree to a few eps * K(1).
+
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
 """
@@ -19,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignReport, defect, defect_gradient, lower_bound, verify_design
+from .design import (
+    DesignReport,
+    _descent_defect,
+    defect_gradient,
+    lower_bound,
+    verify_design,
+)
 from .kernel import kernel_model
 from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
 
@@ -66,10 +78,15 @@ def _tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _minimize(model, cfg: FinderConfig, x: np.ndarray):
-    """CG-accelerated projected descent; returns (points, defect, trace)."""
+    """CG-accelerated projected descent.
+
+    Returns (points, objective, trace, stop reason); the reason is "target",
+    "line_search" (no trial step decreased the objective), "iterations" or
+    "zero_gradient".
+    """
 
     def f_of(pts):
-        return defect(model, PointConfiguration(d=cfg.d, points=pts))
+        return _descent_defect(model, PointConfiguration(d=cfg.d, points=pts))
 
     def grad_of(pts):
         return defect_gradient(model, PointConfiguration(d=cfg.d, points=pts))
@@ -77,11 +94,12 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     value = f_of(x)
     trace = [value]
     if value <= cfg.defect_target:
-        return x, value, trace
+        return x, value, trace, "target"
     grad = grad_of(x)
     grad_sq = float((grad * grad).sum())
     direction = -grad
     step = INITIAL_STEP
+    reason = "iterations"
     for _ in range(cfg.max_iterations):
         descent = float((grad * direction).sum())
         if descent >= 0.0:
@@ -100,7 +118,8 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
                 break
             alpha *= 0.5
         if accepted is None:
-            break  # line search collapsed: local minimum at this precision
+            reason = "line_search"  # local minimum at this precision
+            break
         x_new, value_new = accepted
         step = alpha * STEP_GROWTH
         grad_new = grad_of(x_new)
@@ -116,10 +135,12 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         x, value, grad, grad_sq = x_new, value_new, grad_new, grad_new_sq
         trace.append(value)
         if value <= cfg.defect_target:
+            reason = "target"
             break
         if grad_sq == 0.0:
+            reason = "zero_gradient"
             break
-    return x, value, trace
+    return x, value, trace, reason
 
 
 def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
@@ -128,7 +149,9 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     The first attempt starts from the plain equal-area seeds; each restart
     perturbs the seeds with seeded Gaussian noise.  The best configuration
     across attempts is re-verified by `verify_design`, whose verdict (not
-    the optimizer's own bookkeeping) is what the report states.
+    the optimizer's own bookkeeping) is what the report states.  The
+    report's meta records why each attempt stopped (`stop_reasons`) and
+    why the reported one did (`stop_reason`).
     """
     started = time.perf_counter()
     model = kernel_model(cfg.d, cfg.t)
@@ -143,16 +166,17 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     best_x = None
     best_value = math.inf
     best_trace: list[float] = []
-    attempts = 0
+    best_reason = ""
+    stop_reasons: list[str] = []
     for attempt in range(cfg.restarts + 1):
-        attempts = attempt + 1
         if attempt == 0:
             start = seeds.copy()
         else:
             start = unit_rows(seeds + PERTURBATION * rng.standard_normal(seeds.shape))
-        x, value, trace = _minimize(model, cfg, start)
+        x, value, trace, reason = _minimize(model, cfg, start)
+        stop_reasons.append(reason)
         if value < best_value:
-            best_x, best_value, best_trace = x, value, trace
+            best_x, best_value, best_trace, best_reason = x, value, trace, reason
         if best_value <= cfg.defect_target:
             break
     config = PointConfiguration(d=cfg.d, points=best_x)
@@ -162,11 +186,13 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
         tolerance=cfg.defect_target,
         meta={
             "seed": cfg.seed,
-            "attempts": attempts,
+            "attempts": len(stop_reasons),
             "iterations": len(best_trace) - 1,
             "converged": bool(best_value <= cfg.defect_target),
             "best_defect": best_value,
             "defect_trace": best_trace,
+            "stop_reason": best_reason,
+            "stop_reasons": stop_reasons,
             "runtime_seconds": time.perf_counter() - started,
         },
     )

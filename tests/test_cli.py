@@ -140,6 +140,7 @@ class TestCliCommands:
             ]
         )
         assert code == 0
+        assert "stopped on target; verdict design" in capsys.readouterr().out
         found = read_points(str(pts))
         assert found.n == 4
         payload = json.loads(report.read_text())

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_rotation
 from sphdesign.design import (
+    _descent_defect,
     catalog_design,
     defect,
     defect_gradient,
@@ -123,6 +124,35 @@ class TestDefect:
             for n in (3, 10, 40):
                 cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
                 assert defect(model, cfg) > -1e-12
+
+
+class TestDescentDefect:
+    """The finder's plain-sum objective against the exact fsum defect."""
+
+    # N = 300 spans two 256-row pair blocks
+    @pytest.mark.parametrize("n", [5, 60, 300])
+    @pytest.mark.parametrize("t", [1, 2, 7, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_exact_defect(self, d, t, n):
+        model = kernel_model(d, t)
+        rng = np.random.default_rng(1000 * d + 10 * t + n)
+        cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
+        bound = 4 * np.finfo(float).eps * model.space_dim
+        assert abs(_descent_defect(model, cfg) - defect(model, cfg)) <= bound
+
+    @pytest.mark.parametrize("name,t", [("icosahedron", 5), ("24-cell", 5), ("cube(3)", 3)])
+    def test_vanishes_at_designs(self, name, t):
+        config = catalog_design(name)
+        model = kernel_model(config.d, t)
+        bound = 4 * np.finfo(float).eps * model.space_dim
+        assert abs(defect(model, config)) <= bound
+        assert abs(_descent_defect(model, config)) <= bound
+
+    def test_dimension_mismatch(self, rng):
+        model = kernel_model(2, 3)
+        cfg = PointConfiguration(d=3, points=random_points(3, 4, rng))
+        with pytest.raises(ValueError):
+            _descent_defect(model, cfg)
 
 
 class TestDegreeResiduals:

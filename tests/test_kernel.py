@@ -115,6 +115,17 @@ class TestGegenbauer:
             kernel_value(model, float("nan"))
         with pytest.raises(ValueError):
             kernel_value(model, np.array([0.5, np.nan]))
+        block = np.full((4, 5), 0.25)
+        block[2, 3] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            kernel_value(model, block)
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="outside"):
+                kernel_value(model, np.array([[0.5, bad], [0.0, 1.0]]))
+
+    def test_empty_input_evaluates(self):
+        model = kernel_model(2, 3)
+        assert kernel_value(model, np.empty((0, 4))).shape == (0, 4)
 
     def test_rejects_degree_outside_model(self):
         model = kernel_model(2, 3)

@@ -39,6 +39,9 @@ class TestFindDesign:
         config, report = find_design(FinderConfig(d=2, t=3, n=6))
         assert report.verdict
         assert report.defect <= 1e-12
+        assert report.meta["stop_reason"] == "target"
+        assert report.meta["stop_reasons"][-1] == "target"
+        assert len(report.meta["stop_reasons"]) == report.meta["attempts"]
 
     def test_icosahedral_size_5_design(self):
         config, report = find_design(FinderConfig(d=2, t=5, n=12))
@@ -84,6 +87,24 @@ class TestFindDesign:
         assert not report.meta["converged"]
         assert not report.verdict
         assert report.meta["best_defect"] > 1e-12
+        assert report.meta["stop_reasons"] == ["line_search"]
+        assert report.meta["stop_reason"] == "line_search"
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FinderConfig(d=2, t=5, n=12),
+            FinderConfig(d=2, t=4, n=25, seed=0),  # converges after a restart
+            FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
+        ],
+        ids=["2-5-12", "2-4-25-restart", "2-2-4-stalled"],
+    )
+    def test_bookkeeping_agrees_with_verification(self, cfg):
+        # the finder descends on a plain-sum objective; verification is exact
+        _, report = find_design(cfg)
+        bound = 4 * np.finfo(float).eps * kernel_model(cfg.d, cfg.t).space_dim
+        assert abs(report.meta["best_defect"] - report.defect) <= bound
+        assert report.meta["converged"] == report.verdict
 
     def test_rejects_below_minimum(self):
         with pytest.raises(ValueError, match="minimum is 4"):
