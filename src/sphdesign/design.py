@@ -10,13 +10,15 @@ a nonnegative functional (it is the squared norm of the averaged kernel
 sections).  Splitting the kernel by harmonic degree gives residuals
 rho_1..rho_t with defect = sum_k rho_k.
 
-In verification (`defect`, `degree_residuals`, `verify_design`) the
-pairwise double sums are accumulated with math.fsum per row and then
-across rows.  fsum returns the correctly rounded sum of its inputs, so the
-results are independent of point ordering: permutation invariance holds
-exactly, not just approximately.  The pair inner products go through
-einsum rather than BLAS matmul for the same reason: BLAS tiling makes the
-last ulp of a dot product depend on its position in the output matrix.
+In verification (`defect`, `degree_residuals`, `verify_design`) each row
+of the pairwise matrices is summed correctly rounded, by error-free
+extraction (`kernel._exact_row_sums`, identical to math.fsum of the row),
+and the row sums are added with math.fsum.  Correctly rounded sums do not
+depend on point ordering, so permutation invariance holds exactly, not
+just approximately.  The pair inner products go through einsum rather
+than BLAS matmul for the same reason: BLAS tiling makes the last ulp of a
+dot product depend on its position in the output matrix.  `verify_design`
+takes the defect and the residuals from one pass over the pair matrix.
 
 The finder's line search evaluates `_descent_defect` instead, the same sum
 with plain np.sum accumulation: deterministic at a fixed thread count and
@@ -37,6 +39,7 @@ from . import harmonics
 from .kernel import (
     KernelModel,
     _degree_scan,
+    _exact_row_sums,
     clamp_cosine,
     kernel_derivative,
     kernel_value,
@@ -74,10 +77,10 @@ def _pair_cosines(model: KernelModel, config: PointConfiguration):
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
-    row_sums = []
-    for _, _, s in _pair_cosines(model, config):
-        row_sums.extend(math.fsum(row) for row in kernel_value(model, s))
-    return math.fsum(row_sums) / config.n**2
+    row_sums = [
+        _exact_row_sums(kernel_value(model, s)) for _, _, s in _pair_cosines(model, config)
+    ]
+    return math.fsum(np.concatenate(row_sums)) / config.n**2
 
 
 def _descent_defect(model: KernelModel, config: PointConfiguration) -> float:
@@ -93,15 +96,29 @@ def _descent_defect(model: KernelModel, config: PointConfiguration) -> float:
     return total / config.n**2
 
 
+def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
+    """`defect` and `degree_residuals` from one pair pass, bit for bit.
+
+    The kernel block is built from the same P_k as `kernel_value` builds
+    it, in the same order, so its row sums do not change.
+    """
+    kernel_rows, degree_rows = [], [[] for _ in range(model.t)]
+    for _, _, s in _pair_cosines(model, config):
+        total = np.zeros_like(s)
+        for k, p, _ in _degree_scan(model.d, model.t, s):
+            degree_rows[k - 1].append(_exact_row_sums(p))
+            total += model.dims[k - 1] * p
+        kernel_rows.append(_exact_row_sums(total))
+    n_sq = config.n**2
+    residuals = np.array(
+        [z * math.fsum(np.concatenate(r)) / n_sq for z, r in zip(model.dims, degree_rows)]
+    )
+    return math.fsum(np.concatenate(kernel_rows)) / n_sq, residuals
+
+
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Per-degree residuals rho_1..rho_t; nonnegative and summing to the defect."""
-    rows = [[] for _ in range(model.t)]
-    for _, _, s in _pair_cosines(model, config):
-        for k, p, _ in _degree_scan(model.d, model.t, s):
-            rows[k - 1].extend(math.fsum(row) for row in p)
-    return np.array(
-        [model.dims[k] * math.fsum(rows[k]) / config.n**2 for k in range(model.t)]
-    )
+    return _defect_and_residuals(model, config)[1]
 
 
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:
@@ -168,8 +185,7 @@ def verify_design(
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    residuals = degree_residuals(model, config)
-    total = defect(model, config)
+    total, residuals = _defect_and_residuals(model, config)
     report_meta = dict(meta or {})
     if model.d == 2:
         basis_means = harmonics.mean_residuals(model.t, config.points)

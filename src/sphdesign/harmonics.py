@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .kernel import _exact_row_sums
+
 
 def basis_size(t: int) -> int:
     """Number of real harmonics of degrees 1..t on S^2: (t+1)^2 - 1."""
@@ -90,5 +92,4 @@ def mean_residuals(t: int, points) -> np.ndarray:
     norm of this vector equals the kernel defect of the configuration.
     """
     values = basis_values(t, points)
-    n = values.shape[0]
-    return np.array([math.fsum(col) / n for col in values.T])
+    return _exact_row_sums(values.T) / values.shape[0]

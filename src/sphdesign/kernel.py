@@ -98,6 +98,51 @@ def row_blocks(n: int, size: int):
         yield start, min(start + size, n)
 
 
+def _exact_row_sums(x) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D array.
+
+    Bit-identical to [math.fsum(row) for row in x], by error-free
+    extraction (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    summation, part I").  With every residual |r| < 2^e and sigma =
+    2^(e+m), 2^m >= n + 2, q = (r + sigma) - sigma is r rounded to a
+    multiple of 2^(e+m-53), r - q is exact, and the n values q of a row add
+    up exactly in any order.  Each level strips the top 53 - m bits of what
+    is left, so a few levels leave r all zero; math.fsum then rounds each
+    row's few exact level sums once.  Rows whose sigma would overflow, or
+    that hold inf or NaN, are summed by math.fsum itself, so its value or
+    exception (including its order-dependent OverflowError) carries over.
+    """
+    work = np.array(x, dtype=float, order="C")  # residuals, reduced in place
+    if work.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {work.shape}")
+    rows, n = work.shape
+    if work.size == 0:
+        return np.zeros(rows)
+    m = (n + 1).bit_length()
+    limit = 2.0 ** (1023 - m)  # max |r| < limit keeps sigma finite
+    special = {}
+    lo, hi = work.min(), work.max()
+    if not (-limit < lo and hi < limit):  # also true on NaN
+        wild = ~(np.abs(work).max(axis=1) < limit)
+        special = {i: math.fsum(work[i]) for i in np.flatnonzero(wild)}
+        work[wild] = 0.0
+        lo, hi = work.min(), work.max()
+    scratch = np.empty_like(work)  # q on every level
+    levels = []
+    top = max(hi, -lo)
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(work, sigma, out=scratch)
+        scratch -= sigma
+        work -= scratch
+        levels.append(scratch.sum(axis=1).tolist())
+        top = max(work.max(), -work.min())
+    out = np.array([math.fsum(s) for s in zip(*levels)]) if levels else np.zeros(rows)
+    for i, value in special.items():
+        out[i] = value
+    return out
+
+
 def _degree_scan(d: int, t: int, s: np.ndarray, derivative: bool = False):
     """Yield (k, P_k(s), P_k'(s)) for k = 1..t by forward recurrence.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import kernel_model
+from .kernel import _exact_row_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
     QuadratureRule,
@@ -79,7 +79,7 @@ def _checked_points(partition: Partition, points) -> np.ndarray:
 
 
 def _discrete_average(values: np.ndarray) -> float:
-    return math.fsum(np.abs(values)) / len(values)
+    return float(_exact_row_sums(np.abs(values)[None])[0]) / len(values)
 
 
 def _ratio_report(

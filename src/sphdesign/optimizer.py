@@ -80,9 +80,11 @@ def _tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     """CG-accelerated projected descent.
 
-    Returns (points, objective, trace, stop reason); the reason is "target",
-    "line_search" (no trial step decreased the objective), "iterations" or
-    "zero_gradient".
+    Returns (points, objective, trace, stop reason, line-search counts); the
+    reason is "target", "line_search" (no trial step decreased the
+    objective), "iterations" or "zero_gradient".  The counts are the trial
+    points the line search evaluated (`line_search_trials`, one objective
+    evaluation each) and the trials it rejected (`backtracks`).
     """
 
     def f_of(pts):
@@ -93,8 +95,9 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
 
     value = f_of(x)
     trace = [value]
+    counts = {"line_search_trials": 0, "backtracks": 0}
     if value <= cfg.defect_target:
-        return x, value, trace, "target"
+        return x, value, trace, "target", counts
     grad = grad_of(x)
     grad_sq = float((grad * grad).sum())
     direction = -grad
@@ -110,12 +113,14 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         for _ in range(MAX_BACKTRACKS):
             candidate = unit_rows(x + alpha * direction)
             candidate_value = f_of(candidate)
+            counts["line_search_trials"] += 1
             if (
                 candidate_value <= value + ARMIJO_SLOPE * alpha * descent
                 and candidate_value < value
             ):
                 accepted = (candidate, candidate_value)
                 break
+            counts["backtracks"] += 1
             alpha *= 0.5
         if accepted is None:
             reason = "line_search"  # local minimum at this precision
@@ -140,7 +145,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         if grad_sq == 0.0:
             reason = "zero_gradient"
             break
-    return x, value, trace, reason
+    return x, value, trace, reason, counts
 
 
 def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
@@ -150,8 +155,10 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     perturbs the seeds with seeded Gaussian noise.  The best configuration
     across attempts is re-verified by `verify_design`, whose verdict (not
     the optimizer's own bookkeeping) is what the report states.  The
-    report's meta records why each attempt stopped (`stop_reasons`) and
-    why the reported one did (`stop_reason`).
+    report's meta records why each attempt stopped (`stop_reasons`), why
+    the reported one did (`stop_reason`), and how many trial points the
+    reported attempt's line search evaluated and rejected
+    (`line_search_trials`, `backtracks`).
     """
     started = time.perf_counter()
     model = kernel_model(cfg.d, cfg.t)
@@ -167,16 +174,18 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     best_value = math.inf
     best_trace: list[float] = []
     best_reason = ""
+    best_counts: dict = {}
     stop_reasons: list[str] = []
     for attempt in range(cfg.restarts + 1):
         if attempt == 0:
             start = seeds.copy()
         else:
             start = unit_rows(seeds + PERTURBATION * rng.standard_normal(seeds.shape))
-        x, value, trace, reason = _minimize(model, cfg, start)
+        x, value, trace, reason, counts = _minimize(model, cfg, start)
         stop_reasons.append(reason)
         if value < best_value:
-            best_x, best_value, best_trace, best_reason = x, value, trace, reason
+            best_x, best_value, best_trace = x, value, trace
+            best_reason, best_counts = reason, counts
         if best_value <= cfg.defect_target:
             break
     config = PointConfiguration(d=cfg.d, points=best_x)
@@ -193,6 +202,7 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
             "defect_trace": best_trace,
             "stop_reason": best_reason,
             "stop_reasons": stop_reasons,
+            **best_counts,
             "runtime_seconds": time.perf_counter() - started,
         },
     )

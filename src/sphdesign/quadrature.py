@@ -23,7 +23,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_chebyu, roots_legendre
 
-from .kernel import KernelModel, kernel_derivative, kernel_value, row_blocks
+from .kernel import (
+    KernelModel,
+    _exact_row_sums,
+    kernel_derivative,
+    kernel_value,
+    row_blocks,
+)
 from .sphere_geometry import random_points, unit_rows
 
 PRODUCT_RULE_MAX_D = 3
@@ -149,7 +155,7 @@ def integrate(rule: QuadratureRule, f) -> float:
         raise ValueError(
             f"integrand returned shape {values.shape}, expected {rule.weights.shape}"
         )
-    return float(math.fsum(rule.weights * values))
+    return float(_exact_row_sums((rule.weights * values)[None])[0])
 
 
 def integrate_refined(

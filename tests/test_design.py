@@ -14,7 +14,7 @@ from sphdesign.design import (
     verify_design,
 )
 from sphdesign.harmonics import basis_size, basis_values, mean_residuals
-from sphdesign.kernel import kernel_model
+from sphdesign.kernel import gegenbauer_normalized, kernel_model, kernel_value
 from sphdesign.sphere_geometry import (
     CONFIG_NORM_TOLERANCE,
     PointConfiguration,
@@ -230,6 +230,18 @@ class TestDefectGradient:
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def _fsum_reference(model, cfg):
+    """Defect and residuals with one math.fsum per row of each pair matrix."""
+    s = np.clip(np.einsum("ik,jk->ij", cfg.points, cfg.points), -1.0, 1.0)
+    n_sq = cfg.n**2
+    total = math.fsum(math.fsum(row) for row in kernel_value(model, s)) / n_sq
+    residuals = [
+        z * math.fsum(math.fsum(row) for row in gegenbauer_normalized(model, k, s)) / n_sq
+        for k, z in enumerate(model.dims, start=1)
+    ]
+    return total, np.array(residuals)
+
+
 class TestVerifyDesign:
     def test_icosahedron_is_5_design(self):
         model = kernel_model(2, 5)
@@ -310,6 +322,33 @@ class TestVerifyDesign:
         model = kernel_model(2, 3)
         with pytest.raises(ValueError):
             verify_design(model, catalog_design("cross-polytope(2)"), tolerance=0.0)
+
+    @pytest.mark.parametrize("d, t", [(d, t) for d in range(1, 9) for t in (1, 2, 7, 20)])
+    def test_single_pass_matches_defect_and_residuals(self, rng, d, t):
+        # verify_design's one pair pass against the separate exact functions,
+        # and those against per-row math.fsum; N = 600 spans three 256-row blocks
+        model = kernel_model(d, t)
+        for n in (1, 5, 300, 600):
+            cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
+            report = verify_design(model, cfg)
+            assert report.defect == defect(model, cfg)
+            assert np.array_equal(report.residuals, degree_residuals(model, cfg))
+            if n <= 300:
+                reference_defect, reference_residuals = _fsum_reference(model, cfg)
+                assert report.defect == reference_defect
+                assert np.array_equal(report.residuals, reference_residuals)
+
+    def test_shuffled_report_is_identical(self, rng):
+        model = kernel_model(2, 7)
+        pts = random_points(2, 600, rng)
+        base = verify_design(model, PointConfiguration(d=2, points=pts))
+        shuffled = verify_design(
+            model, PointConfiguration(d=2, points=pts[rng.permutation(600)])
+        )
+        assert shuffled.defect == base.defect
+        assert np.array_equal(shuffled.residuals, base.residuals)
+        assert shuffled.meta == base.meta
+        assert "harmonic_cross_check_gap" in base.meta
 
 
 class TestCatalog:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
 from sphdesign.kernel import (
+    _degree_scan,
+    _exact_row_sums,
     gegenbauer_normalized,
     harmonic_dim,
     kernel_derivative,
@@ -221,3 +224,126 @@ class TestModelValidation:
     def test_space_dim(self):
         assert kernel_model(2, 5).space_dim == 35
         assert kernel_model(1, 4).space_dim == 8
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]), magnitudes)
+
+
+# exponents from 2^-1074 (subnormal) to 2^1000, mantissas in [0.5, 1)
+_MIXED = _signed(
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1000))
+)
+# near DBL_MAX, where the extraction's sigma = 2^(e+m) would overflow
+_HUGE = _signed(st.floats(min_value=2.0**1015, max_value=sys.float_info.max))
+_SPECIAL = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+def _rows(elements):
+    # up to 4 rows of one common length up to 12
+    return st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), max_size=4)
+    )
+
+
+def _cancelling_rows():
+    # each row holds values and their negations in shuffled order, plus an
+    # optional tail value: its sum is exactly 0 or exactly the tail
+    def row(n):
+        half = st.lists(_MIXED, min_size=n, max_size=n)
+        pair = half.flatmap(lambda h: st.permutations(h + [-v for v in h]))
+        return st.builds(lambda r, tail: r + [tail], pair, st.one_of(st.just(0.0), _MIXED))
+
+    return st.integers(0, 8).flatmap(lambda n: st.lists(row(n), min_size=1, max_size=3))
+
+
+def _assert_matches_fsum(rows):
+    n = len(rows[0]) if rows else 0
+    x = np.array(rows, dtype=float).reshape(len(rows), n)
+    try:
+        expected = [math.fsum(r) for r in rows]
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            _exact_row_sums(x)
+        return
+    got = _exact_row_sums(x)
+    assert got.shape == (len(rows),)
+    # hex compares NaN with NaN and tells 0.0 from -0.0
+    assert [float(v).hex() for v in got] == [v.hex() for v in expected]
+
+
+class TestExactRowSums:
+    """The vectorised row sums against math.fsum, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rows(_MIXED))
+    def test_mixed_exponents(self, rows):
+        _assert_matches_fsum(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_cancelling_rows())
+    def test_exact_cancellation(self, rows):
+        _assert_matches_fsum(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows(st.one_of(_MIXED, _HUGE)))
+    def test_near_dbl_max(self, rows):
+        _assert_matches_fsum(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows(st.one_of(_MIXED, _HUGE, _SPECIAL)))
+    def test_non_finite(self, rows):
+        _assert_matches_fsum(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [[], [], []],
+            [[5e-324], [-5e-324], [2.2250738585072014e-308], [0.0]],
+            [[5e-324] * 7 + [-2.2250738585072014e-308]],
+            [[-0.0, -0.0], [0.0, -0.0]],
+            [[1e16, 1.0, -1e16, 0.0], [1.0, 1e100, 1.0, -1e100]],
+            [[sys.float_info.max, sys.float_info.max, -sys.float_info.max]],
+            [[sys.float_info.max, -sys.float_info.max, sys.float_info.max], [1.0, 2.0, 3.0]],
+            [[math.inf, -math.inf], [1.0, 2.0]],
+            [[1.0, math.nan, 0.0], [math.inf, 1e308, 1e308]],
+        ],
+        ids=[
+            "empty",
+            "zero-columns",
+            "single-column-subnormal",
+            "subnormal-row",
+            "negative-zeros",
+            "cancelling",
+            "intermediate-overflow",
+            "dbl-max-no-overflow",
+            "inf-minus-inf",
+            "nan-and-inf",
+        ],
+    )
+    def test_edge_cases(self, rows):
+        _assert_matches_fsum(rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 600])
+    def test_kernel_blocks(self, rng, n):
+        # the per-degree blocks that verification sums, across widths
+        # where 2^m >= n + 2 steps up
+        for d, t in ((2, 7), (5, 4)):
+            pts = rng.standard_normal((n, d + 1))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            s = np.clip(pts[:256] @ pts.T, -1.0, 1.0)
+            model = kernel_model(d, t)
+            blocks = [p for _, p, _ in _degree_scan(d, t, s)] + [kernel_value(model, s)]
+            for block in blocks:
+                _assert_matches_fsum(block.tolist())
+
+    def test_leaves_input_unchanged(self, rng):
+        x = rng.standard_normal((3, 9))
+        before = x.copy()
+        _exact_row_sums(x)
+        assert np.array_equal(x, before)
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            _exact_row_sums(np.ones(3))

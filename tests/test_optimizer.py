@@ -72,6 +72,24 @@ class TestFindDesign:
         assert np.array_equal(config_a.points, config_b.points)
         assert report_a.defect == report_b.defect
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FinderConfig(d=2, t=3, n=8, seed=42),
+            FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
+        ],
+        ids=["2-3-8", "2-2-4-stalled"],
+    )
+    def test_line_search_counts_repeat(self, cfg):
+        _, first = find_design(cfg)
+        _, second = find_design(cfg)
+        keys = ("line_search_trials", "backtracks", "iterations")
+        assert [first.meta[k] for k in keys] == [second.meta[k] for k in keys]
+        trials = first.meta["line_search_trials"]
+        assert trials >= first.meta["iterations"]
+        # every trial is accepted (one iteration) or backtracked
+        assert trials == first.meta["iterations"] + first.meta["backtracks"]
+
     def test_restart_rescues_stalled_seed(self):
         # the plain equal-area seed stalls in a local minimum at this size;
         # perturbed restarts recover a true design
