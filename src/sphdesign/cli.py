@@ -67,7 +67,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=5)
     p.add_argument("--out", default=None, help="write the point set here")
     p.add_argument("--report", default=None, help="write the report JSON here")
-    p.add_argument("--trace", default=None, help="write per-iteration descent objectives as CSV")
+    p.add_argument(
+        "--trace",
+        default=None,
+        help="write per-iteration descent objectives as CSV: the averaged kernel "
+        "section's squared norm, not the exact pair-pass defect that verifies the result",
+    )
 
     p = sub.add_parser("verify", help="verify a point set against a degree")
     p.add_argument("--t", type=int, required=True)

@@ -20,9 +20,10 @@ than BLAS matmul for the same reason: BLAS tiling makes the last ulp of a
 dot product depend on its position in the output matrix.  `verify_design`
 takes the defect and the residuals from one pass over the pair matrix.
 
-The finder's line search evaluates `_descent_defect` instead, the same sum
-with plain np.sum accumulation: deterministic at a fixed thread count and
-within a few eps * K(1) of `defect`, but not exactly permutation-invariant.
+The finder minimises the defect as the squared norm of the averaged section
+P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
+plain sums): deterministic at a fixed thread count and within a few
+eps * K(1) of `defect`, but not exactly permutation-invariant.
 Every finder result is re-verified with the exact `verify_design`.
 """
 
@@ -41,10 +42,10 @@ from .kernel import (
     _degree_scan,
     _exact_row_sums,
     clamp_cosine,
-    kernel_derivative,
     kernel_value,
     row_blocks,
 )
+from .quadrature import KernelPolynomial
 from .sphere_geometry import PointConfiguration, unit_rows
 
 _PAIR_BLOCK_ROWS = 256
@@ -83,17 +84,10 @@ def defect(model: KernelModel, config: PointConfiguration) -> float:
     return math.fsum(np.concatenate(row_sums)) / config.n**2
 
 
-def _descent_defect(model: KernelModel, config: PointConfiguration) -> float:
-    """The finder's descent objective: `defect` with plain sums.
-
-    Each block is reduced by np.sum and the blocks are added in order, so
-    the value is bit-deterministic at a fixed thread count but not exactly
-    permutation-invariant.  It agrees with `defect` to a few eps * K(1).
-    """
-    total = 0.0
-    for _, _, s in _pair_cosines(model, config):
-        total += float(np.sum(kernel_value(model, s)))
-    return total / config.n**2
+def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial:
+    """P_X = (1/N) sum_j K(<x_j, .>); its squared norm is the defect of X."""
+    n = points.shape[0]
+    return KernelPolynomial(model, points, np.full(n, 1.0 / n))
 
 
 def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
@@ -122,14 +116,9 @@ def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarr
 
 
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:
-    """Spherical gradient of the defect: one tangent row per point."""
-    pts = config.points
-    grad = np.empty(pts.shape)
-    for lo, hi, s in _pair_cosines(model, config):
-        w = (2.0 / config.n**2) * kernel_derivative(model, s)
-        radial = np.einsum("rj,rj->r", w, s)
-        grad[lo:hi] = w @ pts - radial[:, None] * pts[lo:hi]
-    return grad
+    """Spherical gradient of the defect, (2/N) grad P_X: one tangent row per point."""
+    section = _average_section(model, config.points)
+    return (2.0 / config.n) * section.gradient(config.points)
 
 
 @dataclass
@@ -183,8 +172,8 @@ def verify_design(
     disagreement beyond rounding scale indicates an internal bug and
     raises CrossCheckError.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:  # rejects NaN too
+        raise ValueError("tolerance must be positive and finite")
     total, residuals = _defect_and_residuals(model, config)
     report_meta = dict(meta or {})
     if model.d == 2:

@@ -7,11 +7,12 @@ renormalization after every trial step).  The defect vanishes exactly at
 t-designs, so reaching the target tolerance is a certificate candidate that
 is always re-verified independently by `verify_design`.
 
-The line search minimizes `design._descent_defect`, the defect summed with
-plain np.sum instead of math.fsum; exact sums are kept for verification.
-So the per-iteration defects in `meta["defect_trace"]` (and in CLI
-`find --trace`) are descent-objective values, while `report.defect` is the
-exact verified defect.  They agree to a few eps * K(1).
+The line search minimizes the squared norm of the averaged kernel section
+P_X = (1/N) sum_j K(<x_j, .>) with BLAS inner products and plain sums; the
+exact pair pass is kept for verification.  So the per-iteration defects in
+`meta["defect_trace"]` (and in CLI `find --trace`) are descent-objective
+values, while `report.defect` is the exact verified defect.  They agree to
+a few eps * K(1).
 
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .design import (
     DesignReport,
-    _descent_defect,
+    _average_section,
     defect_gradient,
     lower_bound,
     verify_design,
@@ -59,8 +60,8 @@ class FinderConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.defect_target <= 0.0:
-            raise ValueError("defect_target must be positive")
+        if not 0.0 < self.defect_target < math.inf:  # rejects NaN too
+            raise ValueError("defect_target must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 0:
@@ -88,7 +89,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     """
 
     def f_of(pts):
-        return _descent_defect(model, PointConfiguration(d=cfg.d, points=pts))
+        return _average_section(model, pts).squared_norm()
 
     def grad_of(pts):
         return defect_gradient(model, PointConfiguration(d=cfg.d, points=pts))

@@ -34,8 +34,10 @@ from .sphere_geometry import random_points, unit_rows
 
 PRODUCT_RULE_MAX_D = 3
 
-# keep per-degree recurrence temporaries cache-sized on large node batches
+# keep per-degree recurrence temporaries cache-sized on large node batches:
+# at most 4096 rows and about 2**20 cosines a block
 _EVAL_BLOCK_ROWS = 4096
+_EVAL_BLOCK_COSINES = 2**20
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -209,12 +211,16 @@ class KernelPolynomial:
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coefficients", coefficients)
 
+    def _blocks(self, n: int):
+        rows = _EVAL_BLOCK_COSINES // max(self.anchors.shape[0], 1)
+        return row_blocks(n, max(1, min(_EVAL_BLOCK_ROWS, rows)))
+
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         values = np.empty(pts.shape[0])
-        for lo, hi in row_blocks(pts.shape[0], _EVAL_BLOCK_ROWS):
+        for lo, hi in self._blocks(pts.shape[0]):
             s = pts[lo:hi] @ self.anchors.T
             values[lo:hi] = kernel_value(self.model, s) @ self.coefficients
         return float(values[0]) if single else values
@@ -225,7 +231,7 @@ class KernelPolynomial:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         grad = np.empty(pts.shape)
-        for lo, hi in row_blocks(pts.shape[0], _EVAL_BLOCK_ROWS):
+        for lo, hi in self._blocks(pts.shape[0]):
             block = pts[lo:hi]
             s = block @ self.anchors.T
             weighted = kernel_derivative(self.model, s) * self.coefficients  # (rows, m)
@@ -241,9 +247,8 @@ class KernelPolynomial:
         return np.linalg.norm(grad, axis=1)
 
     def squared_norm(self) -> float:
-        """Inner-product norm (P, P) via the kernel Gram matrix."""
-        gram = kernel_value(self.model, self.anchors @ self.anchors.T)
-        return float(self.coefficients @ gram @ self.coefficients)
+        """Inner-product norm (P, P) = sum_m a_m P(v_m), by the reproducing property."""
+        return float(self.coefficients @ self(self.anchors))
 
 
 def sample_boundary_polynomial(

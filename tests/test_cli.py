@@ -122,6 +122,15 @@ class TestCliCommands:
         assert main(["verify", "--t", "5", "--in", str(pts)]) == 1
         assert "error: kernel defect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_verify_rejects_non_finite_tolerance(self, tmp_path, capsys, tolerance):
+        # cube(2) has defect 2.33 at t = 5; no tolerance may pass or refute it
+        pts = tmp_path / "cube.txt"
+        write_points(str(pts), catalog_design("cube(2)"))
+        code = main(["verify", "--t", "5", "--in", str(pts), "--tolerance", tolerance])
+        assert code == 1
+        assert "error: tolerance must be positive and finite" in capsys.readouterr().err
+
     def test_verify_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n1 0 0\n0.5 0 0\n")
@@ -149,6 +158,11 @@ class TestCliCommands:
         assert trace.read_text().startswith("iteration,defect")
         # the written set re-verifies through the file interface
         assert main(["verify", "--t", "3", "--in", str(pts)]) == 0
+
+    def test_find_rejects_nan_target(self, capsys):
+        code = main(["find", "--d", "2", "--t", "2", "--n", "4", "--defect-target", "nan"])
+        assert code == 1
+        assert "error: defect_target must be positive and finite" in capsys.readouterr().err
 
     def test_find_rejects_below_bound(self, capsys):
         assert main(["find", "--d", "2", "--t", "2", "--n", "3"]) == 1

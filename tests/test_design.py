@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_rotation
 from sphdesign.design import (
-    _descent_defect,
+    _average_section,
     catalog_design,
     defect,
     defect_gradient,
@@ -14,7 +14,12 @@ from sphdesign.design import (
     verify_design,
 )
 from sphdesign.harmonics import basis_size, basis_values, mean_residuals
-from sphdesign.kernel import gegenbauer_normalized, kernel_model, kernel_value
+from sphdesign.kernel import (
+    gegenbauer_normalized,
+    kernel_derivative,
+    kernel_model,
+    kernel_value,
+)
 from sphdesign.sphere_geometry import (
     CONFIG_NORM_TOLERANCE,
     PointConfiguration,
@@ -126,10 +131,14 @@ class TestDefect:
                 assert defect(model, cfg) > -1e-12
 
 
-class TestDescentDefect:
-    """The finder's plain-sum objective against the exact fsum defect."""
+def _descent_objective(model, config):
+    return _average_section(model, config.points).squared_norm()
 
-    # N = 300 spans two 256-row pair blocks
+
+class TestDescentDefect:
+    """The finder's objective, the averaged section's squared norm, against
+    the exact fsum defect."""
+
     @pytest.mark.parametrize("n", [5, 60, 300])
     @pytest.mark.parametrize("t", [1, 2, 7, 20])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
@@ -138,7 +147,16 @@ class TestDescentDefect:
         rng = np.random.default_rng(1000 * d + 10 * t + n)
         cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
         bound = 4 * np.finfo(float).eps * model.space_dim
-        assert abs(_descent_defect(model, cfg) - defect(model, cfg)) <= bound
+        assert abs(_descent_objective(model, cfg) - defect(model, cfg)) <= bound
+
+    # with N = 1500 anchors the section evaluates in blocks of 699 rows
+    @pytest.mark.parametrize("d, t", [(1, 20), (2, 7), (3, 4), (8, 2)])
+    def test_matches_exact_defect_across_blocks(self, d, t):
+        model = kernel_model(d, t)
+        rng = np.random.default_rng(1000 * d + 10 * t)
+        cfg = PointConfiguration(d=d, points=random_points(d, 1500, rng))
+        bound = 4 * np.finfo(float).eps * model.space_dim
+        assert abs(_descent_objective(model, cfg) - defect(model, cfg)) <= bound
 
     @pytest.mark.parametrize("name,t", [("icosahedron", 5), ("24-cell", 5), ("cube(3)", 3)])
     def test_vanishes_at_designs(self, name, t):
@@ -146,13 +164,13 @@ class TestDescentDefect:
         model = kernel_model(config.d, t)
         bound = 4 * np.finfo(float).eps * model.space_dim
         assert abs(defect(model, config)) <= bound
-        assert abs(_descent_defect(model, config)) <= bound
+        assert abs(_descent_objective(model, config)) <= bound
 
     def test_dimension_mismatch(self, rng):
         model = kernel_model(2, 3)
         cfg = PointConfiguration(d=3, points=random_points(3, 4, rng))
         with pytest.raises(ValueError):
-            _descent_defect(model, cfg)
+            _descent_objective(model, cfg)
 
 
 class TestDegreeResiduals:
@@ -228,6 +246,44 @@ class TestDefectGradient:
                 ) / (2.0 * h)
                 exact = float(np.dot(grad[i], u))
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def _pairwise_gradient(model, cfg):
+    """The defect gradient by the pairwise formula, a slow reference:
+    (2/N^2) sum_j K'(<x_i, x_j>) (x_j - <x_i, x_j> x_i), in 256-row blocks."""
+    pts = cfg.points
+    grad = np.empty(pts.shape)
+    for lo in range(0, cfg.n, 256):
+        hi = min(lo + 256, cfg.n)
+        s = np.clip(np.einsum("ik,jk->ij", pts[lo:hi], pts), -1.0, 1.0)
+        w = (2.0 / cfg.n**2) * kernel_derivative(model, s)
+        radial = np.einsum("rj,rj->r", w, s)
+        grad[lo:hi] = w @ pts - radial[:, None] * pts[lo:hi]
+    return grad
+
+
+class TestGradientAgainstPairwise:
+    """`defect_gradient` (the averaged section's gradient) against the
+    pairwise formula, within 4 eps K'(1) (1 + sqrt N) / N per component."""
+
+    @staticmethod
+    def _check(d, t, n):
+        model = kernel_model(d, t)
+        rng = np.random.default_rng(1000 * d + 10 * t + n)
+        cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
+        bound = 4 * np.finfo(float).eps * kernel_derivative(model, 1.0) * (1 + math.sqrt(n)) / n
+        gap = np.max(np.abs(defect_gradient(model, cfg) - _pairwise_gradient(model, cfg)))
+        assert gap <= bound
+
+    @pytest.mark.parametrize("n", [5, 60, 300])
+    @pytest.mark.parametrize("t", [1, 2, 7, 20])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_pairwise_formula(self, d, t, n):
+        self._check(d, t, n)
+
+    def test_matches_pairwise_formula_across_blocks(self):
+        # 1500 anchors: the section evaluates in blocks of 699 rows
+        self._check(2, 7, 1500)
 
 
 def _fsum_reference(model, cfg):
@@ -322,6 +378,13 @@ class TestVerifyDesign:
         model = kernel_model(2, 3)
         with pytest.raises(ValueError):
             verify_design(model, catalog_design("cross-polytope(2)"), tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tolerance):
+        # an infinite tolerance would pass any point set: cube(2) has defect 2.33
+        model = kernel_model(2, 5)
+        with pytest.raises(ValueError, match="finite"):
+            verify_design(model, catalog_design("cube(2)"), tolerance=tolerance)
 
     @pytest.mark.parametrize("d, t", [(d, t) for d in range(1, 9) for t in (1, 2, 7, 20)])
     def test_single_pass_matches_defect_and_residuals(self, rng, d, t):

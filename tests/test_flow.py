@@ -40,6 +40,12 @@ class TestFloorClamp:
         with pytest.raises(ValueError):
             floor_clamp(-1e-12, 0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_threshold(self, eps):
+        # a NaN threshold would turn every velocity into NaN
+        with pytest.raises(ValueError, match="finite"):
+            floor_clamp(np.array([0.5, 0.0]), eps)
+
     @given(st.floats(0.0, 1e6, allow_nan=False), st.floats(1e-9, 10.0))
     def test_result_at_least_threshold(self, u, eps):
         out = floor_clamp(u, eps)
@@ -69,6 +75,11 @@ class TestDefaults:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(epsilon=0.0, horizon=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                FlowConfig(epsilon=bad, horizon=1.0)
+            with pytest.raises(ValueError, match="horizon"):
+                FlowConfig(epsilon=0.1, horizon=bad)
         cfg = FlowConfig.defaults(2, 3)
         assert cfg.epsilon == default_epsilon(2)
         assert cfg.horizon == flow_horizon(3)
@@ -211,6 +222,29 @@ class TestIntegrateFlow:
         for samples in (trace.s_values, trace.averages, trace.max_displacements):
             assert samples.shape == (9,)
         assert trace.s_values[-1] == pytest.approx(cfg.horizon)
+
+    def test_check_run_evaluates_only_its_endpoint(self, rng):
+        # P is evaluated once at the start and after each of the 64 steps;
+        # the doubled-resolution run evaluates only the field
+        model = kernel_model(2, 2)
+        poly = KernelPolynomial(model, random_points(2, 4, rng), rng.standard_normal(4))
+        calls = {"values": 0, "gradients": 0}
+
+        class Counted:
+            model = poly.model
+
+            def __call__(self, pts):
+                calls["values"] += 1
+                return poly(pts)
+
+            def gradient(self, pts):
+                calls["gradients"] += 1
+                return poly.gradient(pts)
+
+        start = PointConfiguration(d=2, points=random_points(2, 5, rng))
+        cfg = FlowConfig.defaults(2, 2, step_count=64)
+        integrate_flow(Counted(), start, cfg)
+        assert calls == {"values": 65, "gradients": 4 * (64 + 128)}
 
     def test_step_halving_gap_recorded(self, rng):
         model = kernel_model(2, 3)

@@ -148,3 +148,9 @@ class TestFinderConfigValidation:
             FinderConfig(d=2, t=2, n=5, defect_target=0.0)
         with pytest.raises(ValueError):
             FinderConfig(d=2, t=2, n=5, restarts=-1)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_rejects_non_finite_target(self, target):
+        # NaN could never be reached; infinity would make every verdict true
+        with pytest.raises(ValueError, match="finite"):
+            FinderConfig(d=2, t=2, n=5, defect_target=target)

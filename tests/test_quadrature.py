@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import unit
-from sphdesign.kernel import kernel_model, kernel_value
+import sphdesign.quadrature as quadrature
+from sphdesign.kernel import kernel_derivative, kernel_model, kernel_value
 from sphdesign.quadrature import (
     KernelPolynomial,
     build_quadrature,
@@ -199,6 +200,60 @@ class TestKernelPolynomial:
         assert isinstance(poly(x), float)
         batch = poly(np.stack([x, x]))
         assert poly(x) == batch[0] == batch[1]
+
+
+class TestKernelPolynomialBlocks:
+    """Row blocks hold at most 4096 rows and about 2**20 cosines."""
+
+    @staticmethod
+    def _fixed_rows(poly, pts):
+        # the evaluation in plain 4096-row blocks, whatever the anchor count
+        values, grads = np.empty(len(pts)), np.empty(pts.shape)
+        for lo in range(0, len(pts), 4096):
+            block = pts[lo : lo + 4096]
+            s = block @ poly.anchors.T
+            values[lo : lo + 4096] = kernel_value(poly.model, s) @ poly.coefficients
+            weighted = kernel_derivative(poly.model, s) * poly.coefficients
+            radial = np.einsum("nm,nm->n", weighted, s)
+            grads[lo : lo + 4096] = weighted @ poly.anchors - radial[:, None] * block
+        return values, grads
+
+    @pytest.mark.parametrize("anchors", [1, 40, 256])
+    def test_few_anchors_keep_4096_row_blocks(self, rng, anchors):
+        model = kernel_model(2, 5)
+        poly = KernelPolynomial(model, random_points(2, anchors, rng), rng.standard_normal(anchors))
+        pts = random_points(2, 9000, rng)  # three blocks
+        values, grads = self._fixed_rows(poly, pts)
+        assert np.array_equal(poly(pts), values)
+        assert np.array_equal(poly.gradient(pts), grads)
+
+    def test_blocks_stay_within_cosine_budget(self, rng, monkeypatch):
+        sizes = []
+
+        def recording(original):
+            def wrapped(model, s):
+                sizes.append(np.size(s))
+                return original(model, s)
+
+            return wrapped
+
+        monkeypatch.setattr(quadrature, "kernel_value", recording(kernel_value))
+        monkeypatch.setattr(quadrature, "kernel_derivative", recording(kernel_derivative))
+        model = kernel_model(2, 2)
+        poly = KernelPolynomial(model, random_points(2, 1500, rng), rng.standard_normal(1500))
+        pts = random_points(2, 2000, rng)
+        poly(pts)
+        poly.gradient(pts)
+        poly.squared_norm()
+        assert sizes and max(sizes) <= 2**20
+        assert len(sizes) == 3 + 3 + 3  # 699-row blocks: 2000 and 1500 rows take 3 each
+
+    def test_squared_norm_across_blocks_matches_gram(self, rng):
+        model = kernel_model(3, 3)
+        poly = KernelPolynomial(model, random_points(3, 1500, rng), rng.standard_normal(1500))
+        gram = kernel_value(model, poly.anchors @ poly.anchors.T)
+        expected = float(poly.coefficients @ gram @ poly.coefficients)
+        assert poly.squared_norm() == pytest.approx(expected, rel=1e-12)
 
 
 class TestSampleBoundary:
