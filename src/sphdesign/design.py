@@ -46,7 +46,7 @@ from .kernel import (
     row_blocks,
 )
 from .quadrature import KernelPolynomial
-from .sphere_geometry import PointConfiguration, unit_rows
+from .sphere_geometry import PointConfiguration, require_supported_dimension, unit_rows
 
 _PAIR_BLOCK_ROWS = 256
 
@@ -118,7 +118,10 @@ def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarr
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Spherical gradient of the defect, (2/N) grad P_X: one tangent row per point."""
     section = _average_section(model, config.points)
-    return (2.0 / config.n) * section.gradient(config.points)
+    # at its own anchor array, not at config.points (a separate copy of X),
+    # X X^T multiplies one buffer by its transpose, which numpy rounds as a
+    # symmetric (SYRK) product, the way the finder's objective rounds it
+    return (2.0 / config.n) * section.gradient(section.anchors)
 
 
 @dataclass
@@ -283,11 +286,12 @@ def _24_cell() -> np.ndarray:
     return np.concatenate([units, halves], axis=0)
 
 
+# builders of S^d configurations by dimension d; polygon(n) is on S^1
 _PARAMETRIC = {
-    "polygon": (_polygon, lambda n: n >= 1),
-    "simplex": (_simplex, lambda d: 1 <= d <= 8),
-    "cross-polytope": (_cross_polytope, lambda d: 1 <= d <= 8),
-    "cube": (_cube, lambda d: 1 <= d <= 8),
+    "polygon": _polygon,
+    "simplex": _simplex,
+    "cross-polytope": _cross_polytope,
+    "cube": _cube,
 }
 
 _FIXED = {
@@ -317,12 +321,11 @@ def catalog_design(name: str) -> PointConfiguration:
     if base in _PARAMETRIC:
         if arg is None:
             raise ValueError(f"{base} requires an integer argument, e.g. {base}(3)")
-        builder, valid = _PARAMETRIC[base]
         value = int(arg)
-        if not valid(value):
-            raise ValueError(f"{base}({value}) is out of range")
-        pts = builder(value)
         if base == "polygon":
-            return PointConfiguration(d=1, points=pts)
-        return PointConfiguration(d=value, points=pts)
+            if value < 1:
+                raise ValueError(f"polygon({value}) needs at least one vertex")
+            return PointConfiguration(d=1, points=_polygon(value))
+        require_supported_dimension(value)
+        return PointConfiguration(d=value, points=_PARAMETRIC[base](value))
     raise ValueError(f"unknown catalog name {name!r}")

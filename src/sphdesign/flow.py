@@ -127,7 +127,6 @@ class FlowTrace:
     step_halving_gap is the endpoint gap between the two.
     """
 
-    initial: PointConfiguration
     final: PointConfiguration
     s_values: np.ndarray
     averages: np.ndarray  # (1/N) sum_i P(y_i(s)) at each sample
@@ -200,7 +199,6 @@ def integrate_flow(
         y_fine = advance(y_fine, cfg.horizon / (2 * cfg.step_count))[0]
     halving_gap = float(np.max(np.linalg.norm(y - y_fine, axis=1)))
     return FlowTrace(
-        initial=start,
         final=PointConfiguration(d=start.d, points=y),
         s_values=np.array(s_values),
         averages=np.array(averages),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_geometry import CONFIG_NORM_TOLERANCE
+from .sphere_geometry import CONFIG_NORM_TOLERANCE, require_supported_dimension
 
 # Inner products of accepted points may land slightly outside [-1, 1]: by
 # (1 + delta)^2 - 1 from the norm tolerance delta, plus dot-product
@@ -32,7 +32,6 @@ SNAP_TOLERANCE = (
     (2.0 + CONFIG_NORM_TOLERANCE) * CONFIG_NORM_TOLERANCE + 64 * np.finfo(float).eps
 )
 
-MAX_DIMENSION = 8
 MAX_DEGREE = 200
 
 
@@ -43,11 +42,6 @@ def harmonic_dim(d: int, k: int) -> int:
     if k < 1:
         raise ValueError(f"harmonic degree must be >= 1, got {k}")
     return (2 * k + d - 1) * math.comb(k + d - 2, k - 1) // k
-
-
-def polynomial_space_dim(d: int, t: int) -> int:
-    """Dimension of the zero-mean polynomial space of degree <= t on S^d."""
-    return sum(harmonic_dim(d, k) for k in range(1, t + 1))
 
 
 @dataclass(frozen=True)
@@ -69,23 +63,23 @@ class KernelModel:
 
 def kernel_model(d: int, t: int) -> KernelModel:
     """Build a KernelModel, validating the supported (d, t) ranges."""
-    if not 1 <= d <= MAX_DIMENSION:
-        raise ValueError(f"sphere dimension must be in [1, {MAX_DIMENSION}], got {d}")
+    require_supported_dimension(d)
     if not 1 <= t <= MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {t}")
     dims = tuple(harmonic_dim(d, k) for k in range(1, t + 1))
     return KernelModel(d=d, t=t, dims=dims)
 
 
-def clamp_cosine(s, snap: float = SNAP_TOLERANCE):
+def clamp_cosine(s):
     """Clamp inner products to [-1, 1], rejecting values beyond the snap band.
 
     The negated comparison also rejects NaN, which would otherwise slip
     through every downstream recurrence: min and max propagate it.
     """
     arr = np.asarray(s, dtype=float)
-    if arr.size and not (arr.min() >= -1.0 - snap and arr.max() <= 1.0 + snap):
-        bad = arr[~((arr >= -1.0 - snap) & (arr <= 1.0 + snap))]
+    lo, hi = -1.0 - SNAP_TOLERANCE, 1.0 + SNAP_TOLERANCE
+    if arr.size and not (arr.min() >= lo and arr.max() <= hi):
+        bad = arr[~((arr >= lo) & (arr <= hi))]
         raise ValueError(
             f"inner product {float(bad.flat[0])!r} outside [-1, 1] beyond snap tolerance"
         )

@@ -33,9 +33,6 @@ from .sphere_geometry import Partition, PointConfiguration, equal_area_partition
 
 DEGENERATE_INTEGRAL = 1e-14
 
-# Refinement agreement that stops integral doubling; |P| seldom reaches it.
-INTEGRAL_REL_TOL = 1e-8
-
 VALUE_BOUNDS = (0.5, 1.5)
 
 
@@ -98,7 +95,6 @@ def _ratio_report(
         partition.d,
         node_function,
         start_resolution=rule.resolution,
-        rel_tol=INTEGRAL_REL_TOL,
         max_resolution=max_resolution,
     )
     degenerate = integral < DEGENERATE_INTEGRAL

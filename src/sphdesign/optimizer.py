@@ -34,7 +34,7 @@ from .design import (
     verify_design,
 )
 from .kernel import kernel_model
-from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
+from .sphere_geometry import PointConfiguration, equal_area_partition, tangent_rows, unit_rows
 
 # Line search: Armijo slope, step growth after an accepted step, first
 # trial step, backtrack limit; then the seed noise scale of a restart.
@@ -72,10 +72,6 @@ def seed_points(d: int, n: int) -> PointConfiguration:
     """Equal-area partition representatives of S^d split into n cells."""
     partition = equal_area_partition(d, n)
     return PointConfiguration(d=d, points=partition.representatives)
-
-
-def _tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return v - np.einsum("ij,ij->i", v, x)[:, None] * x
 
 
 def _minimize(model, cfg: FinderConfig, x: np.ndarray):
@@ -131,8 +127,8 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         grad_new = grad_of(x_new)
         grad_new_sq = float((grad_new * grad_new).sum())
         # Polak-Ribiere+ with tangent transport by projection
-        transported_grad = _tangent_rows(grad, x_new)
-        transported_dir = _tangent_rows(direction, x_new)
+        transported_grad = tangent_rows(grad, x_new)
+        transported_dir = tangent_rows(direction, x_new)
         beta = max(
             0.0,
             float((grad_new * (grad_new - transported_grad)).sum()) / grad_sq,

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .sphere_geometry import CONFIG_NORM_TOLERANCE, PointConfiguration
+from .sphere_geometry import CONFIG_NORM_TOLERANCE, PointConfiguration, require_supported_dimension
 
 POINT_NORM_TOLERANCE = 1e-9
 
@@ -44,33 +44,40 @@ def parse_points(text: str) -> PointConfiguration:
         d, n = int(header[0]), int(header[1])
     except ValueError:
         raise PointFormatError("line 1: header entries must be integers") from None
-    if d < 1 or n < 1:
-        raise PointFormatError("line 1: d and N must be positive")
-    rows = []
-    body = [line for line in lines[1:] if line.strip()]
+    try:
+        require_supported_dimension(d)
+    except ValueError as exc:
+        raise PointFormatError(f"line 1: {exc}") from None
+    if n < 1:
+        raise PointFormatError("line 1: N must be positive")
+    # (file line number, fields) of each non-blank line after the header
+    body = [(i, line.split()) for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != n:
         raise PointFormatError(
             f"line {len(lines)}: expected {n} point lines, found {len(body)}"
         )
-    for idx, line in enumerate(body, start=2):
-        parts = line.split()
+    rows = []
+    for number, parts in body:
         if len(parts) != d + 1:
             raise PointFormatError(
-                f"line {idx}: expected {d + 1} coordinates, found {len(parts)}"
+                f"line {number}: expected {d + 1} coordinates, found {len(parts)}"
             )
         try:
-            row = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError:
-            raise PointFormatError(f"line {idx}: non-numeric coordinate") from None
-        norm = float(np.linalg.norm(row))
-        if not abs(norm - 1.0) <= POINT_NORM_TOLERANCE:
-            raise PointFormatError(
-                f"line {idx}: vector norm {norm!r} deviates from 1 beyond 1e-9"
-            )
-        rows.append(row)
+            raise PointFormatError(f"line {number}: non-numeric coordinate") from None
     pts = np.array(rows)
     norms = np.linalg.norm(pts, axis=1)
-    if float(np.max(np.abs(norms - 1.0))) > CONFIG_NORM_TOLERANCE:
+    deviations = np.abs(norms - 1.0)
+    # negated comparison so NaN coordinates fail too
+    bad = np.flatnonzero(~(deviations <= POINT_NORM_TOLERANCE))
+    if bad.size:
+        row = bad[0]
+        raise PointFormatError(
+            f"line {body[row][0]}: vector norm {float(norms[row])!r} "
+            f"deviates from 1 beyond {POINT_NORM_TOLERANCE:g}"
+        )
+    if float(np.max(deviations)) > CONFIG_NORM_TOLERANCE:
         # sloppier external file: renormalize (the shift is within 1e-9);
         # files written by this package round-trip bit-identically and skip this
         pts = pts / norms[:, None]

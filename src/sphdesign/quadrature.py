@@ -3,7 +3,7 @@
 Product rules (exact through a stated polynomial degree) exist for d <= 3:
 a uniform grid on the circle, Gauss-Legendre x uniform longitudes on S^2,
 and a Chebyshev(2nd kind) x S^2 nested product on S^3.  Higher dimensions
-fall back to seeded Monte Carlo with exactness degree 0.
+fall back to Monte Carlo with a fixed seed and exactness degree 0.
 
 Polynomials are always represented in the kernel-section frame: anchors
 v_1..v_M on the sphere and coefficients a_1..a_M encode
@@ -30,9 +30,7 @@ from .kernel import (
     kernel_value,
     row_blocks,
 )
-from .sphere_geometry import random_points, unit_rows
-
-PRODUCT_RULE_MAX_D = 3
+from .sphere_geometry import frozen_copy, random_points, require_supported_dimension, unit_rows
 
 # keep per-degree recurrence temporaries cache-sized on large node batches:
 # at most 4096 rows and about 2**20 cosines a block
@@ -66,15 +64,12 @@ class QuadratureRule:
     exactness_degree: int
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
-        weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
+        weights = frozen_copy(self.weights)
         if np.any(weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
         if abs(math.fsum(weights) - 1.0) > 1e-12:
             raise ValueError("quadrature weights must sum to 1")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", frozen_copy(self.nodes))
         object.__setattr__(self, "weights", weights)
 
 
@@ -113,7 +108,7 @@ def _s3_rule(resolution: int):
 
 
 @lru_cache(maxsize=64)
-def _cached_rule(d: int, resolution: int, seed: int) -> QuadratureRule:
+def _cached_rule(d: int, resolution: int) -> QuadratureRule:
     if d == 1:
         nodes, weights, exact = _circle_rule(resolution)
     elif d == 2:
@@ -121,7 +116,7 @@ def _cached_rule(d: int, resolution: int, seed: int) -> QuadratureRule:
     elif d == 3:
         nodes, weights, exact = _s3_rule(resolution)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         count = 1024 * resolution
         nodes = unit_rows(rng.standard_normal((count, d + 1)))
         weights = np.full(count, 1.0 / count)
@@ -136,13 +131,12 @@ def _cached_rule(d: int, resolution: int, seed: int) -> QuadratureRule:
     )
 
 
-def build_quadrature(d: int, resolution: int, seed: int = 0) -> QuadratureRule:
-    """Quadrature rule on S^d; product rules for d <= 3, Monte Carlo beyond."""
-    if not 1 <= d <= 8:
-        raise ValueError(f"sphere dimension must be in [1, 8], got {d}")
+def build_quadrature(d: int, resolution: int) -> QuadratureRule:
+    """Quadrature rule on S^d; product rules for d <= 3, Monte Carlo (seed 0) beyond."""
+    require_supported_dimension(d)
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
-    return _cached_rule(d, resolution, seed if d > PRODUCT_RULE_MAX_D else 0)
+    return _cached_rule(d, resolution)
 
 
 def default_resolution(t: int) -> int:
@@ -198,16 +192,12 @@ class KernelPolynomial:
     coefficients: np.ndarray  # (m,)
 
     def __post_init__(self):
-        anchors = np.ascontiguousarray(np.asarray(self.anchors, dtype=float))
-        coefficients = np.ascontiguousarray(
-            np.asarray(self.coefficients, dtype=float)
-        )
+        anchors = frozen_copy(self.anchors)
+        coefficients = frozen_copy(self.coefficients)
         if anchors.ndim != 2 or anchors.shape[1] != self.model.d + 1:
             raise ValueError(f"anchors must be (m, {self.model.d + 1})")
         if coefficients.shape != (anchors.shape[0],):
             raise ValueError("one coefficient per anchor required")
-        anchors.flags.writeable = False
-        coefficients.flags.writeable = False
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coefficients", coefficients)
 

@@ -1,4 +1,10 @@
-"""Unit-sphere primitives and recursive zonal equal-area partitions.
+"""Point arrays on S^d and recursive zonal equal-area partitions.
+
+This module decides what a valid point array is: the supported sphere
+dimensions (`SUPPORTED_DIMENSIONS`), unit rows (`PointConfiguration`),
+copy-and-freeze for the arrays that frozen types hold (`frozen_copy`), and
+the row-wise normalisation and tangent projection (`unit_rows`,
+`tangent_rows`).
 
 Zonal coordinates: a point of S^d is written (cos(theta), sin(theta) * xi)
 with colatitude theta in [0, pi] measured from the pole e_0 = (1, 0, ..., 0)
@@ -29,10 +35,24 @@ from scipy.special import betainc, betaincinv
 
 TWO_PI = 2.0 * math.pi
 
-UNIT_NORM_TOLERANCE = 1e-9
 # Largest deviation of a point norm from 1 that a PointConfiguration accepts.
 CONFIG_NORM_TOLERANCE = 1e-12
+# The sphere dimensions d of S^d that every module supports.
 SUPPORTED_DIMENSIONS = range(1, 9)
+
+
+def require_supported_dimension(d: int):
+    """Raise ValueError unless d is in SUPPORTED_DIMENSIONS."""
+    if d not in SUPPORTED_DIMENSIONS:
+        lo, hi = SUPPORTED_DIMENSIONS[0], SUPPORTED_DIMENSIONS[-1]
+        raise ValueError(f"sphere dimension must be in [{lo}, {hi}], got {d}")
+
+
+def frozen_copy(x) -> np.ndarray:
+    """A read-only float copy of x in C order; x itself is left as it was."""
+    out = np.array(x, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,7 +63,8 @@ class PointConfiguration:
     points: np.ndarray  # (n, d+1)
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        require_supported_dimension(self.d)
+        pts = frozen_copy(self.points)
         if pts.ndim != 2 or pts.shape[1] != self.d + 1:
             raise ValueError(f"expected (n, {self.d + 1}) array, got {pts.shape}")
         if pts.shape[0] < 1:
@@ -55,7 +76,6 @@ class PointConfiguration:
             raise ValueError(
                 f"point norms deviate from 1 by {worst!r} (> {CONFIG_NORM_TOLERANCE!r})"
             )
-        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property
@@ -68,41 +88,9 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _require_unit(x: np.ndarray, name: str):
-    dev = abs(float(np.linalg.norm(x)) - 1.0)
-    if not dev <= UNIT_NORM_TOLERANCE:
-        raise ValueError(f"{name} is not a unit vector (norm deviation {dev!r})")
-
-
-def geodesic_distance(x, y) -> float:
-    """Great-circle distance arccos(<x, y>) between unit vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _require_unit(x, "x")
-    _require_unit(y, "y")
-    s = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    return math.acos(s)
-
-
-def tangent_project(x, v) -> np.ndarray:
-    """Component of v orthogonal to the unit vector x: v - <v, x> x.
-
-    The subtraction is repeated until the remaining radial component is
-    below the rounding floor of the result itself (one extra pass only
-    when v is nearly radial, where cancellation leaves noise scaled by
-    the original |v|).  The returned vector therefore snaps immediately
-    on re-projection: projecting twice equals projecting once, exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(v, dtype=float).copy()
-    _require_unit(x, "x")
-    floor = 64.0 * np.finfo(float).eps
-    for _ in range(4):
-        radial = np.dot(w, x)
-        if abs(radial) <= floor * float(np.linalg.norm(w)):
-            break
-        w = w - radial * x
-    return w
+def tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of v less its component along the same row of the unit rows x."""
+    return v - np.einsum("ij,ij->i", v, x)[:, None] * x
 
 
 def random_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,16 +216,6 @@ class ZonalCell:
             out["sub"] = self.sub.to_dict()
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZonalCell":
-        sub = data.get("sub")
-        return cls(
-            d=int(data["d"]),
-            lo=float(data["lo"]),
-            hi=float(data["hi"]),
-            sub=cls.from_dict(sub) if sub is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -252,9 +230,7 @@ class Partition:
 
     def __post_init__(self):
         for name in ("representatives", "area_estimates", "diameter_estimates"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=float))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
         total = float(math.fsum(self.area_estimates))
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"cell areas sum to {total!r}, not 1")
@@ -331,8 +307,7 @@ def equal_area_partition(d: int, n: int) -> Partition:
     Cell areas are analytic (cap-measure differences of the stored bounds)
     and land within ~1e-13 of 1/n; diameters are exact for the construction.
     """
-    if d not in SUPPORTED_DIMENSIONS:
-        raise ValueError(f"sphere dimension must be in [1, 8], got {d}")
+    require_supported_dimension(d)
     if n < 1:
         raise ValueError(f"cell count must be >= 1, got {n}")
     cells = tuple(_build_cells(d, n))

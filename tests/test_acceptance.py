@@ -36,7 +36,7 @@ from sphdesign.sphere_geometry import (
     equal_area_partition,
     measure_diameter_constant,
     random_points,
-    tangent_project,
+    tangent_rows,
 )
 
 
@@ -314,7 +314,7 @@ def test_criterion_9_gradient_oracle():
         grad = defect_gradient(model, cfg)
         for _ in range(20):
             i = int(rng.integers(0, 10))
-            u = tangent_project(pts[i], rng.standard_normal(3))
+            u = tangent_rows(rng.standard_normal((1, 3)), pts[i : i + 1])[0]
             u /= np.linalg.norm(u)
             plus = pts.copy()
             minus = pts.copy()

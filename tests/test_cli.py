@@ -61,6 +61,19 @@ class TestPointFiles:
         with pytest.raises(PointFormatError, match="line 2"):
             parse_points("1 1\nnan 0\n")
 
+    def test_line_numbers_count_blank_lines(self):
+        # the bad vector sits on file line 4, after a blank line 2
+        with pytest.raises(PointFormatError, match="^line 4:"):
+            parse_points("2 2\n\n1 0 0\n0 1 1\n")
+        with pytest.raises(PointFormatError, match="^line 5:"):
+            parse_points("1 2\n1 0\n\n\n0 1 0\n")
+
+    @pytest.mark.parametrize("d", [0, 9])
+    def test_rejects_unsupported_dimension_in_header(self, d):
+        rows = "".join(f"1{' 0' * d}\n" for _ in range(2))
+        with pytest.raises(PointFormatError, match="^line 1: sphere dimension"):
+            parse_points(f"{d} 2\n{rows}")
+
 
 class TestCliCommands:
     def test_bounds_table(self, capsys):

@@ -23,8 +23,9 @@ from sphdesign.kernel import (
 from sphdesign.sphere_geometry import (
     CONFIG_NORM_TOLERANCE,
     PointConfiguration,
+    SUPPORTED_DIMENSIONS,
     random_points,
-    tangent_project,
+    tangent_rows,
 )
 
 
@@ -234,7 +235,7 @@ class TestDefectGradient:
             grad = defect_gradient(model, cfg)
             for _ in range(8):
                 i = int(rng.integers(0, len(pts)))
-                u = tangent_project(pts[i], rng.standard_normal(3))
+                u = tangent_rows(rng.standard_normal((1, 3)), pts[i : i + 1])[0]
                 u /= np.linalg.norm(u)
                 plus = pts.copy()
                 minus = pts.copy()
@@ -277,7 +278,7 @@ class TestGradientAgainstPairwise:
 
     @pytest.mark.parametrize("n", [5, 60, 300])
     @pytest.mark.parametrize("t", [1, 2, 7, 20])
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_matches_pairwise_formula(self, d, t, n):
         self._check(d, t, n)
 
@@ -386,7 +387,7 @@ class TestVerifyDesign:
         with pytest.raises(ValueError, match="finite"):
             verify_design(model, catalog_design("cube(2)"), tolerance=tolerance)
 
-    @pytest.mark.parametrize("d, t", [(d, t) for d in range(1, 9) for t in (1, 2, 7, 20)])
+    @pytest.mark.parametrize("d, t", [(d, t) for d in SUPPORTED_DIMENSIONS for t in (1, 2, 7, 20)])
     def test_single_pass_matches_defect_and_residuals(self, rng, d, t):
         # verify_design's one pair pass against the separate exact functions,
         # and those against per-row math.fsum; N = 600 spans three 256-row blocks
@@ -452,6 +453,13 @@ class TestCatalog:
         for bad in ("unknown", "polygon", "polygon(x)", "icosahedron(3)", ""):
             with pytest.raises(ValueError):
                 catalog_design(bad)
+
+    def test_out_of_range_arguments_rejected(self):
+        for bad in ("simplex(0)", "cross-polytope(9)", "cube(9)"):
+            with pytest.raises(ValueError, match="sphere dimension"):
+                catalog_design(bad)
+        with pytest.raises(ValueError, match="vertex"):
+            catalog_design("polygon(0)")
 
 
 class TestHarmonicBasis:

@@ -20,7 +20,7 @@ from sphdesign.flow import (
 )
 from sphdesign.kernel import kernel_model
 from sphdesign.quadrature import KernelPolynomial, build_quadrature, sample_boundary_polynomial
-from sphdesign.sphere_geometry import PointConfiguration, random_points
+from sphdesign.sphere_geometry import SUPPORTED_DIMENSIONS, PointConfiguration, random_points
 
 
 class TestFloorClamp:
@@ -59,7 +59,7 @@ class TestFloorClamp:
 
 class TestDefaults:
     def test_epsilon_formula(self):
-        for d in range(1, 9):
+        for d in SUPPORTED_DIMENSIONS:
             assert default_epsilon(d) == 1.0 / (6.0 * math.sqrt(d))
 
     def test_horizon_formula(self):

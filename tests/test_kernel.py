@@ -16,8 +16,8 @@ from sphdesign.kernel import (
     kernel_model,
     kernel_value,
     kernel_value_and_derivative,
-    polynomial_space_dim,
 )
+from sphdesign.sphere_geometry import SUPPORTED_DIMENSIONS
 
 
 class TestHarmonicDim:
@@ -37,10 +37,10 @@ class TestHarmonicDim:
             assert harmonic_dim(3, k) == (k + 1) ** 2
 
     def test_degree_one_is_ambient_dimension(self):
-        for d in range(1, 9):
+        for d in SUPPORTED_DIMENSIONS:
             assert harmonic_dim(d, 1) == d + 1
 
-    @given(st.integers(1, 8), st.integers(1, 60))
+    @given(st.sampled_from(SUPPORTED_DIMENSIONS), st.integers(1, 60))
     def test_total_matches_polynomial_space_dimension(self, d, t):
         # 1 + sum_k Z(d,k) equals the dimension of the full degree<=t space
         k = t // 2
@@ -49,7 +49,7 @@ class TestHarmonicDim:
         else:
             full = 2 * math.comb(d + k, d)
         # the two-case formula at even t equals the full space dimension at t
-        total = 1 + polynomial_space_dim(d, t)
+        total = 1 + kernel_model(d, t).space_dim
         expected = math.comb(d + t, d) + math.comb(d + t - 1, d)
         assert total == expected
         assert full <= expected
@@ -95,7 +95,7 @@ class TestGegenbauer:
                 assert np.max(np.abs(mine - ref)) < 1e-11
 
     @given(
-        st.integers(1, 8),
+        st.sampled_from(SUPPORTED_DIMENSIONS),
         st.integers(0, 40),
         st.floats(-1.0, 1.0, allow_nan=False),
     )
@@ -198,7 +198,7 @@ class TestKernelDerivative:
             assert rel.max() < 1e-6
 
     @pytest.mark.parametrize(
-        "d, t", [(d, t) for d in range(1, 9) for t in (1, 2, 7, 40)]
+        "d, t", [(d, t) for d in SUPPORTED_DIMENSIONS for t in (1, 2, 7, 40)]
     )
     def test_combined_pass_agrees(self, rng, d, t):
         # the value-only and derivative-only scans match the combined pass

@@ -2,73 +2,48 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import unit
 from sphdesign.sphere_geometry import (
+    SUPPORTED_DIMENSIONS,
     PointConfiguration,
-    ZonalCell,
     cap_colatitude,
     cap_measure,
     equal_area_partition,
-    geodesic_distance,
+    frozen_copy,
     measure_diameter_constant,
     partition_norm,
     random_points,
-    tangent_project,
+    tangent_rows,
 )
 
 
-class TestGeodesicDistance:
-    def test_coincident(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert geodesic_distance(e1, e1) == 0.0
+class TestTangentRows:
+    def test_radial_component_removed(self, rng):
+        x = random_points(3, 50, rng)
+        v = 3.0 * rng.standard_normal(x.shape)
+        tangent = tangent_rows(v, x)
+        assert np.max(np.abs(np.einsum("ij,ij->i", tangent, x))) < 1e-14
 
-    def test_orthogonal(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        assert geodesic_distance(e1, e2) == pytest.approx(math.pi / 2.0)
-
-    def test_antipodal(self, rng):
-        x = unit(rng.standard_normal(4))
-        assert geodesic_distance(x, -x) == pytest.approx(math.pi)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            geodesic_distance(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    def test_unit_basis_examples(self):
+        x = np.eye(3)
+        assert np.array_equal(tangent_rows(x, x), np.zeros((3, 3)))
+        v = np.array([[0.0, 2.0, -1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        expected = np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert np.array_equal(tangent_rows(v, x), expected)
 
 
-class TestTangentProject:
-    def test_radial_component_removed(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(tangent_project(e1, e1), np.zeros(3))
-
-    def test_tangential_unchanged(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(tangent_project(e1, e2), e2)
-
-    def test_example_projection(self):
-        e3 = np.array([0.0, 0.0, 1.0])
-        a = np.array([1.0, 1.0, 1.0])
-        assert np.array_equal(tangent_project(e3, a), np.array([1.0, 1.0, 0.0]))
-
-    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
-    @settings(max_examples=60)
-    def test_idempotent_and_orthogonal(self, d, seed):
-        gen = np.random.default_rng(seed)
-        x = unit(gen.standard_normal(d + 1))
-        v = gen.standard_normal(d + 1) * 3.0
-        once = tangent_project(x, v)
-        twice = tangent_project(x, once)
-        assert np.array_equal(once, twice)
-        assert abs(np.dot(once, x)) <= 1e-12 * max(1.0, np.linalg.norm(v))
+def test_frozen_copy_is_a_read_only_float_c_order_copy():
+    source = np.asfortranarray(np.arange(6).reshape(2, 3))
+    frozen = frozen_copy(source)
+    assert frozen.dtype == float and frozen.flags.c_contiguous
+    assert not frozen.flags.writeable and source.flags.writeable
+    source[0, 0] = 7
+    assert frozen[0, 0] == 0.0
 
 
 class TestCapMeasure:
     def test_hemisphere_is_half(self):
-        for d in range(1, 9):
+        for d in SUPPORTED_DIMENSIONS:
             assert cap_measure(d, math.pi / 2.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_s2_closed_form(self, rng):
@@ -84,7 +59,7 @@ class TestCapMeasure:
             assert cap_measure(3, theta) == pytest.approx(expected, abs=1e-13)
 
     def test_inverse_round_trip(self, rng):
-        for d in range(1, 9):
+        for d in SUPPORTED_DIMENSIONS:
             for v in rng.uniform(0.0, 1.0, size=10):
                 assert cap_measure(d, cap_colatitude(d, v)) == pytest.approx(
                     v, abs=1e-12
@@ -196,16 +171,10 @@ class TestEqualAreaPartition:
             assert observed <= p.diameter_estimates[i] + 1e-9
 
     def test_rejects_unsupported_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sphere dimension"):
             equal_area_partition(9, 10)
         with pytest.raises(ValueError):
             equal_area_partition(2, 0)
-
-    def test_cell_json_round_trip(self):
-        p = equal_area_partition(3, 23)
-        for cell in p.cells:
-            clone = ZonalCell.from_dict(cell.to_dict())
-            assert clone == cell
 
 
 class TestPointConfiguration:
@@ -225,5 +194,18 @@ class TestPointConfiguration:
     def test_rejects_nan_points(self):
         with pytest.raises(ValueError):
             PointConfiguration(d=2, points=np.array([[np.nan, 0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            geodesic_distance(np.array([np.nan, 0.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("d", [0, 9])
+    def test_rejects_unsupported_dimension(self, d):
+        points = np.zeros((1, d + 1))
+        points[0, 0] = 1.0
+        with pytest.raises(ValueError, match="sphere dimension"):
+            PointConfiguration(d=d, points=points)
+
+    def test_leaves_caller_array_alone(self, rng):
+        points = random_points(2, 5, rng)
+        original = points.copy()
+        cfg = PointConfiguration(d=2, points=points)
+        assert points.flags.writeable
+        points[0] = -points[0]
+        assert np.array_equal(cfg.points, original)
