@@ -212,4 +212,4 @@ def kernel_value_and_derivative(model: KernelModel, s):
         z = model.dims[k - 1]
         value += z * p
         deriv += z * dp
-    return value, deriv
+    return _as_input_shape(value, s), _as_input_shape(deriv, s)

@@ -8,9 +8,7 @@ the discrete average of |P| is compared with the continuous integral:
                                               when mesh_norm < r / (m + 1)
 
 with r the configured mesh constant.  The admissible r is not known in
-closed form, so violations are recorded with margins rather than raised,
-and a bisection harness estimates the empirical mesh threshold at which
-violations disappear for a given (d, m).
+closed form, so violations are recorded with margins rather than raised.
 """
 
 from __future__ import annotations
@@ -227,65 +225,3 @@ def run_trials(
             )
         )
     return reports
-
-
-def estimate_mesh_threshold(
-    d: int,
-    t: int,
-    n_low: int = 4,
-    n_high: int = 4096,
-    trials: int = 20,
-    seed: int = 0,
-    kind: str = "value",
-) -> dict:
-    """Bisect over partition size for the coarsest mesh with no violations.
-
-    Returns the bracketing sizes and their mesh norms; the coarse end is the
-    largest tested mesh norm at which some trial left the bounds (None when
-    even the coarsest partition stays within bounds, which is common: the
-    bounds are loose for random polynomials).
-    """
-
-    def all_within(n):
-        reports = run_trials(d, t, n, trials, seed, kind=kind)
-        return all(r.within_bounds for r in reports), partition_norm(
-            equal_area_partition(d, n)
-        )
-
-    ok_low, mesh_low = all_within(n_low)
-    if ok_low:
-        return {
-            "d": d,
-            "degree": t,
-            "violating_n": None,
-            "violating_mesh_norm": None,
-            "passing_n": n_low,
-            "passing_mesh_norm": mesh_low,
-        }
-    ok_high, mesh_high = all_within(n_high)
-    if not ok_high:
-        return {
-            "d": d,
-            "degree": t,
-            "violating_n": n_high,
-            "violating_mesh_norm": mesh_high,
-            "passing_n": None,
-            "passing_mesh_norm": None,
-        }
-    lo, hi = n_low, n_high
-    while hi - lo > 1:
-        mid = int(round(math.sqrt(lo * hi)))
-        mid = min(max(mid, lo + 1), hi - 1)
-        ok_mid, _ = all_within(mid)
-        if ok_mid:
-            hi = mid
-        else:
-            lo = mid
-    return {
-        "d": d,
-        "degree": t,
-        "violating_n": lo,
-        "violating_mesh_norm": partition_norm(equal_area_partition(d, lo)),
-        "passing_n": hi,
-        "passing_mesh_norm": partition_norm(equal_area_partition(d, hi)),
-    }

@@ -3,8 +3,7 @@
 This module decides what a valid point array is: the supported sphere
 dimensions (`SUPPORTED_DIMENSIONS`), unit rows (`PointConfiguration`),
 copy-and-freeze for the arrays that frozen types hold (`frozen_copy`), and
-the row-wise normalisation and tangent projection (`unit_rows`,
-`tangent_rows`).
+row-wise normalisation (`unit_rows`).
 
 Zonal coordinates: a point of S^d is written (cos(theta), sin(theta) * xi)
 with colatitude theta in [0, pi] measured from the pole e_0 = (1, 0, ..., 0)
@@ -86,11 +85,6 @@ class PointConfiguration:
 def unit_rows(x: np.ndarray) -> np.ndarray:
     """Each row of x divided by its Euclidean norm."""
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def tangent_rows(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of v less its component along the same row of the unit rows x."""
-    return v - np.einsum("ij,ij->i", v, x)[:, None] * x
 
 
 def random_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -207,6 +207,11 @@ class TestKernelDerivative:
         value, deriv = kernel_value_and_derivative(model, s)
         assert np.array_equal(kernel_value(model, s), value)
         assert np.array_equal(kernel_derivative(model, s), deriv)
+        # a scalar input gives floats, as the value-only and derivative-only
+        # functions do
+        pair = kernel_value_and_derivative(model, float(s[3]))
+        assert all(type(x) is float for x in pair)
+        assert pair == (kernel_value(model, float(s[3])), kernel_derivative(model, float(s[3])))
 
 
 class TestModelValidation:

@@ -6,7 +6,6 @@ import pytest
 from conftest import random_rotation
 from sphdesign.kernel import kernel_model
 from sphdesign.mz import (
-    estimate_mesh_threshold,
     gradient_bounds,
     mz_check,
     mz_gradient_check,
@@ -214,12 +213,6 @@ class TestSweep:
         assert lines[0] == "d,m,n,mesh_norm,ratio,within_bounds"
         assert len(lines) == 5
         assert all(line.startswith("2,3,150,") for line in lines[1:])
-
-    def test_estimate_mesh_threshold_trivial_case(self):
-        # random polynomials rarely violate the loose bounds even on coarse
-        # partitions, so the scan reports the coarse end as passing
-        result = estimate_mesh_threshold(2, 2, n_low=4, n_high=64, trials=3, seed=1)
-        assert result["passing_n"] is not None
 
     def test_mesh_norm_reported(self):
         _, partition, rule, poly = _setup(2, 5, 400)

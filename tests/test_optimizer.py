@@ -71,6 +71,8 @@ class TestFindDesign:
         config_b, report_b = find_design(cfg)
         assert np.array_equal(config_a.points, config_b.points)
         assert report_a.defect == report_b.defect
+        del report_a.meta["runtime_seconds"], report_b.meta["runtime_seconds"]
+        assert report_a.meta == report_b.meta
 
     @pytest.mark.parametrize(
         "cfg",
@@ -96,17 +98,23 @@ class TestFindDesign:
         config, report = find_design(FinderConfig(d=2, t=4, n=25, seed=0))
         assert report.verdict
         assert report.meta["attempts"] >= 2
+        assert report.meta["stop_reasons"][0] == "line_search"
+
+    def test_first_attempt_converges_at_degree_12(self):
+        _, report = find_design(FinderConfig(d=2, t=12, n=169))
+        assert report.verdict
+        assert report.meta["stop_reasons"] == ["target"]
 
     def test_reports_nonconvergence_honestly(self):
-        # a 2-design on S^2 needs at least 4 points: with n = 4 but only a
-        # couple of iterations allowed, the search must admit failure
+        # a 2-design on S^2 needs at least 4 points: with n = 4 but only one
+        # iteration allowed, the search must admit failure
         cfg = FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3)
         config, report = find_design(cfg)
         assert not report.meta["converged"]
         assert not report.verdict
         assert report.meta["best_defect"] > 1e-12
-        assert report.meta["stop_reasons"] == ["line_search"]
-        assert report.meta["stop_reason"] == "line_search"
+        assert report.meta["stop_reasons"] == ["iterations"]
+        assert report.meta["stop_reason"] == "iterations"
 
     @pytest.mark.parametrize(
         "cfg",

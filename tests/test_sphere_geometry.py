@@ -13,23 +13,7 @@ from sphdesign.sphere_geometry import (
     measure_diameter_constant,
     partition_norm,
     random_points,
-    tangent_rows,
 )
-
-
-class TestTangentRows:
-    def test_radial_component_removed(self, rng):
-        x = random_points(3, 50, rng)
-        v = 3.0 * rng.standard_normal(x.shape)
-        tangent = tangent_rows(v, x)
-        assert np.max(np.abs(np.einsum("ij,ij->i", tangent, x))) < 1e-14
-
-    def test_unit_basis_examples(self):
-        x = np.eye(3)
-        assert np.array_equal(tangent_rows(x, x), np.zeros((3, 3)))
-        v = np.array([[0.0, 2.0, -1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-        expected = np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        assert np.array_equal(tangent_rows(v, x), expected)
 
 
 def test_frozen_copy_is_a_read_only_float_c_order_copy():
