@@ -235,7 +235,7 @@ def _cmd_flow_demo(args) -> int:
     from .quadrature import build_quadrature, default_resolution
 
     model = kernel_model(args.d, args.t)
-    resolution = args.resolution or default_resolution(args.t)
+    resolution = default_resolution(args.t) if args.resolution is None else args.resolution
     rule = build_quadrature(args.d, resolution)
     cfg = FlowConfig.defaults(
         args.d, args.t, mesh_constant=args.mesh_constant, step_count=args.step_count

@@ -57,8 +57,14 @@ def flow_horizon(t: int, mesh_constant: float = 1.0) -> float:
     return mesh_constant / (3.0 * t)
 
 
+def _require_mesh_constant(mesh_constant: float) -> None:
+    if not 0.0 < mesh_constant < math.inf:  # rejects NaN too
+        raise ValueError(f"mesh constant must be positive and finite, got {mesh_constant}")
+
+
 def mesh_threshold(d: int, t: int, mesh_constant: float = 1.0) -> float:
     """Partition-norm bound mesh_constant / (54 d t) required by the analysis."""
+    _require_mesh_constant(mesh_constant)
     return mesh_constant / (54.0 * d * t)
 
 
@@ -68,6 +74,7 @@ def design_count_constant(d: int, diameter_constant: float, mesh_constant: float
     B is the measured partition diameter constant and r the configured mesh
     constant; no sharpness is claimed.
     """
+    _require_mesh_constant(mesh_constant)
     return (54.0 * d * diameter_constant / mesh_constant) ** d
 
 
@@ -105,16 +112,11 @@ class FlowConfig:
         )
 
 
-def _velocity(P: KernelPolynomial, pts: np.ndarray, epsilon: float) -> np.ndarray:
-    grad = P.gradient(unit_rows(pts))
-    norms = np.linalg.norm(grad, axis=1)
-    return grad / floor_clamp(norms, epsilon)[:, None]
-
-
 def flow_field(P: KernelPolynomial, y, epsilon: float):
-    """Velocity grad P / floor_clamp(|grad P|): tangent, never longer than 1."""
+    """Velocity grad P / floor_clamp(|grad P|) at unit_rows(y): tangent, at most unit length."""
     y = np.asarray(y, dtype=float)
-    out = _velocity(P, np.atleast_2d(y), epsilon)
+    grad = P.gradient(unit_rows(np.atleast_2d(y)))
+    out = grad / floor_clamp(np.linalg.norm(grad, axis=1), epsilon)[:, None]
     return out[0] if y.ndim == 1 else out
 
 
@@ -151,19 +153,16 @@ def integrate_flow(
         raise ValueError("polynomial and configuration are on different spheres")
     x0 = start.points
 
-    def field(pts):
-        return _velocity(P, pts, cfg.epsilon)
-
     def displacement(pts):
         dots = np.clip(np.einsum("ij,ij->i", x0, pts), -1.0, 1.0)
         return np.arccos(dots)
 
     def advance(y, h):
         """One projected RK4 step of length h; returns (new y, field at y)."""
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
+        k1 = flow_field(P, y, cfg.epsilon)
+        k2 = flow_field(P, y + 0.5 * h * k1, cfg.epsilon)
+        k3 = flow_field(P, y + 0.5 * h * k2, cfg.epsilon)
+        k4 = flow_field(P, y + h * k3, cfg.epsilon)
         raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.linalg.norm(raw, axis=1)
         shift = float(np.max(np.abs(norms - 1.0)))
@@ -295,6 +294,8 @@ def positivity_experiment(
     margins, never raised: at desk scale the mesh condition is usually far
     from satisfied, so the bounds are measurements, not guarantees.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     d, t = model.d, model.t
     partition = equal_area_partition(d, n_points)
     seeds = PointConfiguration(d=d, points=partition.representatives)

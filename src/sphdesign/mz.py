@@ -206,6 +206,8 @@ def run_trials(
     checks; the achieved agreement (typically ~1e-5, far below the width of
     the ratio bounds) is recorded in each report.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     model = kernel_model(d, t)
     partition = equal_area_partition(d, n)
     points = partition.representatives

@@ -1,9 +1,10 @@
 """Numerical integration over S^d and kernel-frame polynomials.
 
-Product rules (exact through a stated polynomial degree) exist for d <= 3:
-a uniform grid on the circle, Gauss-Legendre x uniform longitudes on S^2,
-and a Chebyshev(2nd kind) x S^2 nested product on S^3.  Higher dimensions
-fall back to Monte Carlo with a fixed seed and exactness degree 0.
+On S^1..S^3 one recursive product rule, exact through a stated polynomial
+degree: a uniform grid on the circle, and on S^d a Gauss-Jacobi rule in
+the colatitude cosine times the rule on S^(d-1).  Higher dimensions use
+Monte Carlo with seed 0 and exactness degree 0, since the product rule
+there would need 2 * resolution^d nodes.
 
 Polynomials are always represented in the kernel-section frame: anchors
 v_1..v_M on the sphere and coefficients a_1..a_M encode
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_chebyu, roots_legendre
+from scipy.special import roots_jacobi
 
 from .kernel import (
     KernelModel,
@@ -73,54 +74,39 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _circle_rule(resolution: int):
-    m = 2 * resolution
-    phis = 2.0 * math.pi * np.arange(m) / m
-    nodes = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    weights = np.full(m, 1.0 / m)
-    return nodes, weights, 2 * resolution - 1
+def _product_rule(d: int, resolution: int):
+    """Nodes and weights exact through degree 2 * resolution - 1 on S^d.
 
-
-def _s2_rule(resolution: int):
-    x, w = roots_legendre(resolution)
-    m = 2 * resolution
-    phis = 2.0 * math.pi * np.arange(m) / m
-    st = np.sqrt(1.0 - x**2)
-    nodes = np.empty((resolution * m, 3))
-    nodes[:, 0] = np.repeat(x, m)
-    nodes[:, 1] = np.repeat(st, m) * np.tile(np.cos(phis), resolution)
-    nodes[:, 2] = np.repeat(st, m) * np.tile(np.sin(phis), resolution)
-    weights = np.repeat(w / 2.0, m) / m
-    return nodes, weights, 2 * resolution - 1
-
-
-def _s3_rule(resolution: int):
-    # colatitude factor: weight sqrt(1 - x^2) on [-1, 1], total mass pi/2
-    x, w = roots_chebyu(resolution)
-    sub_nodes, sub_weights, sub_exact = _s2_rule(resolution)
-    st = np.sqrt(1.0 - x**2)
+    S^1 is the uniform grid of 2 * resolution angles.  S^d for d >= 2 is a
+    Gauss-Jacobi rule in x = x_0, weight (1 - x^2)^((d-2)/2), times the rule
+    on S^(d-1) scaled by sqrt(1 - x^2).
+    """
+    if d == 1:
+        m = 2 * resolution
+        phis = 2.0 * math.pi * np.arange(m) / m
+        return np.stack([np.cos(phis), np.sin(phis)], axis=1), np.full(m, 1.0 / m)
+    x, w = roots_jacobi(resolution, (d - 2) / 2, (d - 2) / 2)
+    sub_nodes, sub_weights = _product_rule(d - 1, resolution)
     n_sub = len(sub_weights)
-    nodes = np.empty((resolution * n_sub, 4))
+    nodes = np.empty((resolution * n_sub, d + 1))
     nodes[:, 0] = np.repeat(x, n_sub)
-    nodes[:, 1:] = np.repeat(st, n_sub)[:, None] * np.tile(sub_nodes, (resolution, 1))
-    weights = np.repeat(w / (math.pi / 2.0), n_sub) * np.tile(sub_weights, resolution)
-    return nodes, weights, min(2 * resolution - 1, sub_exact)
+    st = np.repeat(np.sqrt(1.0 - x**2), n_sub)
+    nodes[:, 1:] = st[:, None] * np.tile(sub_nodes, (resolution, 1))
+    weights = np.repeat(w / w.sum(), n_sub) * np.tile(sub_weights, resolution)
+    return nodes, weights
 
 
 @lru_cache(maxsize=64)
 def _cached_rule(d: int, resolution: int) -> QuadratureRule:
-    if d == 1:
-        nodes, weights, exact = _circle_rule(resolution)
-    elif d == 2:
-        nodes, weights, exact = _s2_rule(resolution)
-    elif d == 3:
-        nodes, weights, exact = _s3_rule(resolution)
-    else:
+    if d > 3:
         rng = np.random.default_rng(0)
         count = 1024 * resolution
         nodes = unit_rows(rng.standard_normal((count, d + 1)))
         weights = np.full(count, 1.0 / count)
         exact = 0
+    else:
+        nodes, weights = _product_rule(d, resolution)
+        exact = 2 * resolution - 1
     weights = _exact_unit_weights(weights)
     return QuadratureRule(
         d=d,

@@ -215,5 +215,25 @@ class TestCliCommands:
         assert "measured diameter constant" in out
         assert "design-count coefficient" in out
 
+    @pytest.mark.parametrize("mesh_constant", ["0", "-1", "nan"])
+    def test_constants_rejects_bad_mesh_constant(self, capsys, mesh_constant):
+        argv = ["constants", "--d", "2", "--sweep", "10,100", "--mesh-constant", mesh_constant]
+        assert main(argv) == 1
+        assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("flow-demo", "--resolution", "resolution"),
+            ("flow-demo", "--trials", "trials"),
+            ("mz-test", "--trials", "trials"),
+        ],
+    )
+    def test_rejects_zero_size_runs(self, capsys, command, flag, message):
+        argv = [command, "--d", "2", "--t", "2", "--n", "20", flag, "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_threads_flag_validated(self, capsys):
         assert main(["--threads", "0", "bounds", "--d", "1", "--t-max", "2"]) == 1

@@ -72,6 +72,13 @@ class TestDefaults:
     def test_count_constant(self):
         assert design_count_constant(2, 5.0, 1.0) == pytest.approx((540.0) ** 2)
 
+    @pytest.mark.parametrize("mesh_constant", [0.0, -1.0, math.nan, math.inf])
+    def test_mesh_constant_must_be_positive_and_finite(self, mesh_constant):
+        with pytest.raises(ValueError, match="mesh constant"):
+            mesh_threshold(2, 3, mesh_constant)
+        with pytest.raises(ValueError, match="mesh constant"):
+            design_count_constant(2, 5.0, mesh_constant)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(epsilon=0.0, horizon=1.0)
@@ -282,6 +289,13 @@ class TestIntegrateFlow:
 
 
 class TestPositivityExperiment:
+    def test_rejects_no_trials(self):
+        model = kernel_model(2, 2)
+        rule = build_quadrature(2, 4)
+        cfg = FlowConfig.defaults(2, 2)
+        with pytest.raises(ValueError, match="trials"):
+            positivity_experiment(model, rule, cfg, n_points=20, trials=0, seed=0)
+
     def test_small_experiment_positive(self):
         model = kernel_model(2, 3)
         rule = build_quadrature(2, 5)

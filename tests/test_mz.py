@@ -214,6 +214,10 @@ class TestSweep:
         assert len(lines) == 5
         assert all(line.startswith("2,3,150,") for line in lines[1:])
 
+    def test_run_trials_rejects_no_trials(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_trials(2, 3, 150, trials=0, seed=2)
+
     def test_mesh_norm_reported(self):
         _, partition, rule, poly = _setup(2, 5, 400)
         report = mz_check(rule, partition, partition.representatives, poly)

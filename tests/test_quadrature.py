@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from conftest import unit
 import sphdesign.quadrature as quadrature
@@ -48,6 +49,49 @@ class TestBuildQuadrature:
         assert np.array_equal(a.nodes, b.nodes)
 
 
+class TestProductRule:
+    """The recursive rule against closed forms of its S^1, S^2 and S^3 factors."""
+
+    RESOLUTIONS = (1, 2, 5, 16, 31)
+
+    @staticmethod
+    def _grid(resolution):
+        phis = 2.0 * math.pi * np.arange(2 * resolution) / (2 * resolution)
+        return np.cos(phis), np.sin(phis)
+
+    def test_circle_is_the_uniform_grid(self):
+        for res in self.RESOLUTIONS:
+            rule = build_quadrature(1, res)
+            assert np.array_equal(rule.nodes, np.stack(self._grid(res), axis=1))
+            assert np.array_equal(rule.weights, np.full(2 * res, 1.0 / (2 * res)))
+
+    def test_s2_is_legendre_times_the_grid(self):
+        for res in self.RESOLUTIONS:
+            rule = build_quadrature(2, res)
+            x, w = roots_legendre(res)
+            cos, sin = self._grid(res)
+            st = np.sqrt(1.0 - x**2)
+            expected = np.stack(
+                [np.repeat(x, 2 * res), np.outer(st, cos).ravel(), np.outer(st, sin).ravel()],
+                axis=1,
+            )
+            assert np.array_equal(rule.nodes, expected)
+            expected_weights = np.repeat(w / 2.0, 2 * res) / (2 * res)
+            assert np.max(np.abs(rule.weights - expected_weights)) < 1e-11 / len(expected_weights)
+
+    def test_s3_colatitudes_are_chebyshev_u_roots(self):
+        for res in self.RESOLUTIONS:
+            rule = build_quadrature(3, res)
+            n_sub = 2 * res * res
+            angles = np.arange(res, 0, -1) * math.pi / (res + 1)
+            assert np.max(np.abs(rule.nodes[::n_sub, 0] - np.cos(angles))) < 4e-15
+            # Chebyshev-U weights (pi / (res+1)) sin^2, over the factor's mass pi / 2
+            colatitude = 2.0 / (res + 1) * np.sin(angles) ** 2
+            sub_weights = build_quadrature(2, res).weights
+            expected = np.repeat(colatitude, n_sub) * np.tile(sub_weights, res)
+            assert np.max(np.abs(rule.weights - expected)) < 1e-10 / len(expected)
+
+
 class TestIntegrate:
     def test_constant(self):
         rule = build_quadrature(2, 5)
@@ -88,36 +132,25 @@ class TestIntegrate:
         value = integrate(rule, poly.gradient_norm)
         assert value == pytest.approx(3.0 * math.pi / 4.0, rel=1e-4)
 
-    def test_product_of_kernel_sections_closed_form(self, rng):
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_product_of_kernel_sections_closed_form(self, d, rng):
         # integral of K_t1(<v,.>) K_t2(<w,.>) equals K_min(t1,t2)(<v,w>)
-        # when the rule is exact through t1 + t2
-        t1, t2 = 4, 6
-        rule = build_quadrature(2, 6)  # exact through 11 >= 10
-        m1, m2 = kernel_model(2, t1), kernel_model(2, t2)
-        m_min = kernel_model(2, min(t1, t2))
+        # when the rule is exact through t1 + t2; here t1 + t2 is the top
+        # exact degree 2 * resolution - 1
+        t1, t2 = 5, 6
+        rule = build_quadrature(d, 6)
+        assert rule.exactness_degree == t1 + t2
+        m1, m2 = kernel_model(d, t1), kernel_model(d, t2)
+        scale = kernel_value(m1, 1.0) * kernel_value(m2, 1.0)
         for _ in range(10):
-            v = unit(rng.standard_normal(3))
-            w = unit(rng.standard_normal(3))
+            v = unit(rng.standard_normal(d + 1))
+            w = unit(rng.standard_normal(d + 1))
             product = integrate(
                 rule,
                 lambda x: kernel_value(m1, x @ v) * kernel_value(m2, x @ w),
             )
-            expected = kernel_value(m_min, float(np.dot(v, w)))
-            assert product == pytest.approx(expected, abs=1e-12 * (t1 + 1) ** 2 * (t2 + 1) ** 2)
-
-    def test_kernel_identity_on_s3(self, rng):
-        # the nested product rule is polynomial-exact on S^3 as well
-        rule = build_quadrature(3, 7)  # exact through 13
-        model = kernel_model(3, 6)
-        for _ in range(5):
-            v = unit(rng.standard_normal(4))
-            w = unit(rng.standard_normal(4))
-            product = integrate(
-                rule,
-                lambda x: kernel_value(model, x @ v) * kernel_value(model, x @ w),
-            )
-            expected = kernel_value(model, float(np.dot(v, w)))
-            assert product == pytest.approx(expected, abs=1e-9)
+            expected = kernel_value(m1, float(np.dot(v, w)))
+            assert product == pytest.approx(expected, abs=1e-13 * scale)
 
     def test_reproducing_property(self, rng):
         # quadrature of K(<x,.>) Q equals Q(x) for kernel sections Q
