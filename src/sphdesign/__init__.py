@@ -2,35 +2,9 @@
 numerical machinery (zonal kernels, equal-area partitions, sphere quadrature,
 normalized gradient flow, and sampling inequalities).
 
-Submodules are imported lazily so that the CLI can configure thread limits
-before any numerical library is loaded.
+The package imports no submodule, so the CLI can configure thread limits
+before any numerical library is loaded.  Import submodules by name, e.g.
+``from sphdesign import design``.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "kernel",
-    "sphere_geometry",
-    "quadrature",
-    "harmonics",
-    "design",
-    "flow",
-    "mz",
-    "optimizer",
-    "pointio",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f"{__name__}.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -24,7 +24,10 @@ The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
 plain sums): deterministic at a fixed thread count and within a few
 eps * K(1) of `defect`, but not exactly permutation-invariant.
-Every finder result is re-verified with the exact `verify_design`.
+`_section_defect` gives it that norm and the gradient (2/N) grad P_X from
+one recurrence pass; `defect_gradient` is the same gradient for a
+configuration.  Every finder result is re-verified with the exact
+`verify_design`.
 """
 
 from __future__ import annotations
@@ -115,13 +118,16 @@ def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarr
     return _defect_and_residuals(model, config)[1]
 
 
+def _section_defect(model: KernelModel, points: np.ndarray) -> tuple[float, np.ndarray]:
+    """The finder's objective ||P_X||^2 and its gradient (2/N) grad P_X,
+    one tangent row per point, from one recurrence pass over the section."""
+    value, grad = _average_section(model, points).squared_norm_and_gradient()
+    return value, (2.0 / points.shape[0]) * grad
+
+
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Spherical gradient of the defect, (2/N) grad P_X: one tangent row per point."""
-    section = _average_section(model, config.points)
-    # at its own anchor array, not at config.points (a separate copy of X),
-    # X X^T multiplies one buffer by its transpose, which numpy rounds as a
-    # symmetric (SYRK) product, the way the finder's objective rounds it
-    return (2.0 / config.n) * section.gradient(section.anchors)
+    return _section_defect(model, config.points)[1]
 
 
 @dataclass

@@ -19,11 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flow import _require_mesh_constant
 from .kernel import _exact_row_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
     QuadratureRule,
     build_quadrature,
+    default_resolution,
     integrate_refined,
     sample_boundary_polynomial,
 )
@@ -134,6 +136,7 @@ def mz_check(
     any vectorized callable works if `degree` is given explicitly, which is
     how the full polynomial space including constants is exercised.
     """
+    _require_mesh_constant(mesh_constant)
     pts = _checked_points(partition, points)
     if degree is None:
         if not isinstance(P, KernelPolynomial):
@@ -162,6 +165,7 @@ def mz_gradient_check(
     max_resolution: int = 256,
 ) -> MZReport:
     """Compare the sample average of |grad P| with its integral."""
+    _require_mesh_constant(mesh_constant)
     pts = _checked_points(partition, points)
     if degree is None:
         degree = P.model.t
@@ -208,11 +212,14 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    checks = {"value": mz_check, "gradient": mz_gradient_check}
+    if kind not in checks:
+        raise ValueError(f"unknown check kind {kind!r}; expected 'value' or 'gradient'")
+    check = checks[kind]
     model = kernel_model(d, t)
     partition = equal_area_partition(d, n)
     points = partition.representatives
-    rule = build_quadrature(d, t + 2)
-    check = mz_check if kind == "value" else mz_gradient_check
+    rule = build_quadrature(d, default_resolution(t))
     reports = []
     for i in range(trials):
         poly = sample_boundary_polynomial(model, rule, 2 * model.space_dim, seed=(seed, i))

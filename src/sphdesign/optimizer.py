@@ -10,11 +10,12 @@ is a certificate candidate that is always re-verified independently by
 `verify_design`.
 
 The descent minimizes the squared norm of the averaged kernel section
-P_X = (1/N) sum_j K(<x_j, .>) with BLAS inner products and plain sums; the
-exact pair pass is kept for verification.  So the per-iteration defects in
-`meta["defect_trace"]` (and in CLI `find --trace`) are descent-objective
-values, while `report.defect` is the exact verified defect.  They agree to
-a few eps * K(1).
+P_X = (1/N) sum_j K(<x_j, .>) with BLAS inner products and plain sums,
+taking its value and gradient from one recurrence pass over the section
+per evaluated point; the exact pair pass is kept for verification.  So
+the per-iteration defects in `meta["defect_trace"]` (and in CLI
+`find --trace`) are descent-objective values, while `report.defect` is
+the exact verified defect.  They agree to a few eps * K(1).
 
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
@@ -25,17 +26,11 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    DesignReport,
-    _average_section,
-    defect_gradient,
-    lower_bound,
-    verify_design,
-)
+from .design import DesignReport, _section_defect, lower_bound, verify_design
 from .kernel import kernel_model
 from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
 
@@ -106,7 +101,10 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     retraction or vector transport: the gradient in Y is the spherical
     defect gradient at X divided row by row by |y_i|.  Each iteration first
     tries the full L-BFGS step and halves it until the Armijo condition
-    holds with a strict decrease.
+    holds with a strict decrease.  Every evaluation, the trials included,
+    takes the objective and its gradient from one kernel pass
+    (`design._section_defect`), so an accepted trial's gradient is already
+    in hand.
 
     Returns (points, objective, trace, stop reason, line-search counts); the
     reason is "target", "line_search" (no trial step decreased the
@@ -115,20 +113,16 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     evaluation each) and the trials it rejected (`backtracks`).
     """
 
-    def f_of(y):
-        return _average_section(model, unit_rows(y)).squared_norm()
-
-    def grad_of(y):
-        config = PointConfiguration(d=cfg.d, points=unit_rows(y))
-        return defect_gradient(model, config) / np.linalg.norm(y, axis=1, keepdims=True)
+    def evaluate(y):
+        value, grad = _section_defect(model, unit_rows(y))
+        return value, grad / np.linalg.norm(y, axis=1, keepdims=True)
 
     y = x
-    value = f_of(y)
+    value, grad = evaluate(y)
     trace = [value]
     counts = {"line_search_trials": 0, "backtracks": 0}
     if value <= cfg.defect_target:
         return unit_rows(y), value, trace, "target", counts
-    grad = grad_of(y)
     pairs = deque(maxlen=MEMORY)
     reason = "iterations"
     for _ in range(cfg.max_iterations):
@@ -140,7 +134,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS):
             candidate = y + alpha * direction
-            candidate_value = f_of(candidate)
+            candidate_value, candidate_grad = evaluate(candidate)
             counts["line_search_trials"] += 1
             if candidate_value < value and candidate_value <= value + ARMIJO_SLOPE * alpha * slope:
                 break
@@ -149,12 +143,11 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         else:
             reason = "line_search"  # local minimum at this precision
             break
-        grad_new = grad_of(candidate)
-        step, change = candidate - y, grad_new - grad
+        step, change = candidate - y, candidate_grad - grad
         curvature = np.vdot(step, change)
         if curvature > 0.0:  # keeps H positive definite
             pairs.append((step, change, 1.0 / curvature))
-        y, value, grad = candidate, candidate_value, grad_new
+        y, value, grad = candidate, candidate_value, candidate_grad
         trace.append(value)
         if value <= cfg.defect_target:
             reason = "target"

@@ -29,6 +29,7 @@ from .kernel import (
     _exact_row_sums,
     kernel_derivative,
     kernel_value,
+    kernel_value_and_derivative,
     row_blocks,
 )
 from .sphere_geometry import frozen_copy, random_points, require_supported_dimension, unit_rows
@@ -171,7 +172,12 @@ def integrate_refined(
 
 @dataclass(frozen=True)
 class KernelPolynomial:
-    """Weighted sum of kernel sections: P(x) = sum_m a_m K(<v_m, x>)."""
+    """Weighted sum of kernel sections: P(x) = sum_m a_m K(<v_m, x>).
+
+    Values, gradients and the section's own norm and gradient all walk the
+    evaluation points in row blocks through `_walk`, one recurrence pass
+    per block.
+    """
 
     model: KernelModel
     anchors: np.ndarray  # (m, d+1)
@@ -187,18 +193,35 @@ class KernelPolynomial:
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coefficients", coefficients)
 
-    def _blocks(self, n: int):
-        rows = _EVAL_BLOCK_COSINES // max(self.anchors.shape[0], 1)
-        return row_blocks(n, max(1, min(_EVAL_BLOCK_ROWS, rows)))
+    def _walk(self, pts: np.ndarray, kernel):
+        """Yield (rows, block, s, kernel(model, s)) for each row block of pts.
+
+        The only place a cosine block s = block @ anchors.T is formed.  When
+        pts is the anchor array itself, as in `squared_norm_and_gradient`,
+        a block that spans every row multiplies one buffer by its
+        transpose, which numpy rounds as a symmetric (SYRK) product; any
+        other points, an equal copy of the anchors included, go through
+        GEMM, whose last bits can differ.
+        """
+        size = max(1, min(_EVAL_BLOCK_ROWS, _EVAL_BLOCK_COSINES // max(self.anchors.shape[0], 1)))
+        for lo, hi in row_blocks(pts.shape[0], size):
+            block = pts[lo:hi]
+            s = block @ self.anchors.T
+            yield slice(lo, hi), block, s, kernel(self.model, s)
+
+    def _tangent(self, block, s, derivative) -> np.ndarray:
+        """Spherical gradient rows at block from its kernel derivatives."""
+        weighted = derivative * self.coefficients  # (rows, m)
+        radial = np.einsum("nm,nm->n", weighted, s)
+        return weighted @ self.anchors - radial[:, None] * block
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         values = np.empty(pts.shape[0])
-        for lo, hi in self._blocks(pts.shape[0]):
-            s = pts[lo:hi] @ self.anchors.T
-            values[lo:hi] = kernel_value(self.model, s) @ self.coefficients
+        for rows, _, _, k in self._walk(pts, kernel_value):
+            values[rows] = k @ self.coefficients
         return float(values[0]) if single else values
 
     def gradient(self, points) -> np.ndarray:
@@ -207,13 +230,8 @@ class KernelPolynomial:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         grad = np.empty(pts.shape)
-        for lo, hi in self._blocks(pts.shape[0]):
-            block = pts[lo:hi]
-            s = block @ self.anchors.T
-            weighted = kernel_derivative(self.model, s) * self.coefficients  # (rows, m)
-            raw = weighted @ self.anchors
-            radial = np.einsum("nm,nm->n", weighted, s)
-            grad[lo:hi] = raw - radial[:, None] * block
+        for rows, block, s, dk in self._walk(pts, kernel_derivative):
+            grad[rows] = self._tangent(block, s, dk)
         return grad[0] if single else grad
 
     def gradient_norm(self, points):
@@ -222,9 +240,18 @@ class KernelPolynomial:
             return float(np.linalg.norm(grad))
         return np.linalg.norm(grad, axis=1)
 
-    def squared_norm(self) -> float:
-        """Inner-product norm (P, P) = sum_m a_m P(v_m), by the reproducing property."""
-        return float(self.coefficients @ self(self.anchors))
+    def squared_norm_and_gradient(self) -> tuple[float, np.ndarray]:
+        """(P, P) = sum_m a_m P(v_m), by the reproducing property, and the
+        gradient rows at the anchors, from one recurrence pass.
+
+        Bit for bit `coefficients @ self(anchors)` and `gradient(anchors)`.
+        """
+        values = np.empty(self.anchors.shape[0])
+        grad = np.empty(self.anchors.shape)
+        for rows, block, s, (k, dk) in self._walk(self.anchors, kernel_value_and_derivative):
+            values[rows] = k @ self.coefficients
+            grad[rows] = self._tangent(block, s, dk)
+        return float(self.coefficients @ values), grad
 
 
 def sample_boundary_polynomial(

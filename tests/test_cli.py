@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from sphdesign.pointio import (
     write_points,
 )
 from sphdesign.sphere_geometry import PointConfiguration, random_points
+
+SOURCE = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPointFiles:
@@ -221,6 +227,12 @@ class TestCliCommands:
         assert main(argv) == 1
         assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mesh_constant", ["0", "-1", "nan"])
+    def test_mz_test_rejects_bad_mesh_constant(self, capsys, mesh_constant):
+        argv = ["mz-test", "--d", "2", "--t", "2", "--n", "20", "--trials", "2"]
+        assert main(argv + ["--mesh-constant", mesh_constant]) == 1
+        assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flag, message",
         [
@@ -234,6 +246,18 @@ class TestCliCommands:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_imports_leave_numpy_unloaded(self):
+        # --threads must take effect before numpy loads BLAS
+        code = "import sys, sphdesign, sphdesign.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SOURCE)},
+        )
+        assert result.stdout.strip() == "False"
 
     def test_threads_flag_validated(self, capsys):
         assert main(["--threads", "0", "bounds", "--d", "1", "--t-max", "2"]) == 1

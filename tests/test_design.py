@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_rotation
 from sphdesign.design import (
-    _average_section,
+    _section_defect,
     catalog_design,
     defect,
     defect_gradient,
@@ -132,7 +132,7 @@ class TestDefect:
 
 
 def _descent_objective(model, config):
-    return _average_section(model, config.points).squared_norm()
+    return _section_defect(model, config.points)[0]
 
 
 class TestDescentDefect:

@@ -218,6 +218,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="trials"):
             run_trials(2, 3, 150, trials=0, seed=2)
 
+    def test_run_trials_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="'values'"):
+            run_trials(2, 2, 20, 1, 0, kind="values")
+
+    @pytest.mark.parametrize("kind", ["value", "gradient"])
+    @pytest.mark.parametrize("mesh_constant", [0.0, -1.0, math.nan, math.inf])
+    def test_run_trials_rejects_bad_mesh_constant(self, kind, mesh_constant):
+        with pytest.raises(ValueError, match="mesh constant must be positive and finite"):
+            run_trials(2, 2, 20, 1, 0, kind=kind, mesh_constant=mesh_constant)
+
+    @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
+    @pytest.mark.parametrize("mesh_constant", [0.0, -1.0, math.nan])
+    def test_checks_reject_bad_mesh_constant(self, check, mesh_constant):
+        _, partition, rule, poly = _setup(2, 3, 50)
+        with pytest.raises(ValueError, match="mesh constant must be positive and finite"):
+            check(rule, partition, partition.representatives, poly, mesh_constant=mesh_constant)
+
     def test_mesh_norm_reported(self):
         _, partition, rule, poly = _setup(2, 5, 400)
         report = mz_check(rule, partition, partition.representatives, poly)

@@ -1,10 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sphdesign.quadrature as quadrature
 from sphdesign.design import defect, verify_design
-from sphdesign.kernel import kernel_model
+from sphdesign.kernel import (
+    kernel_derivative,
+    kernel_model,
+    kernel_value,
+    kernel_value_and_derivative,
+)
 from sphdesign.optimizer import FinderConfig, find_design, seed_points
 
 
@@ -91,6 +98,26 @@ class TestFindDesign:
         assert trials >= first.meta["iterations"]
         # every trial is accepted (one iteration) or backtracked
         assert trials == first.meta["iterations"] + first.meta["backtracks"]
+
+    @pytest.mark.parametrize("d,t,n", [(2, 3, 8), (3, 3, 16)])
+    def test_one_kernel_pass_per_evaluation(self, monkeypatch, d, t, n):
+        # each objective evaluation (the start and every line-search trial)
+        # takes value and gradient from one fused pass over one row block
+        calls = Counter()
+
+        def counting(original):
+            def wrapped(model, s):
+                calls[original.__name__] += 1
+                return original(model, s)
+
+            return wrapped
+
+        for kernel in (kernel_value, kernel_derivative, kernel_value_and_derivative):
+            monkeypatch.setattr(quadrature, kernel.__name__, counting(kernel))
+        _, report = find_design(FinderConfig(d=d, t=t, n=n, restarts=0))
+        assert report.meta["line_search_trials"] > 0
+        evaluations = 1 + report.meta["line_search_trials"]
+        assert calls == {"kernel_value_and_derivative": evaluations}
 
     def test_restart_rescues_stalled_seed(self):
         # the plain equal-area seed stalls in a local minimum at this size;

@@ -6,7 +6,12 @@ from scipy.special import roots_legendre
 
 from conftest import unit
 import sphdesign.quadrature as quadrature
-from sphdesign.kernel import kernel_derivative, kernel_model, kernel_value
+from sphdesign.kernel import (
+    kernel_derivative,
+    kernel_model,
+    kernel_value,
+    kernel_value_and_derivative,
+)
 from sphdesign.quadrature import (
     KernelPolynomial,
     build_quadrature,
@@ -189,7 +194,7 @@ class TestKernelPolynomial:
             poly = KernelPolynomial(
                 model, random_points(3, 8, rng), rng.standard_normal(8)
             )
-            assert poly.squared_norm() >= -1e-9
+            assert poly.squared_norm_and_gradient()[0] >= -1e-9
 
     def test_squared_norm_matches_quadrature(self, rng):
         model = kernel_model(2, 4)
@@ -198,7 +203,7 @@ class TestKernelPolynomial:
             model, random_points(2, 6, rng), rng.standard_normal(6)
         )
         quad = integrate(rule, lambda x: poly(x) ** 2)
-        assert quad == pytest.approx(poly.squared_norm(), rel=1e-10)
+        assert quad == pytest.approx(poly.squared_norm_and_gradient()[0], rel=1e-10)
 
     def test_gradient_is_tangential_at_nodes(self, rng):
         model = kernel_model(2, 6)
@@ -285,14 +290,14 @@ class TestKernelPolynomialBlocks:
 
             return wrapped
 
-        monkeypatch.setattr(quadrature, "kernel_value", recording(kernel_value))
-        monkeypatch.setattr(quadrature, "kernel_derivative", recording(kernel_derivative))
+        for kernel in (kernel_value, kernel_derivative, kernel_value_and_derivative):
+            monkeypatch.setattr(quadrature, kernel.__name__, recording(kernel))
         model = kernel_model(2, 2)
         poly = KernelPolynomial(model, random_points(2, 1500, rng), rng.standard_normal(1500))
         pts = random_points(2, 2000, rng)
         poly(pts)
         poly.gradient(pts)
-        poly.squared_norm()
+        poly.squared_norm_and_gradient()
         assert sizes and max(sizes) <= 2**20
         assert len(sizes) == 3 + 3 + 3  # 699-row blocks: 2000 and 1500 rows take 3 each
 
@@ -301,7 +306,17 @@ class TestKernelPolynomialBlocks:
         poly = KernelPolynomial(model, random_points(3, 1500, rng), rng.standard_normal(1500))
         gram = kernel_value(model, poly.anchors @ poly.anchors.T)
         expected = float(poly.coefficients @ gram @ poly.coefficients)
-        assert poly.squared_norm() == pytest.approx(expected, rel=1e-12)
+        assert poly.squared_norm_and_gradient()[0] == pytest.approx(expected, rel=1e-12)
+
+    # 30 anchors take one block; 1500 take three blocks of 699 rows
+    @pytest.mark.parametrize("n", [30, 1500])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_squared_norm_and_gradient_match_separate_passes(self, rng, d, n):
+        model = kernel_model(d, 4)
+        poly = KernelPolynomial(model, random_points(d, n, rng), rng.standard_normal(n))
+        value, grad = poly.squared_norm_and_gradient()
+        assert value == float(poly.coefficients @ poly(poly.anchors))
+        assert np.array_equal(grad, poly.gradient(poly.anchors))
 
 
 class TestSampleBoundary:
