@@ -137,6 +137,8 @@ def _invocation_meta(args) -> dict:
 def _cmd_bounds(args) -> int:
     from .design import lower_bound
 
+    if args.t_max < 1:
+        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     lines = ["d t n_min"]
     for t in range(1, args.t_max + 1):
         lines.append(f"{args.d} {t} {lower_bound(args.d, t)}")

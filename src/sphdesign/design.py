@@ -18,7 +18,9 @@ depend on point ordering, so permutation invariance holds exactly, not
 just approximately.  The pair inner products go through einsum rather
 than BLAS matmul for the same reason: BLAS tiling makes the last ulp of a
 dot product depend on its position in the output matrix.  `verify_design`
-takes the defect and the residuals from one pass over the pair matrix.
+takes the defect and the residuals from one pass over the pair matrix, in
+row blocks of at most `kernel.BLOCK_COSINES` pairs; since every entry and
+every row sum is the same whatever the block size, so is the verdict.
 
 The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
@@ -51,8 +53,6 @@ from .kernel import (
 from .quadrature import KernelPolynomial
 from .sphere_geometry import PointConfiguration, require_supported_dimension, unit_rows
 
-_PAIR_BLOCK_ROWS = 256
-
 
 def lower_bound(d: int, t: int) -> int:
     """Minimal possible size of a spherical t-design on S^d.
@@ -75,7 +75,7 @@ def _pair_cosines(model: KernelModel, config: PointConfiguration):
     if model.d != config.d:
         raise ValueError(f"model is on S^{model.d} but configuration is on S^{config.d}")
     pts = config.points
-    for lo, hi in row_blocks(config.n, _PAIR_BLOCK_ROWS):
+    for lo, hi in row_blocks(config.n, config.n):
         yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
 
 

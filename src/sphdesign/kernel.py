@@ -86,8 +86,15 @@ def clamp_cosine(s):
     return np.clip(arr, -1.0, 1.0)
 
 
-def row_blocks(n: int, size: int):
-    """Yield (lo, hi) bounds that split n rows into blocks of at most size."""
+# Cosines in one block of a kernel pass: each float64 recurrence temporary
+# is then 256 KiB, small enough to stay in a core's L2 cache.
+BLOCK_COSINES = 2**15
+
+
+def row_blocks(n: int, width: int):
+    """Yield (lo, hi) bounds that split n rows of width cosines each into
+    blocks of at most BLOCK_COSINES cosines, and never fewer than one row."""
+    size = max(1, BLOCK_COSINES // max(width, 1))
     for start in range(0, n, size):
         yield start, min(start + size, n)
 

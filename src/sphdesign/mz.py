@@ -65,13 +65,9 @@ class MZReport:
 
 def _checked_points(partition: Partition, points) -> np.ndarray:
     pts = points.points if isinstance(points, PointConfiguration) else np.asarray(points, float)
-    if pts.shape != (partition.n, partition.d + 1):
-        raise ValueError(
-            f"expected {(partition.n, partition.d + 1)} sample points, got {pts.shape}"
-        )
-    for i, (cell, x) in enumerate(zip(partition.cells, pts)):
-        if not cell.contains(x):
-            raise ValueError(f"sample point {i} does not lie in cell {i}")
+    misplaced = partition.misplaced(pts)
+    if misplaced.size:
+        raise ValueError(f"sample point {misplaced[0]} does not lie in cell {misplaced[0]}")
     return pts
 
 

@@ -34,11 +34,6 @@ from .kernel import (
 )
 from .sphere_geometry import frozen_copy, random_points, require_supported_dimension, unit_rows
 
-# keep per-degree recurrence temporaries cache-sized on large node batches:
-# at most 4096 rows and about 2**20 cosines a block
-_EVAL_BLOCK_ROWS = 4096
-_EVAL_BLOCK_COSINES = 2**20
-
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
     """Scale weights so that math.fsum(weights) == 1.0 exactly."""
@@ -196,15 +191,17 @@ class KernelPolynomial:
     def _walk(self, pts: np.ndarray, kernel):
         """Yield (rows, block, s, kernel(model, s)) for each row block of pts.
 
-        The only place a cosine block s = block @ anchors.T is formed.  When
-        pts is the anchor array itself, as in `squared_norm_and_gradient`,
-        a block that spans every row multiplies one buffer by its
-        transpose, which numpy rounds as a symmetric (SYRK) product; any
-        other points, an equal copy of the anchors included, go through
-        GEMM, whose last bits can differ.
+        The only place a cosine block s = block @ anchors.T is formed, in
+        blocks of at most `kernel.BLOCK_COSINES` cosines.  When pts is the
+        anchor array itself, as in `squared_norm_and_gradient`, and all
+        anchors fit in one block (at most 181 of them), the block
+        multiplies one buffer by its transpose, which numpy rounds as a
+        symmetric (SYRK) product.  Any other points, an equal copy of the
+        anchors included, and the several blocks of more anchors go
+        through GEMM, whose last bits can differ and depend on the row
+        tiling.
         """
-        size = max(1, min(_EVAL_BLOCK_ROWS, _EVAL_BLOCK_COSINES // max(self.anchors.shape[0], 1)))
-        for lo, hi in row_blocks(pts.shape[0], size):
+        for lo, hi in row_blocks(len(pts), len(self.anchors)):
             block = pts[lo:hi]
             s = block @ self.anchors.T
             yield slice(lo, hi), block, s, kernel(self.model, s)

@@ -89,6 +89,13 @@ class TestCliCommands:
         table = {int(t): int(n) for _, t, n in rows}
         assert table == {1: 2, 2: 4, 3: 6, 4: 9, 5: 12}
 
+    @pytest.mark.parametrize("t_max", ["0", "-3"])
+    def test_bounds_rejects_t_max_below_one(self, capsys, t_max):
+        assert main(["bounds", "--d", "2", "--t-max", t_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --t-max must be >= 1")
+
     def test_bounds_to_file(self, tmp_path, capsys):
         path = tmp_path / "bounds.txt"
         assert main(["bounds", "--d", "3", "--t-max", "5", "--out", str(path)]) == 0

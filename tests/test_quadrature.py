@@ -5,7 +5,9 @@ import pytest
 from scipy.special import roots_legendre
 
 from conftest import unit
+import sphdesign.kernel as kernel
 import sphdesign.quadrature as quadrature
+from sphdesign.design import _pair_cosines, defect, degree_residuals, verify_design
 from sphdesign.kernel import (
     kernel_derivative,
     kernel_model,
@@ -20,7 +22,7 @@ from sphdesign.quadrature import (
     integrate_refined,
     sample_boundary_polynomial,
 )
-from sphdesign.sphere_geometry import random_points
+from sphdesign.sphere_geometry import PointConfiguration, random_points
 
 
 class TestBuildQuadrature:
@@ -256,50 +258,95 @@ class TestKernelPolynomial:
 
 
 class TestKernelPolynomialBlocks:
-    """Row blocks hold at most 4096 rows and about 2**20 cosines."""
+    """Every kernel pass walks blocks of at most kernel.BLOCK_COSINES cosines."""
 
     @staticmethod
-    def _fixed_rows(poly, pts):
-        # the evaluation in plain 4096-row blocks, whatever the anchor count
+    def _explicit(poly, pts, rows):
+        # the evaluation in plain blocks of the given number of rows
         values, grads = np.empty(len(pts)), np.empty(pts.shape)
-        for lo in range(0, len(pts), 4096):
-            block = pts[lo : lo + 4096]
+        for lo in range(0, len(pts), rows):
+            block = pts[lo : lo + rows]
             s = block @ poly.anchors.T
-            values[lo : lo + 4096] = kernel_value(poly.model, s) @ poly.coefficients
+            values[lo : lo + rows] = kernel_value(poly.model, s) @ poly.coefficients
             weighted = kernel_derivative(poly.model, s) * poly.coefficients
             radial = np.einsum("nm,nm->n", weighted, s)
-            grads[lo : lo + 4096] = weighted @ poly.anchors - radial[:, None] * block
+            grads[lo : lo + rows] = weighted @ poly.anchors - radial[:, None] * block
         return values, grads
 
-    @pytest.mark.parametrize("anchors", [1, 40, 256])
-    def test_few_anchors_keep_4096_row_blocks(self, rng, anchors):
-        model = kernel_model(2, 5)
-        poly = KernelPolynomial(model, random_points(2, anchors, rng), rng.standard_normal(anchors))
-        pts = random_points(2, 9000, rng)  # three blocks
-        values, grads = self._fixed_rows(poly, pts)
-        assert np.array_equal(poly(pts), values)
-        assert np.array_equal(poly.gradient(pts), grads)
-
-    def test_blocks_stay_within_cosine_budget(self, rng, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize(
+        "budget,anchors,n",
+        [
+            (kernel.BLOCK_COSINES, 1, 40000),
+            (kernel.BLOCK_COSINES, 40, 2000),
+            (kernel.BLOCK_COSINES, 181, 181),
+            (kernel.BLOCK_COSINES, 182, 182),
+            (kernel.BLOCK_COSINES, 1500, 2000),
+            (1000, 40, 2000),
+            (1000, 1500, 50),  # a row of 1500 cosines is wider than the budget
+            (1, 7, 300),
+        ],
+    )
+    def test_blocks_stay_within_cosine_budget(self, rng, monkeypatch, budget, anchors, n):
+        monkeypatch.setattr(kernel, "BLOCK_COSINES", budget)
+        shapes = []
 
         def recording(original):
             def wrapped(model, s):
-                sizes.append(np.size(s))
+                shapes.append(np.shape(s))
                 return original(model, s)
 
             return wrapped
 
-        for kernel in (kernel_value, kernel_derivative, kernel_value_and_derivative):
-            monkeypatch.setattr(quadrature, kernel.__name__, recording(kernel))
+        for fn in (kernel_value, kernel_derivative, kernel_value_and_derivative):
+            monkeypatch.setattr(quadrature, fn.__name__, recording(fn))
         model = kernel_model(2, 2)
-        poly = KernelPolynomial(model, random_points(2, 1500, rng), rng.standard_normal(1500))
-        pts = random_points(2, 2000, rng)
+        poly = KernelPolynomial(model, random_points(2, anchors, rng), rng.standard_normal(anchors))
+        pts = random_points(2, n, rng)
         poly(pts)
         poly.gradient(pts)
         poly.squared_norm_and_gradient()
-        assert sizes and max(sizes) <= 2**20
-        assert len(sizes) == 3 + 3 + 3  # 699-row blocks: 2000 and 1500 rows take 3 each
+        config = PointConfiguration(d=2, points=pts[:400])
+        for lo, hi, s in _pair_cosines(model, config):
+            assert s.shape == (hi - lo, config.n)
+            shapes.append(s.shape)
+        assert all(rows * width <= budget or rows == 1 for rows, width in shapes)
+        # each pass takes as few blocks as the budget allows
+        passes = [(n, anchors), (n, anchors), (anchors, anchors), (config.n, config.n)]
+        assert len(shapes) == sum(-(-rows // max(1, budget // width)) for rows, width in passes)
+
+    @pytest.mark.parametrize("d,t,n", [(2, 6, 300), (3, 4, 200), (1, 9, 150)])
+    def test_verification_does_not_depend_on_block_size(self, rng, monkeypatch, d, t, n):
+        model = kernel_model(d, t)
+        config = PointConfiguration(d=d, points=random_points(d, n, rng))
+        value, residuals = defect(model, config), degree_residuals(model, config)
+        report = verify_design(model, config).to_dict()
+        monkeypatch.setattr(kernel, "BLOCK_COSINES", 1)  # one row per block
+        assert defect(model, config) == value
+        assert np.array_equal(degree_residuals(model, config), residuals)
+        assert verify_design(model, config).to_dict() == report
+
+    @pytest.mark.parametrize(
+        "anchors,n", [(1, 40000), (40, 9000), (181, 400), (256, 3000), (1500, 600)]
+    )
+    def test_budget_blocks_match_explicit_and_one_block(self, rng, anchors, n):
+        model = kernel_model(2, 5)
+        poly = KernelPolynomial(model, random_points(2, anchors, rng), rng.standard_normal(anchors))
+        pts = random_points(2, n, rng)
+        rows = kernel.BLOCK_COSINES // anchors
+        values, grads = self._explicit(poly, pts, rows)
+        assert np.array_equal(poly(pts), values)
+        assert np.array_equal(poly.gradient(pts), grads)
+        own_values, own_grads = self._explicit(poly, poly.anchors, rows)
+        norm, grad = poly.squared_norm_and_gradient()
+        assert norm == float(poly.coefficients @ own_values)
+        assert np.array_equal(grad, own_grads)
+        scale = 1e-13 * model.space_dim * np.abs(poly.coefficients).sum()
+        for (v, g), (v1, g1) in (
+            ((values, grads), self._explicit(poly, pts, n)),
+            ((own_values, own_grads), self._explicit(poly, poly.anchors, anchors)),
+        ):
+            assert np.max(np.abs(v - v1)) <= scale
+            assert np.max(np.abs(g - g1)) <= scale
 
     def test_squared_norm_across_blocks_matches_gram(self, rng):
         model = kernel_model(3, 3)
@@ -308,7 +355,7 @@ class TestKernelPolynomialBlocks:
         expected = float(poly.coefficients @ gram @ poly.coefficients)
         assert poly.squared_norm_and_gradient()[0] == pytest.approx(expected, rel=1e-12)
 
-    # 30 anchors take one block; 1500 take three blocks of 699 rows
+    # 30 anchors take one block; 1500 take 72 blocks of 21 rows
     @pytest.mark.parametrize("n", [30, 1500])
     @pytest.mark.parametrize("d", range(1, 9))
     def test_squared_norm_and_gradient_match_separate_passes(self, rng, d, n):

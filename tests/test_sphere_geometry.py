@@ -161,6 +161,73 @@ class TestEqualAreaPartition:
             equal_area_partition(2, 0)
 
 
+def _nudged_point(cell, tol, rng):
+    """A point of S^d on or near an edge of cell, one level at a time.
+
+    Each level's angle sits at the cell's lower or upper bound, moved out by
+    its scaled tolerance times 1 - 1e-7, 1 or 1 + 1e-7 (just inside, on and
+    just outside the tolerance), by half of it, or by twice it plus 1e-6,
+    or at the middle; caps draw their subsphere factor at random.
+    """
+    edge = (cell.lo, -1.0) if rng.random() < 0.5 else (cell.hi, 1.0)
+    step = rng.choice([(1.0 - 1e-7) * tol, tol, (1.0 + 1e-7) * tol, 0.5 * tol, 2.0 * tol + 1e-6])
+    angle = 0.5 * (cell.lo + cell.hi) if rng.random() < 0.25 else edge[0] + edge[1] * step
+    if cell.d == 1:
+        return np.array([math.cos(angle), math.sin(angle)])
+    st = math.sin(angle)
+    if cell.sub is None or abs(st) < 1e-12:
+        xi = random_points(cell.d - 1, 1, rng)[0]
+    else:
+        xi = _nudged_point(cell.sub, tol / abs(st), rng)
+    return np.concatenate([[math.cos(angle)], st * xi])
+
+
+class TestMisplaced:
+    """`Partition.misplaced` against a loop over `ZonalCell.contains`."""
+
+    @staticmethod
+    def _reference(p, pts, tol):
+        return [i for i, (cell, x) in enumerate(zip(p.cells, pts)) if not cell.contains(x, tol)]
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.3])
+    @pytest.mark.parametrize(
+        "d,n", [(1, 1), (1, 13), (2, 1), (2, 2), (2, 33), (2, 200), (3, 3), (3, 60), (4, 40)]
+    )
+    def test_matches_contains_at_cell_edges(self, rng, d, n, tol):
+        p = equal_area_partition(d, n)
+        verdicts = set()
+        for _ in range(20):
+            pts = np.array([_nudged_point(cell, tol, rng) for cell in p.cells])
+            expected = self._reference(p, pts, tol)
+            assert p.misplaced(pts, tol).tolist() == expected
+            verdicts.update(i in expected for i in range(n))
+        assert verdicts == {False, True} or n == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_contains_on_random_and_special_points(self, rng, d):
+        p = equal_area_partition(d, 30)
+        pole = np.zeros(d + 1)
+        pole[0] = 1.0
+        near_pole = np.zeros(d + 1)
+        near_pole[:2] = math.cos(1e-13), math.sin(1e-13)
+        specials = [p.representatives, random_points(d, 30, rng), np.tile(pole, (30, 1)),
+                    np.tile(-pole, (30, 1)), np.tile(near_pole, (30, 1))]
+        with_nan = p.representatives.copy()
+        with_nan[0, 0] = with_nan[5, 1] = np.nan
+        for pts in specials + [with_nan]:
+            for tol in (1e-9, 0.5):
+                assert p.misplaced(pts, tol).tolist() == self._reference(p, pts, tol)
+
+    def test_representatives_are_in_place(self):
+        p = equal_area_partition(2, 2000)
+        assert p.misplaced(p.representatives).size == 0
+
+    def test_rejects_wrong_shape(self):
+        p = equal_area_partition(2, 10)
+        with pytest.raises(ValueError, match="sample points"):
+            p.misplaced(np.zeros((9, 3)))
+
+
 class TestPointConfiguration:
     def test_rejects_off_sphere_points(self):
         with pytest.raises(ValueError):
