@@ -19,8 +19,9 @@ just approximately.  The pair inner products go through einsum rather
 than BLAS matmul for the same reason: BLAS tiling makes the last ulp of a
 dot product depend on its position in the output matrix.  `verify_design`
 takes the defect and the residuals from one pass over the pair matrix, in
-row blocks of at most `kernel.BLOCK_COSINES` pairs; since every entry and
-every row sum is the same whatever the block size, so is the verdict.
+row blocks of at most `kernel.BLOCK_COSINES` pairs, or one row when a row
+is wider; since every entry and every row sum is the same whatever the
+block size, so is the verdict.
 
 The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,

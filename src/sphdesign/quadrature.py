@@ -194,9 +194,9 @@ class KernelPolynomial:
         The only place a cosine block s = block @ anchors.T is formed, in
         blocks of at most `kernel.BLOCK_COSINES` cosines.  When pts is the
         anchor array itself, as in `squared_norm_and_gradient`, and all
-        anchors fit in one block (at most 181 of them), the block
-        multiplies one buffer by its transpose, which numpy rounds as a
-        symmetric (SYRK) product.  Any other points, an equal copy of the
+        anchors fit in one block (len(anchors)**2 <= BLOCK_COSINES), the
+        block multiplies one buffer by its transpose, which numpy rounds as
+        a symmetric (SYRK) product.  Any other points, an equal copy of the
         anchors included, and the several blocks of more anchors go
         through GEMM, whose last bits can differ and depend on the row
         tiling.

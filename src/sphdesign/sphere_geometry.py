@@ -234,10 +234,10 @@ class Partition:
         if worst > 1e-9:
             raise AssertionError(f"cell area deviates from 1/n by {worst:.3e}")
 
-    def misplaced(self, points, tol: float = CELL_TOLERANCE) -> np.ndarray:
+    def misplaced(self, points) -> np.ndarray:
         """Indices i, in order, of the rows points[i] outside cells[i].
 
-        The same verdicts as cells[i].contains(points[i], tol), level by
+        The same verdicts as cells[i].contains(points[i]), level by
         level over all rows at once.  Angles come from libm (math.acos,
         math.atan2, math.sin) as in `contains`: numpy's SIMD arccos and
         arctan2 differ from it in the last bit for some inputs, which would
@@ -248,7 +248,7 @@ class Partition:
             raise ValueError(f"expected {(self.n, self.d + 1)} sample points, got {pts.shape}")
         bad = np.zeros(len(pts), dtype=bool)
         rows = np.arange(len(pts))  # rows still being checked at this level
-        tols = np.full(len(pts), tol)
+        tols = np.full(len(pts), CELL_TOLERANCE)
         cells = list(self.cells)
         for dim in range(self.d, 0, -1):
             lo = np.array([c.lo for c in cells]) - tols

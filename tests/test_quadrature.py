@@ -257,6 +257,10 @@ class TestKernelPolynomial:
         assert poly(x) == batch[0] == batch[1]
 
 
+# the most anchors whose own section fits one block of the cosine budget
+ONE_BLOCK_ANCHORS = math.isqrt(kernel.BLOCK_COSINES)
+
+
 class TestKernelPolynomialBlocks:
     """Every kernel pass walks blocks of at most kernel.BLOCK_COSINES cosines."""
 
@@ -278,8 +282,8 @@ class TestKernelPolynomialBlocks:
         [
             (kernel.BLOCK_COSINES, 1, 40000),
             (kernel.BLOCK_COSINES, 40, 2000),
-            (kernel.BLOCK_COSINES, 181, 181),
-            (kernel.BLOCK_COSINES, 182, 182),
+            (kernel.BLOCK_COSINES, ONE_BLOCK_ANCHORS, ONE_BLOCK_ANCHORS),
+            (kernel.BLOCK_COSINES, ONE_BLOCK_ANCHORS + 1, ONE_BLOCK_ANCHORS + 1),
             (kernel.BLOCK_COSINES, 1500, 2000),
             (1000, 40, 2000),
             (1000, 1500, 50),  # a row of 1500 cosines is wider than the budget
@@ -326,7 +330,7 @@ class TestKernelPolynomialBlocks:
         assert verify_design(model, config).to_dict() == report
 
     @pytest.mark.parametrize(
-        "anchors,n", [(1, 40000), (40, 9000), (181, 400), (256, 3000), (1500, 600)]
+        "anchors,n", [(1, 40000), (40, 9000), (ONE_BLOCK_ANCHORS, 400), (256, 3000), (1500, 600)]
     )
     def test_budget_blocks_match_explicit_and_one_block(self, rng, anchors, n):
         model = kernel_model(2, 5)
