@@ -28,7 +28,7 @@ P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
 plain sums): deterministic at a fixed thread count and within a few
 eps * K(1) of `defect`, but not exactly permutation-invariant.
 `_section_defect` gives it that norm and the gradient (2/N) grad P_X from
-one recurrence pass; `defect_gradient` is the same gradient for a
+one kernel pass; `defect_gradient` is the same gradient for a
 configuration.  Every finder result is re-verified with the exact
 `verify_design`.
 """
@@ -103,7 +103,7 @@ def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
     kernel_rows, degree_rows = [], [[] for _ in range(model.t)]
     for _, _, s in _pair_cosines(model, config):
         total = np.zeros_like(s)
-        for k, p, _ in _degree_scan(model.d, model.t, s):
+        for k, p in _degree_scan(model.d, model.t, s):
             degree_rows[k - 1].append(_exact_row_sums(p))
             total += model.dims[k - 1] * p
         kernel_rows.append(_exact_row_sums(total))
@@ -121,7 +121,7 @@ def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarr
 
 def _section_defect(model: KernelModel, points: np.ndarray) -> tuple[float, np.ndarray]:
     """The finder's objective ||P_X||^2 and its gradient (2/N) grad P_X,
-    one tangent row per point, from one recurrence pass over the section."""
+    one tangent row per point, from one kernel pass over the section."""
     value, grad = _average_section(model, points).squared_norm_and_gradient()
     return value, (2.0 / points.shape[0]) * grad
 

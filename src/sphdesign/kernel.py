@@ -14,6 +14,16 @@ excluded, so every kernel section has zero mean.
 All polynomial evaluation goes through a single forward three-term
 recurrence that is valid for every d >= 1; for d = 1 it reduces exactly to
 the Chebyshev recurrence, so the circle needs no special casing.
+
+The derivative is a kernel too.  With d/ds C_k^l = 2l C_{k-1}^{l+1}
+(Szego, *Orthogonal Polynomials*, section 4.7), P_k'(s) = k (k + d - 1) / d *
+P_{k-1}(s) with P_{k-1} the normalized Gegenbauer polynomial of S^(d+2), and
+Z(d, k) * k (k + d - 1) / d = (d + 1) * Z(d + 2, k - 1), so
+
+    K'_{d,t}(s) = (d + 1) * (1 + K_{d+2,t-1}(s)),
+
+where K_{d+2,0} = 0.  `kernel_derivative` evaluates it by the same sum as
+`kernel_value`, on S^(d+2).
 """
 
 from __future__ import annotations
@@ -144,30 +154,35 @@ def _exact_row_sums(x) -> np.ndarray:
     return out
 
 
-def _degree_scan(d: int, t: int, s: np.ndarray, derivative: bool = False):
-    """Yield (k, P_k(s), P_k'(s)) for k = 1..t by forward recurrence.
+def _degree_scan(d: int, t: int, s: np.ndarray):
+    """Yield (k, P_k(s)) for k = 1..t by forward recurrence.
 
     The normalized family satisfies, for k >= 2,
 
         P_k = ((2k + d - 3) * s * P_{k-1} - (k - 1) * P_{k-2}) / (k + d - 2)
 
     with P_0 = 1 and P_1 = s.  The denominator is >= 1 for every d >= 1, so
-    the recurrence never degenerates; differentiating it gives the companion
-    recurrence for P_k', which runs only when `derivative` is set (P_k' is
-    None otherwise).
+    the recurrence never degenerates.  This is the only polynomial
+    recurrence: derivatives are kernels on S^(d+2) (module docstring).
     """
-    p_prev = np.ones_like(s)
-    p = s
-    dp_prev, dp = (np.zeros_like(s), np.ones_like(s)) if derivative else (None, None)
-    yield 1, p, dp
-    for k in range(2, t + 1):
-        a = 2 * k + d - 3
-        b = k - 1
-        c = k + d - 2
-        p, p_prev = (a * s * p - b * p_prev) / c, p
-        if derivative:
-            dp, dp_prev = (a * (p_prev + s * dp) - b * dp_prev) / c, dp
-        yield k, p, dp
+    p_prev, p = np.ones_like(s), s
+    for k in range(1, t + 1):
+        if k >= 2:
+            p, p_prev = ((2 * k + d - 3) * s * p - (k - 1) * p_prev) / (k + d - 2), p
+        yield k, p
+
+
+def _kernel_sum(d: int, t: int, s: np.ndarray) -> np.ndarray:
+    """K_{d,t}(s) = sum_{k=1}^{t} Z(d, k) * P_k(s), with the P_k of S^d; 0 at t = 0."""
+    total = np.zeros_like(s)
+    for k, p in _degree_scan(d, t, s):
+        total += harmonic_dim(d, k) * p
+    return total
+
+
+def _derivative_sum(model: KernelModel, s: np.ndarray) -> np.ndarray:
+    """K'_{d,t}(s) = (d + 1) * (1 + K_{d+2,t-1}(s)); see the module docstring."""
+    return (model.d + 1) * (1.0 + _kernel_sum(model.d + 2, model.t - 1, s))
 
 
 def _as_input_shape(values: np.ndarray, s):
@@ -187,36 +202,23 @@ def gegenbauer_normalized(model: KernelModel, k: int, s):
     arr = clamp_cosine(s)
     if k == 0:
         return _as_input_shape(np.ones_like(arr), s)
-    for _, p, _ in _degree_scan(model.d, k, arr):
+    for _, p in _degree_scan(model.d, k, arr):
         pass  # the scan ends at degree k
     return _as_input_shape(p, s)
 
 
 def kernel_value(model: KernelModel, s):
     """Evaluate the zero-mean reproducing kernel at inner product(s) s."""
-    arr = clamp_cosine(s)
-    total = np.zeros_like(arr)
-    for k, p, _ in _degree_scan(model.d, model.t, arr):
-        total += model.dims[k - 1] * p
-    return _as_input_shape(total, s)
+    return _as_input_shape(_kernel_sum(model.d, model.t, clamp_cosine(s)), s)
 
 
 def kernel_derivative(model: KernelModel, s):
-    """Derivative d/ds of `kernel_value`, by the differentiated recurrence."""
-    arr = clamp_cosine(s)
-    total = np.zeros_like(arr)
-    for k, _, dp in _degree_scan(model.d, model.t, arr, derivative=True):
-        total += model.dims[k - 1] * dp
-    return _as_input_shape(total, s)
+    """Derivative d/ds of `kernel_value`, as a kernel on S^(d+2)."""
+    return _as_input_shape(_derivative_sum(model, clamp_cosine(s)), s)
 
 
 def kernel_value_and_derivative(model: KernelModel, s):
-    """Both kernel values and derivatives in one recurrence pass."""
+    """Both kernel values and derivatives, from one clamp of s."""
     arr = clamp_cosine(s)
-    value = np.zeros_like(arr)
-    deriv = np.zeros_like(arr)
-    for k, p, dp in _degree_scan(model.d, model.t, arr, derivative=True):
-        z = model.dims[k - 1]
-        value += z * p
-        deriv += z * dp
-    return _as_input_shape(value, s), _as_input_shape(deriv, s)
+    value = _kernel_sum(model.d, model.t, arr)
+    return _as_input_shape(value, s), _as_input_shape(_derivative_sum(model, arr), s)

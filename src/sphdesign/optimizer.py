@@ -1,18 +1,21 @@
-"""Design finder: equal-area seeding plus L-BFGS descent on the defect.
+"""Design finder: perturbed equal-area seeding plus L-BFGS descent on the defect.
 
-Seeds come from the representatives of an area-regular partition; the
-defect is then minimized by L-BFGS over unnormalised coordinates Y, one
-row per point, whose unit rows are the points.  (scipy's L-BFGS-B finds
-the same designs, but importing `scipy.optimize` costs each process that
-runs the finder about 0.15 s and 24 MB on top of numpy and scipy.special.)
-The defect vanishes exactly at t-designs, so reaching the target tolerance
-is a certificate candidate that is always re-verified independently by
-`verify_design`.
+Every attempt starts from the representatives of an area-regular
+partition, perturbed by seeded Gaussian noise: the plain representatives
+are often exact critical points of the defect, or lie in the basin of a
+local minimum that is not a design.  The defect is then minimized by
+L-BFGS over unnormalised coordinates Y, one row per point, whose unit rows
+are the points.  (scipy's L-BFGS-B finds the same designs, but importing
+`scipy.optimize` costs each process that runs the finder about 0.15 s and
+24 MB on top of numpy and scipy.special.)  The defect vanishes exactly at
+t-designs, so reaching the target tolerance is a certificate candidate
+that is always re-verified independently by `verify_design`; a refuted
+candidate does not end the search.
 
 The descent minimizes the squared norm of the averaged kernel section
 P_X = (1/N) sum_j K(<x_j, .>) with BLAS inner products and plain sums,
-taking its value and gradient from one recurrence pass over the section
-per evaluated point; the exact pair pass is kept for verification.  So
+taking its value and gradient from one kernel pass over the section per
+evaluated point; the exact pair pass is kept for verification.  So
 the per-iteration defects in `meta["defect_trace"]` (and in CLI
 `find --trace`) are descent-objective values, while `report.defect` is
 the exact verified defect.  They agree to a few eps * K(1).
@@ -35,7 +38,7 @@ from .kernel import kernel_model
 from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
 
 # L-BFGS: the (step, gradient change) pairs kept, the Armijo slope and the
-# halvings of a trial step; then the seed noise scale of a restart.
+# halvings of a trial step; then the seed noise scale of every attempt.
 MEMORY = 10
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 60
@@ -158,14 +161,15 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
 def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     """Search for an N-point t-design on S^d; honest about failure.
 
-    The first attempt starts from the plain equal-area seeds; each restart
-    perturbs the seeds with seeded Gaussian noise.  The best configuration
-    across attempts is re-verified by `verify_design`, whose verdict (not
-    the optimizer's own bookkeeping) is what the report states.  The
-    report's meta records why each attempt stopped (`stop_reasons`), why
-    the reported one did (`stop_reason`), and how many trial points the
-    reported attempt's line search evaluated and rejected
-    (`line_search_trials`, `backtracks`).
+    Every attempt starts from the equal-area seeds perturbed by seeded
+    Gaussian noise.  An attempt whose descent objective reaches the target
+    is verified at once by `verify_design`, whose verdict (not the
+    optimizer's own bookkeeping) is what the report states; the search ends
+    on the first passing verdict.  If none passes, the best attempt is
+    verified and reported.  The report's meta records why each attempt
+    stopped (`stop_reasons`), why the reported one did (`stop_reason`), and
+    how many trial points the reported attempt's line search evaluated and
+    rejected (`line_search_trials`, `backtracks`).
     """
     started = time.perf_counter()
     model = kernel_model(cfg.d, cfg.t)
@@ -177,40 +181,33 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
         )
     seeds = seed_points(cfg.d, cfg.n).points
     rng = np.random.default_rng(cfg.seed)
-    best_x = None
-    best_value = math.inf
-    best_trace: list[float] = []
-    best_reason = ""
-    best_counts: dict = {}
-    stop_reasons: list[str] = []
-    for attempt in range(cfg.restarts + 1):
-        if attempt == 0:
-            start = seeds.copy()
-        else:
-            start = unit_rows(seeds + PERTURBATION * rng.standard_normal(seeds.shape))
-        x, value, trace, reason, counts = _minimize(model, cfg, start)
-        stop_reasons.append(reason)
-        if value < best_value:
-            best_x, best_value, best_trace = x, value, trace
-            best_reason, best_counts = reason, counts
-        if best_value <= cfg.defect_target:
-            break
-    config = PointConfiguration(d=cfg.d, points=best_x)
-    report = verify_design(
-        model,
-        config,
-        tolerance=cfg.defect_target,
-        meta={
-            "seed": cfg.seed,
-            "attempts": len(stop_reasons),
-            "iterations": len(best_trace) - 1,
-            "converged": bool(best_value <= cfg.defect_target),
-            "best_defect": best_value,
-            "defect_trace": best_trace,
-            "stop_reason": best_reason,
-            "stop_reasons": stop_reasons,
-            **best_counts,
-            "runtime_seconds": time.perf_counter() - started,
-        },
-    )
-    return config, report
+    attempts = []  # what _minimize returned for each attempt so far
+
+    def verified(x, value, trace, reason, counts):
+        config = PointConfiguration(d=cfg.d, points=x)
+        return config, verify_design(
+            model,
+            config,
+            tolerance=cfg.defect_target,
+            meta={
+                "seed": cfg.seed,
+                "attempts": len(attempts),
+                "iterations": len(trace) - 1,
+                "converged": bool(value <= cfg.defect_target),
+                "best_defect": value,
+                "defect_trace": trace,
+                "stop_reason": reason,
+                "stop_reasons": [attempt[3] for attempt in attempts],
+                **counts,
+                "runtime_seconds": time.perf_counter() - started,
+            },
+        )
+
+    for _ in range(cfg.restarts + 1):
+        start = unit_rows(seeds + PERTURBATION * rng.standard_normal(seeds.shape))
+        attempts.append(_minimize(model, cfg, start))
+        if attempts[-1][1] <= cfg.defect_target:
+            config, report = verified(*attempts[-1])
+            if report.verdict:
+                return config, report
+    return verified(*min(attempts, key=lambda attempt: attempt[1]))

@@ -170,8 +170,8 @@ class KernelPolynomial:
     """Weighted sum of kernel sections: P(x) = sum_m a_m K(<v_m, x>).
 
     Values, gradients and the section's own norm and gradient all walk the
-    evaluation points in row blocks through `_walk`, one recurrence pass
-    per block.
+    evaluation points in row blocks through `_walk`, one kernel call per
+    block.
     """
 
     model: KernelModel
@@ -239,7 +239,7 @@ class KernelPolynomial:
 
     def squared_norm_and_gradient(self) -> tuple[float, np.ndarray]:
         """(P, P) = sum_m a_m P(v_m), by the reproducing property, and the
-        gradient rows at the anchors, from one recurrence pass.
+        gradient rows at the anchors, from one kernel pass.
 
         Bit for bit `coefficients @ self(anchors)` and `gradient(anchors)`.
         """

@@ -346,10 +346,16 @@ def equal_area_partition(d: int, n: int) -> Partition:
 
     Cell areas are analytic (cap-measure differences of the stored bounds)
     and land within ~1e-13 of 1/n; diameters are exact for the construction.
+    Partitions are frozen, so a repeated (d, n) returns the cached build.
     """
     require_supported_dimension(d)
     if n < 1:
         raise ValueError(f"cell count must be >= 1, got {n}")
+    return _cached_partition(d, n)
+
+
+@lru_cache(maxsize=32)
+def _cached_partition(d: int, n: int) -> Partition:
     cells = tuple(_build_cells(d, n))
     reps = np.array([c.representative() for c in cells])
     areas = np.array([c.measure() for c in cells])

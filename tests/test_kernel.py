@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,75 @@ class TestKernelDerivative:
         assert pair == (kernel_value(model, float(s[3])), kernel_derivative(model, float(s[3])))
 
 
+PIN_DEGREES = (1, 2, 3, 5, 8, 16, 40, 100, 200)
+
+
+def _companion_reference(d: int, s: float) -> dict:
+    """K'(s) and K''(s) at every degree in PIN_DEGREES, to 40 digits.
+
+    Differentiates the P_k recurrence once and twice (the companion
+    recurrences) and adds Z(d, k) P_k' and Z(d, k) P_k'' up to each degree.
+    """
+    with mpmath.workdps(40):
+        x = mpmath.mpf(s)
+        p_prev, p = mpmath.mpf(1), x
+        dp_prev, dp = mpmath.mpf(0), mpmath.mpf(1)
+        ddp_prev, ddp = mpmath.mpf(0), mpmath.mpf(0)
+        first, second = harmonic_dim(d, 1) * dp, mpmath.mpf(0)
+        out = {1: (float(first), float(second))}
+        for k in range(2, max(PIN_DEGREES) + 1):
+            a, b, c = 2 * k + d - 3, k - 1, k + d - 2
+            p, p_prev, dp, dp_prev, ddp, ddp_prev = (
+                (a * x * p - b * p_prev) / c,
+                p,
+                (a * (p + x * dp) - b * dp_prev) / c,
+                dp,
+                (a * (2 * dp + x * ddp) - b * ddp_prev) / c,
+                ddp,
+            )
+            first += harmonic_dim(d, k) * dp
+            second += harmonic_dim(d, k) * ddp
+            if k in PIN_DEGREES:
+                out[k] = (float(first), float(second))
+    return out
+
+
+class TestDerivativeAgainstReference:
+    """K' = (d + 1)(1 + K_{d+2,t-1}) against the 40-digit companion recurrence.
+
+    Any float recurrence rounds (2k + d - 3) * s, which acts like a relative
+    eps perturbation of s; near s = +-1 it moves K' by about eps |s K''(s)|,
+    up to t^2 eps K'(1), in the old companion recurrence as in this one.  So
+    the bound is 4 eps (K'(1) + |s K''(s)|).
+    """
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_derivative_within_four_eps(self, d):
+        rng = np.random.default_rng(d)
+        near_pole = np.cos(10.0 ** rng.uniform(-6, -1, 3))
+        s = np.concatenate(
+            [
+                [-1.0, 0.0, 1.0],
+                np.cos(math.pi * np.arange(1, 8) / 8),
+                rng.uniform(-1.0, 1.0, 8),
+                near_pole,
+                -near_pole,
+            ]
+        )
+        reference = [_companion_reference(d, x) for x in s]
+        at_one = _companion_reference(d, 1.0)
+        eps = np.finfo(float).eps
+        for t in PIN_DEGREES:
+            model = kernel_model(d, t)
+            first = np.array([r[t][0] for r in reference])
+            second = np.array([r[t][1] for r in reference])
+            bound = 4 * eps * (at_one[t][0] + np.abs(s * second))
+            fused = kernel_value_and_derivative(model, s)[1]
+            for got in (kernel_derivative(model, s), fused):
+                assert np.all(np.abs(got - first) <= bound), (d, t)
+            assert kernel_derivative(model, 1.0) == at_one[t][0]
+
+
 class TestModelValidation:
     def test_supported_ranges(self):
         with pytest.raises(ValueError):
@@ -339,7 +409,7 @@ class TestExactRowSums:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             s = np.clip(pts[:256] @ pts.T, -1.0, 1.0)
             model = kernel_model(d, t)
-            blocks = [p for _, p, _ in _degree_scan(d, t, s)] + [kernel_value(model, s)]
+            blocks = [p for _, p in _degree_scan(d, t, s)] + [kernel_value(model, s)]
             for block in blocks:
                 _assert_matches_fsum(block.tolist())
 

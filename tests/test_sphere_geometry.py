@@ -161,6 +161,14 @@ class TestEqualAreaPartition:
         with pytest.raises(ValueError):
             equal_area_partition(2, 0)
 
+    def test_repeated_size_returns_the_cached_frozen_build(self):
+        p = equal_area_partition(3, 40)
+        assert equal_area_partition(3, 40) is p
+        for arr in (p.representatives, p.area_estimates, p.diameter_estimates):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
 
 def _nudged_point(cell, tol, rng):
     """A point of S^d on or near an edge of cell, one level at a time.
