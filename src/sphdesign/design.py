@@ -47,8 +47,8 @@ from .kernel import (
     KernelModel,
     _degree_scan,
     _exact_row_sums,
+    _kernel_sum,
     clamp_cosine,
-    kernel_value,
     row_blocks,
 )
 from .quadrature import KernelPolynomial
@@ -83,7 +83,8 @@ def _pair_cosines(model: KernelModel, config: PointConfiguration):
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
     row_sums = [
-        _exact_row_sums(kernel_value(model, s)) for _, _, s in _pair_cosines(model, config)
+        _exact_row_sums(_kernel_sum(model.d, model.t, s))
+        for _, _, s in _pair_cosines(model, config)
     ]
     return math.fsum(np.concatenate(row_sums)) / config.n**2
 
@@ -97,15 +98,15 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
 def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
     """`defect` and `degree_residuals` from one pair pass, bit for bit.
 
-    The kernel block is built from the same P_k as `kernel_value` builds
-    it, in the same order, so its row sums do not change.
+    The kernel block is built from the same P_k as `kernel._kernel_sum`
+    builds it, in the same order, so its row sums do not change.
     """
     kernel_rows, degree_rows = [], [[] for _ in range(model.t)]
     for _, _, s in _pair_cosines(model, config):
-        total = np.zeros_like(s)
+        total, term = np.zeros_like(s), np.empty_like(s)
         for k, p in _degree_scan(model.d, model.t, s):
             degree_rows[k - 1].append(_exact_row_sums(p))
-            total += model.dims[k - 1] * p
+            total += np.multiply(p, model.dims[k - 1], out=term)
         kernel_rows.append(_exact_row_sums(total))
     n_sq = config.n**2
     residuals = np.array(

@@ -235,7 +235,7 @@ class KernelPolynomial:
         grad = self.gradient(points)
         if grad.ndim == 1:
             return float(np.linalg.norm(grad))
-        return np.linalg.norm(grad, axis=1)
+        return np.sqrt(np.einsum("ij,ij->i", grad, grad))
 
     def squared_norm_and_gradient(self) -> tuple[float, np.ndarray]:
         """(P, P) = sum_m a_m P(v_m), by the reproducing property, and the

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,12 +19,12 @@ from sphdesign.kernel import (
     gegenbauer_normalized,
     kernel_derivative,
     kernel_model,
-    kernel_value,
 )
 from sphdesign.sphere_geometry import (
     CONFIG_NORM_TOLERANCE,
     PointConfiguration,
     SUPPORTED_DIMENSIONS,
+    equal_area_partition,
     random_points,
 )
 
@@ -129,6 +130,36 @@ class TestDefect:
             for n in (3, 10, 40):
                 cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
                 assert defect(model, cfg) > -1e-12
+
+
+def _mpmath_defect(model, config):
+    """The defect of the same clipped cosines as `defect`, to 40 digits."""
+    s = np.clip(np.einsum("ik,jk->ij", config.points, config.points), -1.0, 1.0)
+    counts = {}
+    for x in s.ravel().tolist():
+        counts[x] = counts.get(x, 0) + 1
+    d = model.d
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for x, count in counts.items():
+            x = mpmath.mpf(x)
+            p_prev, p, value = mpmath.mpf(1), x, model.dims[0] * x
+            for k in range(2, model.t + 1):
+                p, p_prev = ((2 * k + d - 3) * x * p - (k - 1) * p_prev) / (k + d - 2), p
+                value += model.dims[k - 1] * p
+            total += count * value
+        return float(total / config.n**2)
+
+
+class TestDefectAgainstReference:
+    @pytest.mark.parametrize("d, t, n", [(2, 8, 60), (3, 4, 40)])
+    def test_eq_defect_within_a_tenth_eps(self, d, t, n):
+        # the benchmark's small EQ verify inputs: the verification sum, with
+        # exact row sums, stays within 0.1 eps K(1) of the 40-digit defect
+        model = kernel_model(d, t)
+        config = PointConfiguration(d=d, points=equal_area_partition(d, n).representatives)
+        gap = abs(defect(model, config) - _mpmath_defect(model, config))
+        assert gap <= 0.1 * np.finfo(float).eps * model.space_dim
 
 
 def _descent_objective(model, config):
@@ -288,13 +319,19 @@ class TestGradientAgainstPairwise:
 
 
 def _fsum_reference(model, cfg):
-    """Defect and residuals with one math.fsum per row of each pair matrix."""
+    """Defect and residuals with one math.fsum per row of each pair matrix.
+
+    The kernel matrix is sum_k Z(d, k) * P_k added in degree order, the
+    verification form of the kernel."""
     s = np.clip(np.einsum("ik,jk->ij", cfg.points, cfg.points), -1.0, 1.0)
     n_sq = cfg.n**2
-    total = math.fsum(math.fsum(row) for row in kernel_value(model, s)) / n_sq
+    degrees = [gegenbauer_normalized(model, k, s) for k in range(1, model.t + 1)]
+    kernel = np.zeros_like(s)
+    for z, p in zip(model.dims, degrees):
+        kernel += z * p
+    total = math.fsum(math.fsum(row) for row in kernel) / n_sq
     residuals = [
-        z * math.fsum(math.fsum(row) for row in gegenbauer_normalized(model, k, s)) / n_sq
-        for k, z in enumerate(model.dims, start=1)
+        z * math.fsum(math.fsum(row) for row in p) / n_sq for z, p in zip(model.dims, degrees)
     ]
     return total, np.array(residuals)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
 from sphdesign.kernel import (
+    MAX_DEGREE,
     _degree_scan,
     _exact_row_sums,
     gegenbauer_normalized,
@@ -218,19 +220,21 @@ class TestKernelDerivative:
 PIN_DEGREES = (1, 2, 3, 5, 8, 16, 40, 100, 200)
 
 
+@functools.lru_cache(maxsize=None)
 def _companion_reference(d: int, s: float) -> dict:
-    """K'(s) and K''(s) at every degree in PIN_DEGREES, to 40 digits.
+    """K(s), K'(s) and K''(s) at every degree in PIN_DEGREES, to 40 digits.
 
-    Differentiates the P_k recurrence once and twice (the companion
-    recurrences) and adds Z(d, k) P_k' and Z(d, k) P_k'' up to each degree.
+    Runs the P_k recurrence and its first and second derivatives (the
+    companion recurrences) and adds Z(d, k) P_k, Z(d, k) P_k' and
+    Z(d, k) P_k'' up to each degree.
     """
     with mpmath.workdps(40):
         x = mpmath.mpf(s)
         p_prev, p = mpmath.mpf(1), x
         dp_prev, dp = mpmath.mpf(0), mpmath.mpf(1)
         ddp_prev, ddp = mpmath.mpf(0), mpmath.mpf(0)
-        first, second = harmonic_dim(d, 1) * dp, mpmath.mpf(0)
-        out = {1: (float(first), float(second))}
+        value, first, second = harmonic_dim(d, 1) * p, harmonic_dim(d, 1) * dp, mpmath.mpf(0)
+        out = {1: (float(value), float(first), float(second))}
         for k in range(2, max(PIN_DEGREES) + 1):
             a, b, c = 2 * k + d - 3, k - 1, k + d - 2
             p, p_prev, dp, dp_prev, ddp, ddp_prev = (
@@ -241,47 +245,83 @@ def _companion_reference(d: int, s: float) -> dict:
                 (a * (2 * dp + x * ddp) - b * ddp_prev) / c,
                 ddp,
             )
+            value += harmonic_dim(d, k) * p
             first += harmonic_dim(d, k) * dp
             second += harmonic_dim(d, k) * ddp
             if k in PIN_DEGREES:
-                out[k] = (float(first), float(second))
+                out[k] = (float(value), float(first), float(second))
     return out
+
+
+def _pin_points(d: int) -> np.ndarray:
+    """+-1, 0, cos(j pi / 8), 8 uniform points and 6 within 5e-3 of +-1."""
+    rng = np.random.default_rng(d)
+    near_pole = np.cos(10.0 ** rng.uniform(-6, -1, 3))
+    return np.concatenate(
+        [
+            [-1.0, 0.0, 1.0],
+            np.cos(math.pi * np.arange(1, 8) / 8),
+            rng.uniform(-1.0, 1.0, 8),
+            near_pole,
+            -near_pole,
+        ]
+    )
+
+
+def _reference_cases(d):
+    """(model, s, exact K, K' and K'' at s, exact values at 1) per pinned degree."""
+    s = _pin_points(d)
+    reference = [_companion_reference(d, float(x)) for x in s]
+    at_one = _companion_reference(d, 1.0)
+    for t in PIN_DEGREES:
+        yield kernel_model(d, t), s, np.array([r[t] for r in reference]).T, at_one[t]
+
+
+class TestValueAgainstReference:
+    """K = C(t+d, t) P_t + C(t+d-1, t-1) P_{t-1} - 1, with the P_k of
+    S^(d+2), against the 40-digit degree-by-degree sum.
+
+    As for K' below, rounding the recurrence's coefficient times s moves K
+    by about eps |s K'(s)| near s = +-1, so the bound is
+    4 eps (K(1) + |s K'(s)|), and K(1) is exact.
+    """
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_value_within_four_eps(self, d):
+        eps = np.finfo(float).eps
+        for model, s, (value, first, _), at_one in _reference_cases(d):
+            bound = 4 * eps * (at_one[0] + np.abs(s * first))
+            fused = kernel_value_and_derivative(model, s)[0]
+            for got in (kernel_value(model, s), fused):
+                assert np.all(np.abs(got - value) <= bound), (d, model.t)
+            assert kernel_value(model, 1.0) == at_one[0] == model.space_dim
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_scan_endpoints_exact(self, d):
+        # up to S^12: the derivative of a kernel on S^8 scans S^(8+4)
+        s = np.array([1.0, -1.0])
+        for k, p in _degree_scan(d, MAX_DEGREE, s):
+            assert p[0] == 1.0 and p[1] == (-1.0) ** k, (d, k)
 
 
 class TestDerivativeAgainstReference:
     """K' = (d + 1)(1 + K_{d+2,t-1}) against the 40-digit companion recurrence.
 
-    Any float recurrence rounds (2k + d - 3) * s, which acts like a relative
-    eps perturbation of s; near s = +-1 it moves K' by about eps |s K''(s)|,
-    up to t^2 eps K'(1), in the old companion recurrence as in this one.  So
-    the bound is 4 eps (K'(1) + |s K''(s)|).
+    Any float recurrence rounds its coefficient times s, which acts like a
+    relative eps perturbation of s; near s = +-1 it moves K' by about
+    eps |s K''(s)|, up to t^2 eps K'(1), in the old companion recurrence as
+    in this one.  So the bound is 4 eps (K'(1) + |s K''(s)|).
     """
 
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_derivative_within_four_eps(self, d):
-        rng = np.random.default_rng(d)
-        near_pole = np.cos(10.0 ** rng.uniform(-6, -1, 3))
-        s = np.concatenate(
-            [
-                [-1.0, 0.0, 1.0],
-                np.cos(math.pi * np.arange(1, 8) / 8),
-                rng.uniform(-1.0, 1.0, 8),
-                near_pole,
-                -near_pole,
-            ]
-        )
-        reference = [_companion_reference(d, x) for x in s]
-        at_one = _companion_reference(d, 1.0)
         eps = np.finfo(float).eps
-        for t in PIN_DEGREES:
-            model = kernel_model(d, t)
-            first = np.array([r[t][0] for r in reference])
-            second = np.array([r[t][1] for r in reference])
-            bound = 4 * eps * (at_one[t][0] + np.abs(s * second))
+        for model, s, (_, first, second), at_one in _reference_cases(d):
+            bound = 4 * eps * (at_one[1] + np.abs(s * second))
             fused = kernel_value_and_derivative(model, s)[1]
             for got in (kernel_derivative(model, s), fused):
-                assert np.all(np.abs(got - first) <= bound), (d, t)
-            assert kernel_derivative(model, 1.0) == at_one[t][0]
+                assert np.all(np.abs(got - first) <= bound), (d, model.t)
+            assert kernel_derivative(model, 1.0) == at_one[1]
 
 
 class TestModelValidation:
@@ -409,7 +449,8 @@ class TestExactRowSums:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             s = np.clip(pts[:256] @ pts.T, -1.0, 1.0)
             model = kernel_model(d, t)
-            blocks = [p for _, p in _degree_scan(d, t, s)] + [kernel_value(model, s)]
+            # the scan reuses its buffers, so each degree is copied
+            blocks = [p.copy() for _, p in _degree_scan(d, t, s)] + [kernel_value(model, s)]
             for block in blocks:
                 _assert_matches_fsum(block.tolist())
 
