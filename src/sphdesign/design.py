@@ -10,8 +10,12 @@ a nonnegative functional (it is the squared norm of the averaged kernel
 sections).  Splitting the kernel by harmonic degree gives residuals
 rho_1..rho_t with defect = sum_k rho_k.
 
-In verification (`defect`, `degree_residuals`, `verify_design`) each row
-of the pairwise matrices is summed correctly rounded, by error-free
+Verification (`defect`, `degree_residuals`, `verify_design`) takes every
+kernel value from the two-term form 1 + K = C(t+d, t) P_t + C(t+d-1, t-1)
+P_{t-1} on S^(d+2) (`kernel._value`), the form the finder and the flow use
+too; only the residuals scan the degrees on S^d one by one, so the sum of
+the residuals matches the defect up to rounding.  Each row of the pairwise
+matrices is summed correctly rounded, by error-free
 extraction (`kernel._exact_row_sums`, identical to math.fsum of the row),
 and the row sums are added with math.fsum.  Correctly rounded sums do not
 depend on point ordering, so permutation invariance holds exactly, not
@@ -47,7 +51,7 @@ from .kernel import (
     KernelModel,
     _degree_scan,
     _exact_row_sums,
-    _kernel_sum,
+    _value,
     clamp_cosine,
     row_blocks,
 )
@@ -82,10 +86,7 @@ def _pair_cosines(model: KernelModel, config: PointConfiguration):
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
-    row_sums = [
-        _exact_row_sums(_kernel_sum(model.d, model.t, s))
-        for _, _, s in _pair_cosines(model, config)
-    ]
+    row_sums = [_exact_row_sums(_value(model, s)) for _, _, s in _pair_cosines(model, config)]
     return math.fsum(np.concatenate(row_sums)) / config.n**2
 
 
@@ -98,16 +99,15 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
 def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
     """`defect` and `degree_residuals` from one pair pass, bit for bit.
 
-    The kernel block is built from the same P_k as `kernel._kernel_sum`
-    builds it, in the same order, so its row sums do not change.
+    Each block's kernel values come from the same `kernel._value` call as
+    in `defect`, so its row sums do not change; the scan on S^d gives only
+    the per-degree row sums of the residuals.
     """
     kernel_rows, degree_rows = [], [[] for _ in range(model.t)]
     for _, _, s in _pair_cosines(model, config):
-        total, term = np.zeros_like(s), np.empty_like(s)
+        kernel_rows.append(_exact_row_sums(_value(model, s)))
         for k, p in _degree_scan(model.d, model.t, s):
             degree_rows[k - 1].append(_exact_row_sums(p))
-            total += np.multiply(p, model.dims[k - 1], out=term)
-        kernel_rows.append(_exact_row_sums(total))
     n_sq = config.n**2
     residuals = np.array(
         [z * math.fsum(np.concatenate(r)) / n_sq for z, r in zip(model.dims, degree_rows)]

@@ -6,11 +6,12 @@ invariant: it depends only on the inner product s = <x, y>.  With Z(d, k)
 the dimension of the degree-k spherical-harmonic space and P_k the
 Gegenbauer polynomial normalized to P_k(1) = 1, the kernel is
 
-    K(s) = sum_{k=1}^{t} Z(d, k) * P_k(s),
+    K(s) = sum_{k=1}^{t} Z(d, k) * P_k(s).
 
-evaluated degree by degree only where verification needs the per-degree
-terms (`_kernel_sum`).  The constant term k = 0 is excluded, so every
-kernel section has zero mean.
+The constant term k = 0 is excluded, so every kernel section has zero
+mean.  The sum is never formed degree by degree: every kernel value comes
+from the two-term form below (`_one_plus_kernel`), and a scan on S^d
+itself serves only verification's per-degree residuals.
 
 All polynomial evaluation goes through a single forward three-term
 recurrence that is valid for every d >= 1 (`_degree_scan`); for d = 1 it
@@ -28,7 +29,8 @@ C_k^(l+1)(1) = C(k + d, k),
 where P_t, P_{t-1} are the normalized Gegenbauer polynomials of S^(d+2);
 d = 1 is the Chebyshev limit 2 T_k = U_k - U_(k-2).  Checked against the
 sum in 40-digit mpmath to 7e-40 * K(1) for d = 1..8 and
-t in {1, 2, 3, 5, 8, 16, 40}.  `kernel_value` evaluates this form.
+t in {1, 2, 3, 5, 8, 16, 40}.  `kernel_value`, the finder and verification
+all evaluate this form.
 
 The derivative is a kernel too.  With d/ds C_k^l = 2l C_{k-1}^{l+1}
 (Szego, *Orthogonal Polynomials*, section 4.7), P_k'(s) = k (k + d - 1) / d *
@@ -199,19 +201,6 @@ def _degree_scan(d: int, t: int, s: np.ndarray):
             np.subtract(term, p_prev, out=p_prev)
             p, p_prev = p_prev, p
         yield k, p
-
-
-def _kernel_sum(d: int, t: int, s: np.ndarray) -> np.ndarray:
-    """K_{d,t}(s) = sum_{k=1}^{t} Z(d, k) * P_k(s), degree by degree.
-
-    Verification's form of the kernel: `design.defect` sums it, and
-    `design._defect_and_residuals` builds the same sum, so the two agree
-    bit for bit.
-    """
-    total, term = np.zeros_like(s), np.empty_like(s)
-    for k, p in _degree_scan(d, t, s):
-        total += np.multiply(p, harmonic_dim(d, k), out=term)
-    return total
 
 
 def _one_plus_kernel(d: int, t: int, s: np.ndarray) -> np.ndarray:

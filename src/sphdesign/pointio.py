@@ -98,10 +98,6 @@ def write_text_atomic(path: str, text: str):
         raise
 
 
-def write_points(path: str, config: PointConfiguration):
-    write_text_atomic(path, format_points(config))
-
-
 def read_points(path: str) -> PointConfiguration:
     with open(path) as handle:
         return parse_points(handle.read())

@@ -32,7 +32,7 @@ from .kernel import (
     kernel_value_and_derivative,
     row_blocks,
 )
-from .sphere_geometry import frozen_copy, random_points, require_supported_dimension, unit_rows
+from .sphere_geometry import frozen_copy, random_points, require_supported_dimension
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -95,9 +95,8 @@ def _product_rule(d: int, resolution: int):
 @lru_cache(maxsize=64)
 def _cached_rule(d: int, resolution: int) -> QuadratureRule:
     if d > 3:
-        rng = np.random.default_rng(0)
         count = 1024 * resolution
-        nodes = unit_rows(rng.standard_normal((count, d + 1)))
+        nodes = random_points(d, count, np.random.default_rng(0))
         weights = np.full(count, 1.0 / count)
         exact = 0
     else:

@@ -235,43 +235,12 @@ class Partition:
             raise AssertionError(f"cell area deviates from 1/n by {worst:.3e}")
 
     def misplaced(self, points) -> np.ndarray:
-        """Indices i, in order, of the rows points[i] outside cells[i].
-
-        The same verdicts as cells[i].contains(points[i]), level by
-        level over all rows at once.  Angles come from libm (math.acos,
-        math.atan2, math.sin) as in `contains`: numpy's SIMD arccos and
-        arctan2 differ from it in the last bit for some inputs, which would
-        move points that sit on a tolerance edge.
-        """
+        """Indices i, in order, of the rows points[i] outside cells[i]:
+        the same verdicts as cells[i].contains(points[i])."""
         pts = np.asarray(points, dtype=float)
         if pts.shape != (self.n, self.d + 1):
             raise ValueError(f"expected {(self.n, self.d + 1)} sample points, got {pts.shape}")
-        bad = np.zeros(len(pts), dtype=bool)
-        rows = np.arange(len(pts))  # rows still being checked at this level
-        tols = np.full(len(pts), CELL_TOLERANCE)
-        cells = list(self.cells)
-        for dim in range(self.d, 0, -1):
-            lo = np.array([c.lo for c in cells]) - tols
-            hi = np.array([c.hi for c in cells]) + tols
-            if dim == 1:  # an arc also holds its angles one turn up or down
-                phi = _libm(math.atan2, pts[:, 1], pts[:, 0]) % TWO_PI
-                turns = [phi, phi + TWO_PI, phi - TWO_PI]
-                inside = np.any([(lo <= a) & (a <= hi) for a in turns], axis=0)
-                bad[rows[~inside]] = True
-                break
-            # fmin/fmax keep `contains`' clamp, which maps NaN to 1
-            theta = _libm(math.acos, np.fmax(-1.0, np.fmin(1.0, pts[:, 0])))
-            inside = (lo <= theta) & (theta <= hi)
-            bad[rows[~inside]] = True
-            st = _libm(math.sin, theta)
-            # polar caps hold their whole subsphere; at a pole the angular
-            # factor is degenerate
-            has_sub = np.array([c.sub is not None for c in cells], dtype=bool)
-            deeper = inside & has_sub & (st >= 1e-12)
-            rows, tols, st = rows[deeper], tols[deeper] / st[deeper], st[deeper]
-            pts = pts[deeper, 1:] / st[:, None]
-            cells = [c.sub for c, go in zip(cells, deeper) if go]
-        return np.flatnonzero(bad)
+        return _misplaced(self.cells, pts, CELL_TOLERANCE)
 
     def to_dict(self) -> dict:
         return {
@@ -283,6 +252,43 @@ class Partition:
             "diameters": self.diameter_estimates.tolist(),
             "representatives": self.representatives.tolist(),
         }
+
+
+def _misplaced(cells, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Indices i, in order, of the rows pts[i] outside cells[i] at tolerance tol.
+
+    The same verdicts as cells[i].contains(pts[i], tol=tol), level by
+    level over all rows at once.  Angles come from libm (math.acos,
+    math.atan2, math.sin) as in `contains`: numpy's SIMD arccos and
+    arctan2 differ from it in the last bit for some inputs, which would
+    move points that sit on a tolerance edge.
+    """
+    bad = np.zeros(len(pts), dtype=bool)
+    rows = np.arange(len(pts))  # rows still being checked at this level
+    tols = np.full(len(pts), tol)
+    cells = list(cells)
+    for dim in range(pts.shape[1] - 1, 0, -1):
+        lo = np.array([c.lo for c in cells]) - tols
+        hi = np.array([c.hi for c in cells]) + tols
+        if dim == 1:  # an arc also holds its angles one turn up or down
+            phi = _libm(math.atan2, pts[:, 1], pts[:, 0]) % TWO_PI
+            turns = [phi, phi + TWO_PI, phi - TWO_PI]
+            inside = np.any([(lo <= a) & (a <= hi) for a in turns], axis=0)
+            bad[rows[~inside]] = True
+            break
+        # fmin/fmax keep `contains`' clamp, which maps NaN to 1
+        theta = _libm(math.acos, np.fmax(-1.0, np.fmin(1.0, pts[:, 0])))
+        inside = (lo <= theta) & (theta <= hi)
+        bad[rows[~inside]] = True
+        st = _libm(math.sin, theta)
+        # polar caps hold their whole subsphere; at a pole the angular
+        # factor is degenerate
+        has_sub = np.array([c.sub is not None for c in cells], dtype=bool)
+        deeper = inside & has_sub & (st >= 1e-12)
+        rows, tols, st = rows[deeper], tols[deeper] / st[deeper], st[deeper]
+        pts = pts[deeper, 1:] / st[:, None]
+        cells = [c.sub for c, go in zip(cells, deeper) if go]
+    return np.flatnonzero(bad)
 
 
 def _libm(fn, *columns) -> np.ndarray:

@@ -14,7 +14,7 @@ from sphdesign.pointio import (
     format_points,
     parse_points,
     read_points,
-    write_points,
+    write_text_atomic,
 )
 from sphdesign.sphere_geometry import PointConfiguration, random_points
 
@@ -25,7 +25,7 @@ class TestPointFiles:
     def test_round_trip_bit_identical(self, rng, tmp_path):
         cfg = PointConfiguration(d=2, points=random_points(2, 9, rng))
         path = tmp_path / "pts.txt"
-        write_points(str(path), cfg)
+        write_text_atomic(str(path), format_points(cfg))
         back = read_points(str(path))
         assert back.d == 2
         assert np.array_equal(back.points, cfg.points)
@@ -121,12 +121,12 @@ class TestCliCommands:
 
     def test_verify_icosahedron(self, tmp_path):
         pts = tmp_path / "ico.txt"
-        write_points(str(pts), catalog_design("icosahedron"))
+        write_text_atomic(str(pts), format_points(catalog_design("icosahedron")))
         assert main(["verify", "--t", "5", "--in", str(pts)]) == 0
 
     def test_verify_octahedron_fails_at_four(self, tmp_path, capsys):
         pts = tmp_path / "oct.txt"
-        write_points(str(pts), catalog_design("cross-polytope(2)"))
+        write_text_atomic(str(pts), format_points(catalog_design("cross-polytope(2)")))
         report = tmp_path / "report.json"
         code = main(
             ["verify", "--t", "4", "--in", str(pts), "--report", str(report)]
@@ -141,7 +141,7 @@ class TestCliCommands:
         import sphdesign.harmonics as harmonics
 
         pts = tmp_path / "ico.txt"
-        write_points(str(pts), catalog_design("icosahedron"))
+        write_text_atomic(str(pts), format_points(catalog_design("icosahedron")))
         monkeypatch.setattr(
             harmonics, "mean_residuals", lambda t, points: np.ones(harmonics.basis_size(t))
         )
@@ -152,7 +152,7 @@ class TestCliCommands:
     def test_verify_rejects_non_finite_tolerance(self, tmp_path, capsys, tolerance):
         # cube(2) has defect 2.33 at t = 5; no tolerance may pass or refute it
         pts = tmp_path / "cube.txt"
-        write_points(str(pts), catalog_design("cube(2)"))
+        write_text_atomic(str(pts), format_points(catalog_design("cube(2)")))
         code = main(["verify", "--t", "5", "--in", str(pts), "--tolerance", tolerance])
         assert code == 1
         assert "error: tolerance must be positive and finite" in capsys.readouterr().err

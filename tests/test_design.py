@@ -19,6 +19,7 @@ from sphdesign.kernel import (
     gegenbauer_normalized,
     kernel_derivative,
     kernel_model,
+    kernel_value,
 )
 from sphdesign.sphere_geometry import (
     CONFIG_NORM_TOLERANCE,
@@ -158,6 +159,18 @@ class TestDefectAgainstReference:
         # exact row sums, stays within 0.1 eps K(1) of the 40-digit defect
         model = kernel_model(d, t)
         config = PointConfiguration(d=d, points=equal_area_partition(d, n).representatives)
+        gap = abs(defect(model, config) - _mpmath_defect(model, config))
+        assert gap <= 0.1 * np.finfo(float).eps * model.space_dim
+
+    @pytest.mark.parametrize(
+        "name, t",
+        [("icosahedron", 5), ("24-cell", 5), ("cube(3)", 3), ("d4-minimal-vectors", 5)],
+    )
+    def test_exact_design_within_a_tenth_eps(self, name, t):
+        # the true defect is 0 here, and the verdict rests on how close to
+        # it the computed one lands
+        config = catalog_design(name)
+        model = kernel_model(config.d, t)
         gap = abs(defect(model, config) - _mpmath_defect(model, config))
         assert gap <= 0.1 * np.finfo(float).eps * model.space_dim
 
@@ -321,14 +334,12 @@ class TestGradientAgainstPairwise:
 def _fsum_reference(model, cfg):
     """Defect and residuals with one math.fsum per row of each pair matrix.
 
-    The kernel matrix is sum_k Z(d, k) * P_k added in degree order, the
-    verification form of the kernel."""
+    The kernel matrix is `kernel_value`, the two-term form of the kernel
+    that verification sums too."""
     s = np.clip(np.einsum("ik,jk->ij", cfg.points, cfg.points), -1.0, 1.0)
     n_sq = cfg.n**2
     degrees = [gegenbauer_normalized(model, k, s) for k in range(1, model.t + 1)]
-    kernel = np.zeros_like(s)
-    for z, p in zip(model.dims, degrees):
-        kernel += z * p
+    kernel = kernel_value(model, s)
     total = math.fsum(math.fsum(row) for row in kernel) / n_sq
     residuals = [
         z * math.fsum(math.fsum(row) for row in p) / n_sq for z, p in zip(model.dims, degrees)

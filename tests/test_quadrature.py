@@ -55,6 +55,15 @@ class TestBuildQuadrature:
         assert a is not b
         assert np.array_equal(a.nodes, b.nodes)
 
+    @pytest.mark.parametrize("d, resolution", [(4, 2), (6, 3), (8, 1)])
+    def test_monte_carlo_nodes_are_seed_zero_random_points(self, d, resolution):
+        # the nodes are random_points under seed 0: normalised standard
+        # normal rows, bit for bit
+        count = 1024 * resolution
+        rows = np.random.default_rng(0).standard_normal((count, d + 1))
+        expected = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        assert np.array_equal(build_quadrature(d, resolution).nodes, expected)
+
 
 class TestProductRule:
     """The recursive rule against closed forms of its S^1, S^2 and S^3 factors."""

@@ -7,6 +7,7 @@ from sphdesign.sphere_geometry import (
     CELL_TOLERANCE,
     SUPPORTED_DIMENSIONS,
     PointConfiguration,
+    _misplaced,
     cap_colatitude,
     cap_measure,
     equal_area_partition,
@@ -134,11 +135,11 @@ class TestEqualAreaPartition:
         p = equal_area_partition(2, n)
         samples = random_points(2, 200000, rng)
         counts = np.zeros(n)
-        for x in samples:
-            for i, cell in enumerate(p.cells):
-                if cell.contains(x, tol=0.0):
-                    counts[i] += 1
-                    break
+        unclaimed = np.arange(len(samples))  # each sample counts for its first cell
+        for i, cell in enumerate(p.cells):
+            outside = _misplaced([cell] * len(unclaimed), samples[unclaimed], 0.0)
+            counts[i] = len(unclaimed) - len(outside)
+            unclaimed = unclaimed[outside]
         freq = counts / len(samples)
         sigma = math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / len(samples))
         assert np.max(np.abs(freq - 1.0 / n)) < 5.0 * sigma
@@ -148,11 +149,14 @@ class TestEqualAreaPartition:
         # rejection-sample points per cell and check pairwise distances
         samples = random_points(3, 40000, rng)
         for i, cell in enumerate(p.cells):
-            inside = np.array([x for x in samples if cell.contains(x, tol=0.0)])
+            outside = _misplaced([cell] * len(samples), samples, 0.0)
+            inside = np.delete(samples, outside, axis=0)
             if len(inside) < 2:
                 continue
-            gram = np.clip(inside @ inside.T, -1.0, 1.0)
-            observed = float(np.arccos(gram).max())
+            # arccos decreases, so the widest pair has the least inner
+            # product; blocks of 256 Gram rows stay in cache
+            least = min((inside[r:r + 256] @ inside.T).min() for r in range(0, len(inside), 256))
+            observed = float(np.arccos(np.clip(least, -1.0, 1.0)))
             assert observed <= p.diameter_estimates[i] + 1e-9
 
     def test_rejects_unsupported_input(self):
@@ -224,6 +228,16 @@ class TestMisplaced:
         with_nan[0, 0] = with_nan[5, 1] = np.nan
         for pts in specials + [with_nan]:
             assert p.misplaced(pts).tolist() == self._reference(p, pts)
+
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 7), (3, 15), (4, 10)])
+    def test_walker_matches_contains_at_zero_tolerance(self, rng, d, n):
+        # the sampling tests walk single cells at tol = 0.0, which the
+        # partition itself never uses
+        p = equal_area_partition(d, n)
+        samples = random_points(d, 3000, rng)
+        for cell in p.cells:
+            expected = [i for i, x in enumerate(samples) if not cell.contains(x, tol=0.0)]
+            assert _misplaced([cell] * len(samples), samples, 0.0).tolist() == expected
 
     def test_representatives_are_in_place(self):
         p = equal_area_partition(2, 2000)
