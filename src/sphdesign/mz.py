@@ -9,6 +9,14 @@ the discrete average of |P| is compared with the continuous integral:
 
 with r the configured mesh constant.  The admissible r is not known in
 closed form, so violations are recorded with margins rather than raised.
+
+The integrals come from `integrate_refined`.  For a KernelPolynomial each
+level evaluates P (degree t) or grad P (each ambient component of degree
+<= t + 1) at 2 * deg + 1 points per circle of the product rule and
+interpolates to the nodes (`quadrature._circle_values`) before taking
+|.|; plain callables are evaluated at every node.  Each report's meta
+gives `integration_nodes`, the rule nodes summed over the levels, and
+`evaluated_points`, the points where the integrand was evaluated.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ from .kernel import _exact_row_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
     QuadratureRule,
+    _circle_values,
+    _row_norms,
     build_quadrature,
     default_resolution,
     integrate_refined,
@@ -80,16 +90,32 @@ def _ratio_report(
     rule: QuadratureRule,
     degree: int,
     point_values: np.ndarray,
-    node_function,
+    h,
+    circle_degree: int | None,
+    magnitude,
     bounds: tuple[float, float],
     threshold: float,
     kind: str,
     max_resolution: int,
 ) -> MZReport:
+    """The integral is of magnitude(h(nodes)); h goes through
+    `_circle_values` at circle_degree unless that is None."""
     discrete = _discrete_average(point_values)
+    work = {"integration_nodes": 0, "evaluated_points": 0}
+
+    def evaluate(points):
+        work["evaluated_points"] += len(points)
+        return h(points)
+
+    def integrand(level: QuadratureRule):
+        work["integration_nodes"] += len(level.nodes)
+        if circle_degree is None:
+            return magnitude(evaluate(level.nodes))
+        return magnitude(_circle_values(level, evaluate, circle_degree))
+
     integral, agreement, used_res = integrate_refined(
         partition.d,
-        node_function,
+        integrand,
         start_resolution=rule.resolution,
         max_resolution=max_resolution,
     )
@@ -113,7 +139,7 @@ def _ratio_report(
         within_bounds=bool(not degenerate and lower <= ratio <= upper),
         degenerate=bool(degenerate),
         kind=kind,
-        meta={"integration_resolution": used_res},
+        meta={"integration_resolution": used_res, **work},
     )
 
 
@@ -143,7 +169,9 @@ def mz_check(
         rule,
         degree,
         np.asarray(P(pts), dtype=float),
-        lambda nodes: np.abs(np.asarray(P(nodes), dtype=float)),
+        P,
+        P.model.t if isinstance(P, KernelPolynomial) else None,
+        lambda values: np.abs(np.asarray(values, dtype=float)),
         VALUE_BOUNDS,
         mesh_constant / max(degree, 1),
         "value",
@@ -170,7 +198,9 @@ def mz_gradient_check(
         rule,
         degree,
         P.gradient_norm(pts),
-        P.gradient_norm,
+        P.gradient,
+        P.model.t + 1,
+        _row_norms,
         gradient_bounds(partition.d),
         mesh_constant / (degree + 1),
         "gradient",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sphdesign.quadrature as quadrature
 from sphdesign.cli import main
 from sphdesign.design import catalog_design
 from sphdesign.pointio import (
@@ -220,6 +221,20 @@ class TestCliCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "d,m,n,mesh_norm,ratio,within_bounds"
         assert len(lines) == 4
+
+    def test_mz_test_s3_gradient_csv(self, tmp_path):
+        # integrals at the default cap of 128, through the circle path
+        out = tmp_path / "mz.csv"
+        argv = ["mz-test", "--d", "3", "--t", "2", "--n", "50", "--kind", "gradient"]
+        try:
+            code = main(argv + ["--trials", "2", "--csv", str(out)])
+        finally:
+            quadrature._cached_rule.cache_clear()  # frees the 4M-node rule
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "d,m,n,mesh_norm,ratio,within_bounds"
+        assert len(lines) == 3
+        assert all(line.startswith("3,2,50,") and line.endswith(",true") for line in lines[1:])
 
     def test_constants(self, capsys):
         code = main(["constants", "--d", "2", "--sweep", "10,100"])

@@ -192,6 +192,51 @@ class TestGradientCheck:
             assert coarse == pytest.approx(fine, abs=1e-10)
 
 
+class TestCirclePath:
+    """Kernel-polynomial integrals go through quadrature._circle_values."""
+
+    @pytest.mark.parametrize("d, t, n, cap", [(1, 3, 40, 64), (3, 2, 60, 16)])
+    @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
+    def test_scale_invariance_exact_for_binary_scales(self, d, t, n, cap, check):
+        model, partition, rule, poly = _setup(d, t, n)
+        points = partition.representatives
+        base = check(rule, partition, points, poly, max_resolution=cap)
+        assert base.meta["evaluated_points"] < base.meta["integration_nodes"]
+        for c in (4.0, 0.25, -2.0):
+            scaled = KernelPolynomial(model, poly.anchors, c * poly.coefficients)
+            report = check(rule, partition, points, scaled, max_resolution=cap)
+            assert report.integral == abs(c) * base.integral
+            assert report.ratio == base.ratio
+
+    def test_work_counts_on_s2(self):
+        # levels 7, 14, ..., 112: 2 r^2 nodes; the value check samples
+        # 2t + 1 = 11 points and the gradient check 13 on each of r circles
+        _, partition, rule, poly = _setup(2, 5, 200)
+        levels = [7 * 2**k for k in range(5)]
+        value = mz_check(rule, partition, partition.representatives, poly, max_resolution=128)
+        gradient = mz_gradient_check(rule, partition, partition.representatives, poly, max_resolution=128)
+        for report, samples in ((value, 11), (gradient, 13)):
+            assert report.meta["integration_resolution"] == 112
+            assert report.meta["integration_nodes"] == sum(2 * r * r for r in levels)
+            assert report.meta["evaluated_points"] == sum(samples * r for r in levels)
+
+    def test_plain_callable_evaluated_at_every_node(self):
+        partition = equal_area_partition(2, 50)
+        rule = build_quadrature(2, 6)
+        report = mz_check(
+            rule,
+            partition,
+            partition.representatives,
+            lambda pts: pts[:, 0] ** 2,
+            degree=2,
+            max_resolution=24,
+        )
+        # x_0^2 is integrated exactly, so refinement stops at resolution 12
+        assert report.meta["integration_resolution"] == 12
+        assert report.meta["integration_nodes"] == 2 * (36 + 144)
+        assert report.meta["evaluated_points"] == report.meta["integration_nodes"]
+
+
 class TestSweep:
     def test_ratio_converges_to_one(self):
         # fixed polynomial, growing partition: discrete average approaches
