@@ -76,7 +76,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a point set against a degree")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="point file to verify")
+    source.add_argument(
+        "--catalog", help='exact reference configuration, e.g. "icosahedron" or "cube(3)"'
+    )
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--report", default=None)
 
@@ -212,11 +216,11 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .design import verify_design
+    from .design import catalog_design, verify_design
     from .kernel import kernel_model
     from .pointio import read_points
 
-    config = read_points(args.infile)
+    config = catalog_design(args.catalog) if args.catalog else read_points(args.infile)
     model = kernel_model(config.d, args.t)
     report = verify_design(model, config, tolerance=args.tolerance)
     report.meta["invocation"] = _invocation_meta(args)

@@ -14,18 +14,23 @@ Verification (`defect`, `degree_residuals`, `verify_design`) takes every
 kernel value from the two-term form 1 + K = C(t+d, t) P_t + C(t+d-1, t-1)
 P_{t-1} on S^(d+2) (`kernel._value`), the form the finder and the flow use
 too; only the residuals scan the degrees on S^d one by one, so the sum of
-the residuals matches the defect up to rounding.  Each row of the pairwise
-matrices is summed correctly rounded, by error-free
-extraction (`kernel._exact_row_sums`, identical to math.fsum of the row),
-and the row sums are added with math.fsum.  Correctly rounded sums do not
-depend on point ordering, so permutation invariance holds exactly, not
-just approximately.  The pair inner products go through einsum rather
-than BLAS matmul for the same reason: BLAS tiling makes the last ulp of a
-dot product depend on its position in the output matrix.  `verify_design`
-takes the defect and the residuals from one pass over the pair matrix, in
-row blocks of at most `kernel.BLOCK_COSINES` pairs, or one row when a row
-is wider; since every entry and every row sum is the same whatever the
-block size, so is the verdict.
+the residuals matches the defect up to rounding.
+
+The pair matrices are symmetric, so each unordered pair is evaluated once:
+the pass walks the upper triangle in row blocks (rows lo..hi against
+points lo..n) of at most `kernel.BLOCK_COSINES` pairs, or one row when a
+row is wider.  A block's leading square counts once and the rectangle
+right of it twice.  Error-free extraction (`kernel._exact_level_sums`)
+turns every block into a few level sums that add up exactly, and one
+math.fsum over the levels of all blocks rounds the total once: it equals
+math.fsum of all N^2 entries of the matrix.  A correctly rounded total
+does not depend on point ordering, so permutation invariance holds
+exactly, not just approximately.  The pair inner products go through
+einsum rather than BLAS matmul for the same reason: BLAS tiling makes the
+last ulp of a dot product depend on its position in the output matrix,
+while einsum gives every entry the same value as its mirror image.  Since
+every entry and the total are the same whatever the block size, so is the
+verdict.  `verify_design` takes the defect and the residuals from one pass.
 
 The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
@@ -50,10 +55,10 @@ from . import harmonics
 from .kernel import (
     KernelModel,
     _degree_scan,
-    _exact_row_sums,
+    _exact_level_sums,
     _value,
     clamp_cosine,
-    row_blocks,
+    triangle_blocks,
 )
 from .quadrature import KernelPolynomial
 from .sphere_geometry import PointConfiguration, require_supported_dimension, unit_rows
@@ -76,18 +81,36 @@ def lower_bound(d: int, t: int) -> int:
 
 
 def _pair_cosines(model: KernelModel, config: PointConfiguration):
-    """Yield (lo, hi, s): clamped inner products of rows lo..hi with all points."""
+    """Yield (lo, hi, s): clamped inner products of rows lo..hi with points lo..n.
+
+    The blocks tile the upper triangle of the pair matrix (including the
+    diagonal); the einsum cosines are exactly symmetric, so its lower
+    triangle holds the same values.
+    """
     if model.d != config.d:
         raise ValueError(f"model is on S^{model.d} but configuration is on S^{config.d}")
     pts = config.points
-    for lo, hi in row_blocks(config.n, config.n):
-        yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts))
+    for lo, hi in triangle_blocks(config.n):
+        yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts[lo:]))
+
+
+def _mirror_weights(lo: int, hi: int, n: int) -> np.ndarray:
+    """Column weights of the block of rows lo..hi in the whole pair matrix:
+    1 on its leading square, 2 on the rectangle right of it, whose mirror
+    image lies below the diagonal.  Scaling by 1 or 2 is exact."""
+    weights = np.full(n - lo, 2.0)
+    weights[: hi - lo] = 1.0
+    return weights
 
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
-    row_sums = [_exact_row_sums(_value(model, s)) for _, _, s in _pair_cosines(model, config)]
-    return math.fsum(np.concatenate(row_sums)) / config.n**2
+    levels = []
+    for lo, hi, s in _pair_cosines(model, config):
+        values = _value(model, s)
+        values *= _mirror_weights(lo, hi, config.n)
+        levels += _exact_level_sums(values)
+    return math.fsum(levels) / config.n**2
 
 
 def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial:
@@ -100,19 +123,22 @@ def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
     """`defect` and `degree_residuals` from one pair pass, bit for bit.
 
     Each block's kernel values come from the same `kernel._value` call as
-    in `defect`, so its row sums do not change; the scan on S^d gives only
-    the per-degree row sums of the residuals.
+    in `defect`, so its level sums do not change; the scan on S^d gives only
+    the per-degree level sums of the residuals.  `_exact_level_sums`
+    overwrites its input and the scan still needs P_k for two more degrees,
+    so each P_k goes in as its product with the weights, a new array.
     """
-    kernel_rows, degree_rows = [], [[] for _ in range(model.t)]
-    for _, _, s in _pair_cosines(model, config):
-        kernel_rows.append(_exact_row_sums(_value(model, s)))
+    kernel_levels, degree_levels = [], [[] for _ in range(model.t)]
+    for lo, hi, s in _pair_cosines(model, config):
+        weights = _mirror_weights(lo, hi, config.n)
+        values = _value(model, s)
+        values *= weights
+        kernel_levels += _exact_level_sums(values)
         for k, p in _degree_scan(model.d, model.t, s):
-            degree_rows[k - 1].append(_exact_row_sums(p))
+            degree_levels[k - 1] += _exact_level_sums(p * weights)
     n_sq = config.n**2
-    residuals = np.array(
-        [z * math.fsum(np.concatenate(r)) / n_sq for z, r in zip(model.dims, degree_rows)]
-    )
-    return math.fsum(np.concatenate(kernel_rows)) / n_sq, residuals
+    residuals = np.array([z * math.fsum(r) / n_sq for z, r in zip(model.dims, degree_levels)])
+    return math.fsum(kernel_levels) / n_sq, residuals
 
 
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:

@@ -126,17 +126,46 @@ def row_blocks(n: int, width: int):
         yield start, min(start + size, n)
 
 
+def triangle_blocks(n: int):
+    """Yield (lo, hi) bounds that split the upper triangle of an n x n
+    matrix, rows lo..hi against columns lo..n, into blocks of at most
+    BLOCK_COSINES cosines, and never fewer than one row; later, narrower
+    blocks take more rows."""
+    lo = 0
+    while lo < n:
+        hi = min(lo + max(1, BLOCK_COSINES // (n - lo)), n)
+        yield lo, hi
+        lo = hi
+
+
+def _extraction_levels(work: np.ndarray, m: int, top: float):
+    """Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
+    floating-point summation, part I"), level by level, reducing work in place.
+
+    With every residual |r| < 2^e and sigma = 2^(e+m), q = (r + sigma) -
+    sigma is r rounded to a multiple of 2^(e+m-53), and r - q is exact.  So
+    up to 2^m - 2 values q of one level add up exactly in any order.  Each
+    level strips the top 53 - m bits of what is left, and a few levels leave
+    work all zero.  top is max |r| on entry, and must be below 2^(1023-m),
+    so that sigma is finite.  The yielded array is overwritten by the next
+    level.
+    """
+    scratch = np.empty_like(work)  # q on every level
+    while top > 0.0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(work, sigma, out=scratch)
+        scratch -= sigma
+        work -= scratch
+        yield scratch
+        top = max(work.max(), -work.min())
+
+
 def _exact_row_sums(x) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-D array.
 
-    Bit-identical to [math.fsum(row) for row in x], by error-free
-    extraction (Rump, Ogita & Oishi 2008, "Accurate floating-point
-    summation, part I").  With every residual |r| < 2^e and sigma =
-    2^(e+m), 2^m >= n + 2, q = (r + sigma) - sigma is r rounded to a
-    multiple of 2^(e+m-53), r - q is exact, and the n values q of a row add
-    up exactly in any order.  Each level strips the top 53 - m bits of what
-    is left, so a few levels leave r all zero; math.fsum then rounds each
-    row's few exact level sums once.  Rows whose sigma would overflow, or
+    Bit-identical to [math.fsum(row) for row in x]: the exact level sums of
+    `_extraction_levels`, with 2^m >= n + 2 for rows of n values, are
+    rounded once per row by math.fsum.  Rows whose sigma would overflow, or
     that hold inf or NaN, are summed by math.fsum itself, so its value or
     exception (including its order-dependent OverflowError) carries over.
     """
@@ -149,26 +178,41 @@ def _exact_row_sums(x) -> np.ndarray:
     m = (n + 1).bit_length()
     limit = 2.0 ** (1023 - m)  # max |r| < limit keeps sigma finite
     special = {}
-    lo, hi = work.min(), work.max()
-    if not (-limit < lo and hi < limit):  # also true on NaN
+    top = max(work.max(), -work.min())
+    if not top < limit:  # also true on NaN
         wild = ~(np.abs(work).max(axis=1) < limit)
         special = {i: math.fsum(work[i]) for i in np.flatnonzero(wild)}
         work[wild] = 0.0
-        lo, hi = work.min(), work.max()
-    scratch = np.empty_like(work)  # q on every level
-    levels = []
-    top = max(hi, -lo)
-    while top > 0.0:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
-        np.add(work, sigma, out=scratch)
-        scratch -= sigma
-        work -= scratch
-        levels.append(scratch.sum(axis=1).tolist())
         top = max(work.max(), -work.min())
+    levels = [q.sum(axis=1).tolist() for q in _extraction_levels(work, m, top)]
     out = np.array([math.fsum(s) for s in zip(*levels)]) if levels else np.zeros(rows)
     for i, value in special.items():
         out[i] = value
     return out
+
+
+def _exact_level_sums(x: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of every entry of x, which is
+    overwritten.
+
+    These are the level sums of `_extraction_levels` over all of x, with
+    2^m >= x.size + 2, so math.fsum of them, or of the concatenated lists of
+    several arrays, is their correctly rounded total: for one array, the
+    value of math.fsum(x.ravel()).  Entries whose sigma would overflow, and
+    inf and NaN, are passed through as they are, for math.fsum to decide.
+    """
+    if x.size == 0:
+        return []
+    m = (x.size + 1).bit_length()
+    limit = 2.0 ** (1023 - m)
+    special = []
+    top = max(x.max(), -x.min())
+    if not top < limit:  # also true on NaN
+        wild = ~(np.abs(x) < limit)
+        special = x[wild].tolist()
+        x[wild] = 0.0
+        top = max(x.max(), -x.min())
+    return [float(q.sum()) for q in _extraction_levels(x, m, top)] + special
 
 
 def _degree_scan(d: int, t: int, s: np.ndarray):

@@ -158,6 +158,31 @@ class TestCliCommands:
         assert code == 1
         assert "error: tolerance must be positive and finite" in capsys.readouterr().err
 
+    def test_verify_catalog(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["verify", "--t", "5", "--catalog", "icosahedron", "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["n"] == 12
+        assert payload["meta"]["invocation"]["arguments"]["catalog"] == "icosahedron"
+        # the octahedron is a 3-design, not a 4-design
+        assert main(["verify", "--t", "3", "--catalog", "cross-polytope(2)"]) == 0
+        assert main(["verify", "--t", "4", "--catalog", "cross-polytope(2)"]) == 2
+        assert "verdict=fail" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["tetrahedron", "polygon", "icosahedron(3)", "cube(9)"])
+    def test_verify_unknown_catalog_name(self, capsys, name):
+        assert main(["verify", "--t", "2", "--catalog", name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_verify_takes_one_source(self, tmp_path):
+        pts = tmp_path / "ico.txt"
+        write_text_atomic(str(pts), format_points(catalog_design("icosahedron")))
+        for sources in ([], ["--in", str(pts), "--catalog", "icosahedron"]):
+            with pytest.raises(SystemExit):
+                main(["verify", "--t", "5", *sources])
+
     def test_verify_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n1 0 0\n0.5 0 0\n")

@@ -3,9 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from sphdesign.design import (
+    _pair_cosines,
     _section_defect,
     catalog_design,
     defect,
@@ -332,18 +335,16 @@ class TestGradientAgainstPairwise:
 
 
 def _fsum_reference(model, cfg):
-    """Defect and residuals with one math.fsum per row of each pair matrix.
+    """Defect and residuals as one math.fsum over each whole pair matrix:
+    the correctly rounded total of all N^2 entries.
 
     The kernel matrix is `kernel_value`, the two-term form of the kernel
     that verification sums too."""
     s = np.clip(np.einsum("ik,jk->ij", cfg.points, cfg.points), -1.0, 1.0)
     n_sq = cfg.n**2
     degrees = [gegenbauer_normalized(model, k, s) for k in range(1, model.t + 1)]
-    kernel = kernel_value(model, s)
-    total = math.fsum(math.fsum(row) for row in kernel) / n_sq
-    residuals = [
-        z * math.fsum(math.fsum(row) for row in p) / n_sq for z, p in zip(model.dims, degrees)
-    ]
+    total = math.fsum(kernel_value(model, s).ravel()) / n_sq
+    residuals = [z * math.fsum(p.ravel()) / n_sq for z, p in zip(model.dims, degrees)]
     return total, np.array(residuals)
 
 
@@ -438,7 +439,8 @@ class TestVerifyDesign:
     @pytest.mark.parametrize("d, t", [(d, t) for d in SUPPORTED_DIMENSIONS for t in (1, 2, 7, 20)])
     def test_single_pass_matches_defect_and_residuals(self, rng, d, t):
         # verify_design's one pair pass against the separate exact functions,
-        # and those against per-row math.fsum; N = 600 spans three 256-row blocks
+        # and those against math.fsum of each whole matrix; N = 600 spans seven
+        # triangular blocks
         model = kernel_model(d, t)
         for n in (1, 5, 300, 600):
             cfg = PointConfiguration(d=d, points=random_points(d, n, rng))
@@ -461,6 +463,49 @@ class TestVerifyDesign:
         assert np.array_equal(shuffled.residuals, base.residuals)
         assert shuffled.meta == base.meta
         assert "harmonic_cross_check_gap" in base.meta
+
+
+class TestSymmetricPairCosines:
+    """Verification sums the upper triangle of the pair matrix and counts
+    the rectangles right of the diagonal twice.  Exact permutation
+    invariance rests on the einsum cosines being exactly symmetric."""
+
+    @pytest.mark.parametrize("n", [1, 400])
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_blocks_are_slices_of_the_full_matrix_and_its_transpose(self, rng, d, n):
+        pts = random_points(d, n, rng)
+        full = np.clip(np.einsum("ik,jk->ij", pts, pts), -1.0, 1.0)
+        blocks = list(_pair_cosines(kernel_model(d, 2), PointConfiguration(d=d, points=pts)))
+        assert len(blocks) >= (3 if n > 1 else 1)
+        for lo, hi, s in blocks:
+            # compare bit patterns: array_equal would let -0.0 match 0.0
+            bits = s.view(np.int64)
+            assert np.array_equal(bits, full[lo:hi, lo:].view(np.int64))
+            assert np.array_equal(bits, full.T[lo:hi, lo:].view(np.int64))
+
+
+class TestVerificationProperties:
+    """verify_design's contracts on random configurations."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(SUPPORTED_DIMENSIONS)),
+        st.integers(1, 8),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_contracts(self, d, t, n, seed):
+        rng = np.random.default_rng(seed)
+        pts = random_points(d, n, rng)
+        model = kernel_model(d, t)
+        config = PointConfiguration(d=d, points=pts)
+        report = verify_design(model, config)
+        permuted = PointConfiguration(d=d, points=pts[rng.permutation(n)])
+        assert verify_design(model, permuted).to_dict() == report.to_dict()
+        assert defect(model, config) == report.defect
+        floor = 4 * np.finfo(float).eps * model.space_dim  # 4 eps K(1)
+        assert report.defect >= -floor
+        assert abs(math.fsum(report.residuals) - report.defect) <= floor
 
 
 class TestCatalog:

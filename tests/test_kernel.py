@@ -12,6 +12,7 @@ from scipy.special import eval_gegenbauer
 from sphdesign.kernel import (
     MAX_DEGREE,
     _degree_scan,
+    _exact_level_sums,
     _exact_row_sums,
     gegenbauer_normalized,
     harmonic_dim,
@@ -463,3 +464,53 @@ class TestExactRowSums:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             _exact_row_sums(np.ones(3))
+
+
+def _level_total(*arrays):
+    levels = []
+    for x in arrays:
+        levels += _exact_level_sums(np.array(x, dtype=float))
+    return math.fsum(levels)
+
+
+class TestExactLevelSums:
+    """math.fsum of the level sums of one or more arrays against math.fsum
+    of all their entries, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows(_MIXED), st.integers(0, 4))
+    def test_mixed_exponents(self, rows, split):
+        # the rows as one 2-D array and as two arrays cut at a row
+        values = [v for row in rows for v in row]
+        expected = math.fsum(values).hex()
+        assert _level_total(values).hex() == expected
+        assert _level_total(sum(rows[:split], []), sum(rows[split:], [])).hex() == expected
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [5e-324, -5e-324, 2.2250738585072014e-308],
+            [-0.0, -0.0],
+            [1e16, 1.0, -1e16, 1.0, 1e100, 1.0, -1e100],
+            [math.inf, -math.inf, 1.0],
+            [1.0, math.nan, 0.0],
+            [math.inf, 1e308, 1e308],
+        ],
+        ids=["empty", "subnormal", "negative-zeros", "cancelling", "inf-minus-inf", "nan", "overflow"],
+    )
+    def test_edge_cases(self, values):
+        try:
+            expected = math.fsum(values)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _level_total(values)
+            return
+        assert _level_total(values).hex() == expected.hex()
+
+    def test_kernel_block_of_full_budget(self, rng):
+        # 2^15 values, where 2^m >= size + 2 takes m = 16
+        pts = rng.standard_normal((256, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        values = kernel_value(kernel_model(2, 9), np.clip(pts[:128] @ pts.T, -1.0, 1.0))
+        assert _level_total(values).hex() == math.fsum(values.ravel()).hex()

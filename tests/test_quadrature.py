@@ -398,13 +398,24 @@ class TestKernelPolynomialBlocks:
         poly.gradient(pts)
         poly.squared_norm_and_gradient()
         config = PointConfiguration(d=2, points=pts[:400])
+        bounds = []
         for lo, hi, s in _pair_cosines(model, config):
-            assert s.shape == (hi - lo, config.n)
+            assert s.shape == (hi - lo, config.n - lo)  # rows lo..hi, columns lo..n
+            bounds.append((lo, hi))
             shapes.append(s.shape)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == config.n
         assert all(rows * width <= budget or rows == 1 for rows, width in shapes)
-        # each pass takes as few blocks as the budget allows
-        passes = [(n, anchors), (n, anchors), (anchors, anchors), (config.n, config.n)]
-        assert len(shapes) == sum(-(-rows // max(1, budget // width)) for rows, width in passes)
+        # each pass takes as few blocks as the budget allows; the triangle's
+        # blocks narrow as they go, so each takes as many rows as fit
+        passes = [(n, anchors), (n, anchors), (anchors, anchors)]
+        triangle, lo = 0, 0
+        while lo < config.n:
+            lo += max(1, budget // (config.n - lo))
+            triangle += 1
+        assert len(shapes) == triangle + sum(
+            -(-rows // max(1, budget // width)) for rows, width in passes
+        )
 
     @pytest.mark.parametrize("d,t,n", [(2, 6, 300), (3, 4, 200), (1, 9, 150)])
     def test_verification_does_not_depend_on_block_size(self, rng, monkeypatch, d, t, n):
