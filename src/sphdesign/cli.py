@@ -29,8 +29,18 @@ _THREAD_ENV_VARS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR, since EXIT_REFUTED means ran and refuted.
+
+    Subparsers are made of the same class, so theirs do too.
+    """
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, f"error: {self.prog}: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphdesign",
         description="Construct and verify spherical t-designs.",
     )

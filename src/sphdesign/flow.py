@@ -4,7 +4,7 @@ Each point follows the spherical gradient of a fixed polynomial P,
 normalized by a floor clamp so the velocity never exceeds unit speed and
 never divides by a vanishing gradient:
 
-    dy/ds = grad P(y) / max-with-floor(|grad P(y)|, epsilon).
+    dy/ds = grad P(y) / max(|grad P(y)|, epsilon).
 
 Flowing partition representatives for a horizon proportional to 1/degree
 drives the configuration average of P upward; the positivity experiment
@@ -25,6 +25,7 @@ from .kernel import KernelModel
 from .quadrature import (
     KernelPolynomial,
     QuadratureRule,
+    _row_norms,
     sample_boundary_polynomial,
 )
 from .sphere_geometry import PointConfiguration, equal_area_partition, partition_norm, unit_rows
@@ -32,19 +33,6 @@ from .sphere_geometry import PointConfiguration, equal_area_partition, partition
 
 class FlowStepError(RuntimeError):
     """Raised when renormalization drift signals too-coarse stepping."""
-
-
-def floor_clamp(u, epsilon: float):
-    """u where u > epsilon, else epsilon; rejects negative input."""
-    if not 0.0 < epsilon < math.inf:  # rejects NaN too
-        raise ValueError("clamp threshold must be positive and finite")
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("floor_clamp expects nonnegative input")
-    clamped = np.where(arr > epsilon, arr, epsilon)
-    if np.isscalar(u) or getattr(u, "ndim", 1) == 0:
-        return float(clamped)
-    return clamped
 
 
 def default_epsilon(d: int) -> float:
@@ -113,11 +101,18 @@ class FlowConfig:
 
 
 def flow_field(P: KernelPolynomial, y, epsilon: float):
-    """Velocity grad P / floor_clamp(|grad P|) at unit_rows(y): tangent, at most unit length."""
+    """Velocity grad P / max(|grad P|, epsilon) at unit_rows(y): tangent, at
+    most unit length.
+
+    A NaN gradient row stays NaN (np.fmax takes epsilon for its norm), so
+    `integrate_flow`'s drift check still fails on it.
+    """
+    if not 0.0 < epsilon < math.inf:  # rejects NaN too
+        raise ValueError("clamp threshold must be positive and finite")
     y = np.asarray(y, dtype=float)
     grad = P.gradient(unit_rows(np.atleast_2d(y)))
-    out = grad / floor_clamp(np.linalg.norm(grad, axis=1), epsilon)[:, None]
-    return out[0] if y.ndim == 1 else out
+    grad /= np.fmax(_row_norms(grad), epsilon)[:, None]
+    return grad[0] if y.ndim == 1 else grad
 
 
 @dataclass
@@ -136,6 +131,8 @@ class FlowTrace:
     displacements: np.ndarray  # final per-point geodesic displacement
     velocity_tangency_max: float
     step_halving_gap: float  # endpoint shift under doubled steps
+    field_evals: int  # flow_field calls, the halving check's included
+    value_evals: int  # P evaluations for the running averages
 
 
 def integrate_flow(
@@ -152,6 +149,15 @@ def integrate_flow(
     if P.model.d != start.d:
         raise ValueError("polynomial and configuration are on different spheres")
     x0 = start.points
+    evals = {"field": 0, "value": 0}
+
+    def velocity(y):
+        evals["field"] += 1
+        return flow_field(P, y, cfg.epsilon)
+
+    def average(y):
+        evals["value"] += 1
+        return float(np.mean(P(y)))
 
     def displacement(pts):
         dots = np.clip(np.einsum("ij,ij->i", x0, pts), -1.0, 1.0)
@@ -159,10 +165,10 @@ def integrate_flow(
 
     def advance(y, h):
         """One projected RK4 step of length h; returns (new y, field at y)."""
-        k1 = flow_field(P, y, cfg.epsilon)
-        k2 = flow_field(P, y + 0.5 * h * k1, cfg.epsilon)
-        k3 = flow_field(P, y + 0.5 * h * k2, cfg.epsilon)
-        k4 = flow_field(P, y + h * k3, cfg.epsilon)
+        k1 = velocity(y)
+        k2 = velocity(y + 0.5 * h * k1)
+        k3 = velocity(y + 0.5 * h * k2)
+        k4 = velocity(y + h * k3)
         raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.linalg.norm(raw, axis=1)
         shift = float(np.max(np.abs(norms - 1.0)))
@@ -178,7 +184,7 @@ def integrate_flow(
     h = cfg.horizon / cfg.step_count
     y = x0
     s_values = [0.0]
-    averages = [float(np.mean(P(y)))]
+    averages = [average(y)]
     max_disp = [0.0]
     tangency = 0.0
     for step in range(1, cfg.step_count + 1):
@@ -188,7 +194,7 @@ def integrate_flow(
             tangency, float(np.max(np.abs(np.einsum("ij,ij->i", k1, y_prev))))
         )
         s_values.append(step * h)
-        averages.append(float(np.mean(P(y))))
+        averages.append(average(y))
         max_disp.append(float(np.max(displacement(y))))
     # the check run at doubled resolution keeps only its endpoint; the
     # Euclidean gap avoids arccos, which would amplify machine-level
@@ -205,6 +211,8 @@ def integrate_flow(
         displacements=displacement(y),
         velocity_tangency_max=tangency,
         step_halving_gap=halving_gap,
+        field_evals=evals["field"],
+        value_evals=evals["value"],
     )
 
 
@@ -322,11 +330,15 @@ def positivity_experiment(
             "step_count": cfg.step_count,
             "integrator": "projected-rk4",
             "rule_resolution": rule.resolution,
+            "field_evals": 0,
+            "value_evals": 0,
         },
     )
     for i in range(trials):
         poly = sample_boundary_polynomial(model, rule, anchor_count, seed=(seed, i))
         trace = integrate_flow(poly, seeds, cfg)
+        report.meta["field_evals"] += trace.field_evals
+        report.meta["value_evals"] += trace.value_evals
         slopes = np.diff(trace.averages) / np.diff(trace.s_values)
         min_slope = float(np.min(slopes))
         initial = float(trace.averages[0])

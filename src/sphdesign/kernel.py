@@ -101,15 +101,21 @@ def clamp_cosine(s):
     """Clamp inner products to [-1, 1], rejecting values beyond the snap band.
 
     The negated comparison also rejects NaN, which would otherwise slip
-    through every downstream recurrence: min and max propagate it.
+    through every downstream recurrence: min and max propagate it.  An
+    array already inside [-1, 1] comes back as it is, without a copy;
+    no kernel evaluation writes to its argument.
     """
     arr = np.asarray(s, dtype=float)
-    lo, hi = -1.0 - SNAP_TOLERANCE, 1.0 + SNAP_TOLERANCE
-    if arr.size and not (arr.min() >= lo and arr.max() <= hi):
-        bad = arr[~((arr >= lo) & (arr <= hi))]
+    if not arr.size:
+        return arr
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= -1.0 - SNAP_TOLERANCE and hi <= 1.0 + SNAP_TOLERANCE):
+        bad = arr[~(np.abs(arr) <= 1.0 + SNAP_TOLERANCE)]
         raise ValueError(
             f"inner product {float(bad.flat[0])!r} outside [-1, 1] beyond snap tolerance"
         )
+    if lo >= -1.0 and hi <= 1.0:
+        return arr
     return np.clip(arr, -1.0, 1.0)
 
 

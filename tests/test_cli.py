@@ -176,12 +176,29 @@ class TestCliCommands:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_verify_takes_one_source(self, tmp_path):
-        pts = tmp_path / "ico.txt"
-        write_text_atomic(str(pts), format_points(catalog_design("icosahedron")))
-        for sources in ([], ["--in", str(pts), "--catalog", "icosahedron"]):
-            with pytest.raises(SystemExit):
-                main(["verify", "--t", "5", *sources])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--t", "5"], "one of the arguments --in --catalog is required"),
+            (["verify", "--t", "5", "--in", "ico.txt", "--catalog", "icosahedron"], "not allowed with"),
+            (["find", "--d", "2", "--t", "3"], "the following arguments are required: --n"),
+        ],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv, message):
+        # exit code 2 is reserved for a design that was checked and refuted
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sphdesign ") and message in err
+        assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["verify", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        assert "--catalog" in capsys.readouterr().out
 
     def test_verify_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

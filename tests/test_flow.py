@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import unit
 from sphdesign.flow import (
@@ -11,7 +9,6 @@ from sphdesign.flow import (
     FlowStepError,
     default_epsilon,
     design_count_constant,
-    floor_clamp,
     flow_field,
     flow_horizon,
     integrate_flow,
@@ -21,40 +18,6 @@ from sphdesign.flow import (
 from sphdesign.kernel import kernel_model
 from sphdesign.quadrature import KernelPolynomial, build_quadrature, sample_boundary_polynomial
 from sphdesign.sphere_geometry import SUPPORTED_DIMENSIONS, PointConfiguration, random_points
-
-
-class TestFloorClamp:
-    def test_above_threshold_passes_through(self):
-        assert floor_clamp(0.5, 0.11785) == 0.5
-
-    def test_zero_goes_to_threshold(self):
-        eps = default_epsilon(2)
-        assert floor_clamp(0.0, eps) == eps
-
-    def test_boundary_clamps(self):
-        # u > eps is strict, so u == eps takes the clamp branch
-        eps = 0.25
-        assert floor_clamp(eps, eps) == eps
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            floor_clamp(-1e-12, 0.1)
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_rejects_non_finite_threshold(self, eps):
-        # a NaN threshold would turn every velocity into NaN
-        with pytest.raises(ValueError, match="finite"):
-            floor_clamp(np.array([0.5, 0.0]), eps)
-
-    @given(st.floats(0.0, 1e6, allow_nan=False), st.floats(1e-9, 10.0))
-    def test_result_at_least_threshold(self, u, eps):
-        out = floor_clamp(u, eps)
-        assert out >= eps
-        assert out == (u if u > eps else eps)
-
-    def test_vectorized(self):
-        out = floor_clamp(np.array([0.0, 0.1, 0.5]), 0.2)
-        assert np.array_equal(out, np.array([0.2, 0.2, 0.5]))
 
 
 class TestDefaults:
@@ -102,6 +65,51 @@ class TestFlowField:
         poly = self._linear_section(0.0)
         y = unit(np.array([1.0, 1.0, 0.0]))
         assert np.array_equal(flow_field(poly, y, 0.2), np.zeros(3))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_bad_threshold(self, eps):
+        # a NaN threshold would turn every velocity into NaN
+        poly = self._linear_section(1.0)
+        with pytest.raises(ValueError, match="finite"):
+            flow_field(poly, np.array([1.0, 0.0, 0.0]), eps)
+
+    def test_gradient_at_threshold_is_unit_speed(self):
+        # |grad| = 3c = 0.75 exactly at the equator of the anchor, and the
+        # clamp divides by max(|grad|, eps) = eps there
+        poly = self._linear_section(0.25)
+        out = flow_field(poly, np.array([1.0, 0.0, 0.0]), 0.75)
+        assert np.array_equal(out, np.array([0.0, 0.0, 1.0]))
+
+    def test_rows_are_clamped_independently(self):
+        # |grad| = 3c cos(latitude): above eps at the equator, below it at
+        # latitude pi/3 and zero at the anchor itself
+        eps = default_epsilon(2)
+        poly = self._linear_section(eps / 2.0)
+        lat = math.pi / 3.0
+        ys = np.array([[1.0, 0.0, 0.0], [math.cos(lat), 0.0, math.sin(lat)], [0.0, 0.0, 1.0]])
+        fields = flow_field(poly, ys, eps)
+        assert np.linalg.norm(fields, axis=1) == pytest.approx([1.0, 0.75, 0.0])
+        for y, row in zip(ys, fields):
+            assert np.array_equal(flow_field(poly, y, eps), row)
+
+    def test_nan_gradient_row_stays_nan(self, rng):
+        # np.fmax takes eps for a NaN norm, so the row is NaN / eps, which
+        # integrate_flow's drift check rejects (test_step_failure_on_broken_integrand)
+        class NanFirstRow(KernelPolynomial):
+            def gradient(self, points):
+                grad = super().gradient(points)
+                grad[0] = np.nan
+                return grad
+
+        model = kernel_model(2, 3)
+        anchors, coefficients = random_points(2, 6, rng), rng.standard_normal(6)
+        poly = NanFirstRow(model, anchors, coefficients)
+        ys = random_points(2, 4, rng)
+        eps = default_epsilon(2)
+        fields = flow_field(poly, ys, eps)
+        assert np.all(np.isnan(fields[0]))
+        plain = KernelPolynomial(model, anchors, coefficients)
+        assert np.array_equal(fields[1:], flow_field(plain, ys, eps)[1:])
 
     def test_above_clamp_is_unit_speed(self):
         # |grad| = 3c at the equator of the anchor; choose 3c = 2 eps
@@ -250,8 +258,9 @@ class TestIntegrateFlow:
 
         start = PointConfiguration(d=2, points=random_points(2, 5, rng))
         cfg = FlowConfig.defaults(2, 2, step_count=64)
-        integrate_flow(Counted(), start, cfg)
+        trace = integrate_flow(Counted(), start, cfg)
         assert calls == {"values": 65, "gradients": 4 * (64 + 128)}
+        assert (trace.field_evals, trace.value_evals) == (768, 65)
 
     def test_step_halving_gap_recorded(self, rng):
         model = kernel_model(2, 3)
@@ -269,9 +278,11 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(poly, start, cfg)
 
-    def test_step_failure_on_broken_integrand(self, rng):
+    @pytest.mark.parametrize("nan_rows", [slice(None), slice(0, 1)])
+    def test_step_failure_on_broken_integrand(self, rng, nan_rows):
         # the clamp caps honest fields at unit speed, so the drift guard
-        # exists to stop non-finite states from propagating silently
+        # exists to stop non-finite states from propagating silently; one
+        # NaN row is enough
         class BrokenField:
             model = kernel_model(2, 1)
 
@@ -279,8 +290,9 @@ class TestIntegrateFlow:
                 return np.zeros(len(np.atleast_2d(pts)))
 
             def gradient(self, pts):
-                pts = np.atleast_2d(pts)
-                return np.full_like(pts, np.nan)
+                grad = np.zeros_like(np.atleast_2d(pts))
+                grad[nan_rows] = np.nan
+                return grad
 
         start = PointConfiguration(d=2, points=random_points(2, 3, rng))
         cfg = FlowConfig(epsilon=0.1, horizon=1.0, step_count=4)
@@ -322,6 +334,10 @@ class TestPositivityExperiment:
         payload = json.loads(report.to_json())
         assert payload["trial_count"] == 2
         assert len(payload["trials"]) == 2
+        # per trial: 4 stages x (16 steps + 32 in the halving check), and
+        # one average at the start and after each step
+        assert payload["meta"]["field_evals"] == 2 * 4 * (16 + 32)
+        assert payload["meta"]["value_evals"] == 2 * 17
 
     def test_deterministic(self):
         model = kernel_model(2, 2)

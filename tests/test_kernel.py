@@ -11,9 +11,11 @@ from scipy.special import eval_gegenbauer
 
 from sphdesign.kernel import (
     MAX_DEGREE,
+    SNAP_TOLERANCE,
     _degree_scan,
     _exact_level_sums,
     _exact_row_sums,
+    clamp_cosine,
     gegenbauer_normalized,
     harmonic_dim,
     kernel_derivative,
@@ -138,6 +140,48 @@ class TestGegenbauer:
         model = kernel_model(2, 3)
         with pytest.raises(ValueError):
             gegenbauer_normalized(model, 4, 0.5)
+
+
+class TestClampCosine:
+    def test_in_range_block_equals_clip(self, rng):
+        s = rng.uniform(-1.0, 1.0, (40, 30))
+        s[0, :3] = [1.0, -1.0, -0.0]
+        out = clamp_cosine(s)
+        # bytes tell 0.0 from -0.0
+        assert out.tobytes() == np.clip(s, -1.0, 1.0).tobytes()
+
+    def test_snap_band_is_clipped(self):
+        s = np.array([1.0 + SNAP_TOLERANCE, -1.0 - SNAP_TOLERANCE, 1.0 + 1e-15, 0.25])
+        before = s.copy()
+        out = clamp_cosine(s)
+        assert out.tobytes() == np.array([1.0, -1.0, 1.0, 0.25]).tobytes()
+        assert np.array_equal(s, before)
+
+    @pytest.mark.parametrize(
+        "bad", [1.0 + 2.0 * SNAP_TOLERANCE, -1.0 - 2.0 * SNAP_TOLERANCE, math.nan, math.inf]
+    )
+    def test_beyond_band_and_nan_raise(self, bad):
+        s = np.full((3, 4), 0.5)
+        s[1, 2] = bad
+        with pytest.raises(ValueError, match="outside"):
+            clamp_cosine(s)
+
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    @pytest.mark.parametrize("edge", [1.0, 1.0 + SNAP_TOLERANCE])
+    def test_kernel_calls_leave_input_alone(self, rng, t, edge):
+        # an in-range block is passed through uncopied, so no evaluation
+        # may write to it; t = 1 takes the constant-derivative branch
+        model = kernel_model(3, t)
+        s = rng.uniform(-1.0, 1.0, (6, 5))
+        s[2, 3] = edge
+        before = s.copy()
+        for out in (
+            kernel_value(model, s),
+            kernel_derivative(model, s),
+            *kernel_value_and_derivative(model, s),
+        ):
+            assert not np.shares_memory(out, s)
+        assert s.tobytes() == before.tobytes()
 
 
 class TestKernelValue:

@@ -322,6 +322,28 @@ class TestKernelPolynomial:
             exact = float(np.dot(poly.gradient(x), u))
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_gradient_matches_per_anchor_reference(self, rng, d):
+        # the one contraction K'(S) @ (a[:, None] * V) minus its radial part
+        # against sum_m a_m K'(s_m) (v_m - s_m x), summed exactly per entry
+        # from the same cosines
+        eps = np.finfo(float).eps
+        for t in (1, 2, 3, 5, 9, 20):
+            model = kernel_model(d, t)
+            for m in (1, 7, 60):
+                poly = KernelPolynomial(model, random_points(d, m, rng), rng.standard_normal(m))
+                bound = 4.0 * eps * np.abs(poly.coefficients).sum() * kernel_derivative(model, 1.0)
+                pts = random_points(d, 20, rng)
+                for x, grad in (
+                    (pts, poly.gradient(pts)),
+                    (poly.anchors, poly.squared_norm_and_gradient()[1]),
+                ):
+                    s = x @ poly.anchors.T  # as KernelPolynomial forms it
+                    weighted = kernel_derivative(model, s) * poly.coefficients
+                    terms = weighted[:, :, None] * (poly.anchors - s[:, :, None] * x[:, None, :])
+                    reference = np.array([[math.fsum(c) for c in row.T] for row in terms])
+                    assert np.max(np.abs(grad - reference)) <= bound
+
     def test_leaves_caller_arrays_alone(self, rng):
         model = kernel_model(2, 3)
         anchors = random_points(2, 5, rng)
@@ -360,9 +382,10 @@ class TestKernelPolynomialBlocks:
             block = pts[lo : lo + rows]
             s = block @ poly.anchors.T
             values[lo : lo + rows] = kernel_value(poly.model, s) @ poly.coefficients
-            weighted = kernel_derivative(poly.model, s) * poly.coefficients
-            radial = np.einsum("nm,nm->n", weighted, s)
-            grads[lo : lo + rows] = weighted @ poly.anchors - radial[:, None] * block
+            scaled = poly.coefficients[:, None] * poly.anchors
+            ambient = kernel_derivative(poly.model, s) @ scaled
+            radial = np.einsum("ij,ij->i", ambient, block)
+            grads[lo : lo + rows] = ambient - radial[:, None] * block
         return values, grads
 
     @pytest.mark.parametrize(
