@@ -1,7 +1,8 @@
 """Two-sided sampling comparisons over area-regular partitions.
 
-For one sample point per equal-area cell and a polynomial P of degree m,
-the discrete average of |P| is compared with the continuous integral:
+For a polynomial P of degree m, the discrete average of |P| over the
+partition's representatives (one per equal-area cell; `Partition` asserts
+each in its cell at build) is compared with the continuous integral:
 
     value check:    ratio in [1/2, 3/2]       when mesh_norm < r / m
     gradient check: ratio in [1/(3 sqrt d), 3 sqrt d]
@@ -9,6 +10,7 @@ the discrete average of |P| is compared with the continuous integral:
 
 with r the configured mesh constant.  The admissible r is not known in
 closed form, so violations are recorded with margins rather than raised.
+The rule, the partition and a KernelPolynomial P must share one sphere.
 
 The integrals come from `integrate_refined`.  For a KernelPolynomial each
 level evaluates P (degree t) or grad P (each ambient component of degree
@@ -39,7 +41,7 @@ from .quadrature import (
     integrate_refined,
     sample_boundary_polynomial,
 )
-from .sphere_geometry import Partition, PointConfiguration, equal_area_partition, partition_norm
+from .sphere_geometry import Partition, equal_area_partition, partition_norm
 
 DEGENERATE_INTEGRAL = 1e-14
 
@@ -73,23 +75,18 @@ class MZReport:
     meta: dict = field(default_factory=dict)
 
 
-def _checked_points(partition: Partition, points) -> np.ndarray:
-    pts = points.points if isinstance(points, PointConfiguration) else np.asarray(points, float)
-    misplaced = partition.misplaced(pts)
-    if misplaced.size:
-        raise ValueError(f"sample point {misplaced[0]} does not lie in cell {misplaced[0]}")
-    return pts
-
-
-def _discrete_average(values: np.ndarray) -> float:
-    return float(_exact_row_sums(np.abs(values)[None])[0]) / len(values)
+def _require_partition_sphere(rule: QuadratureRule, partition: Partition, P):
+    """Raise ValueError unless the rule and a KernelPolynomial P lie on the partition's sphere."""
+    polynomial = P.model.d if isinstance(P, KernelPolynomial) else partition.d
+    for name, d in (("rule", rule.d), ("polynomial", polynomial)):
+        if d != partition.d:
+            raise ValueError(f"{name} is on S^{d} but the partition is on S^{partition.d}")
 
 
 def _ratio_report(
     partition: Partition,
     rule: QuadratureRule,
     degree: int,
-    point_values: np.ndarray,
     h,
     circle_degree: int | None,
     magnitude,
@@ -98,9 +95,11 @@ def _ratio_report(
     kind: str,
     max_resolution: int,
 ) -> MZReport:
-    """The integral is of magnitude(h(nodes)); h goes through
+    """The sample average is of magnitude(h) at the partition's
+    representatives and the integral of magnitude(h(nodes)); h goes through
     `_circle_values` at circle_degree unless that is None."""
-    discrete = _discrete_average(point_values)
+    samples = magnitude(h(partition.representatives))
+    discrete = float(_exact_row_sums(samples[None])[0]) / partition.n
     work = {"integration_nodes": 0, "evaluated_points": 0}
 
     def evaluate(points):
@@ -146,20 +145,19 @@ def _ratio_report(
 def mz_check(
     rule: QuadratureRule,
     partition: Partition,
-    points,
     P,
     degree: int | None = None,
     mesh_constant: float = 1.0,
     max_resolution: int = 256,
 ) -> MZReport:
-    """Compare the per-cell sample average of |P| with its integral.
+    """Compare |P| averaged over the partition's representatives with its integral.
 
     P is normally a KernelPolynomial (degree defaults to its model degree);
     any vectorized callable works if `degree` is given explicitly, which is
     how the full polynomial space including constants is exercised.
     """
     _require_mesh_constant(mesh_constant)
-    pts = _checked_points(partition, points)
+    _require_partition_sphere(rule, partition, P)
     if degree is None:
         if not isinstance(P, KernelPolynomial):
             raise ValueError("degree is required for a plain callable")
@@ -168,7 +166,6 @@ def mz_check(
         partition,
         rule,
         degree,
-        np.asarray(P(pts), dtype=float),
         P,
         P.model.t if isinstance(P, KernelPolynomial) else None,
         lambda values: np.abs(np.asarray(values, dtype=float)),
@@ -182,24 +179,20 @@ def mz_check(
 def mz_gradient_check(
     rule: QuadratureRule,
     partition: Partition,
-    points,
     P: KernelPolynomial,
-    degree: int | None = None,
     mesh_constant: float = 1.0,
     max_resolution: int = 256,
 ) -> MZReport:
-    """Compare the sample average of |grad P| with its integral."""
+    """Compare |grad P| averaged over the partition's representatives with its integral."""
     _require_mesh_constant(mesh_constant)
-    pts = _checked_points(partition, points)
-    if degree is None:
-        degree = P.model.t
+    _require_partition_sphere(rule, partition, P)
+    degree = P.model.t
     return _ratio_report(
         partition,
         rule,
         degree,
-        P.gradient_norm(pts),
         P.gradient,
-        P.model.t + 1,
+        degree + 1,
         _row_norms,
         gradient_bounds(partition.d),
         mesh_constant / (degree + 1),
@@ -244,7 +237,6 @@ def run_trials(
     check = checks[kind]
     model = kernel_model(d, t)
     partition = equal_area_partition(d, n)
-    points = partition.representatives
     rule = build_quadrature(d, default_resolution(t))
     reports = []
     for i in range(trials):
@@ -253,7 +245,6 @@ def run_trials(
             check(
                 rule,
                 partition,
-                points,
                 poly,
                 mesh_constant=mesh_constant,
                 max_resolution=max_resolution,

@@ -198,8 +198,10 @@ def integrate_refined(
     achieved_rel_change, resolution).  Absolute-value integrands converge
     only algebraically, so the loop stops at max_resolution if the target
     is not reached; the achieved agreement is reported so callers can
-    decide.
+    decide.  max_resolution must be finite, or that stop never comes.
     """
+    if not math.isfinite(max_resolution):
+        raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
     res = start_resolution
     prev = None
     change = math.inf

@@ -215,7 +215,8 @@ class ZonalCell:
 
 @dataclass(frozen=True)
 class Partition:
-    """An area-regular partition of S^d into n zonal cells."""
+    """An area-regular partition of S^d into n zonal cells; the build
+    asserts that each representative lies in its own cell."""
 
     d: int
     n: int
@@ -233,6 +234,9 @@ class Partition:
         worst = float(np.max(np.abs(self.area_estimates - 1.0 / self.n)))
         if worst > 1e-9:
             raise AssertionError(f"cell area deviates from 1/n by {worst:.3e}")
+        misplaced = self.misplaced(self.representatives)
+        if misplaced.size:
+            raise AssertionError(f"representative {misplaced[0]} lies outside its cell")
 
     def misplaced(self, points) -> np.ndarray:
         """Indices i, in order, of the rows points[i] outside cells[i]:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -8,8 +10,11 @@ import numpy as np
 import pytest
 
 import sphdesign.quadrature as quadrature
-from sphdesign.cli import main
-from sphdesign.design import catalog_design
+from sphdesign.cli import _parser, main
+from sphdesign.design import DEFAULT_TOLERANCE, catalog_design
+from sphdesign.flow import FlowConfig
+from sphdesign.mz import run_trials
+from sphdesign.optimizer import FinderConfig
 from sphdesign.pointio import (
     PointFormatError,
     format_points,
@@ -322,6 +327,29 @@ class TestCliCommands:
             env={**os.environ, "PYTHONPATH": str(SOURCE)},
         )
         assert result.stdout.strip() == "False"
+
+    def test_defaults_match_library_defaults(self):
+        # the parser restates library defaults as literals, since importing
+        # the library would load numpy before --threads is applied
+        parser = _parser()
+
+        def defaults(*argv):
+            return vars(parser.parse_args(list(argv)))
+
+        def parameter_default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        find = defaults("find", "--d", "2", "--t", "2", "--n", "6")
+        finder = {f.name: f.default for f in dataclasses.fields(FinderConfig)}
+        for name in ("seed", "defect_target", "max_iterations", "restarts"):
+            assert find[name] == finder[name], name
+        verify = defaults("verify", "--t", "2", "--catalog", "icosahedron")
+        assert verify["tolerance"] == DEFAULT_TOLERANCE
+        flow_demo = defaults("flow-demo", "--d", "2", "--t", "2", "--n", "20")
+        for name in ("mesh_constant", "step_count"):
+            assert flow_demo[name] == parameter_default(FlowConfig.defaults, name), name
+        mz_test = defaults("mz-test", "--d", "2", "--t", "2", "--n", "20")
+        assert mz_test["mesh_constant"] == parameter_default(run_trials, "mesh_constant")
 
     def test_threads_flag_validated(self, capsys):
         assert main(["--threads", "0", "bounds", "--d", "1", "--t-max", "2"]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_rotation
+import sphdesign.quadrature as quadrature
 from sphdesign.kernel import kernel_model
 from sphdesign.mz import (
     gradient_bounds,
@@ -35,11 +36,7 @@ class TestValueCheck:
         partition = equal_area_partition(2, 50)
         rule = build_quadrature(2, 6)
         report = mz_check(
-            rule,
-            partition,
-            partition.representatives,
-            lambda pts: np.full(len(pts), 1.0),
-            degree=0,
+            rule, partition, lambda pts: np.full(len(pts), 1.0), degree=0
         )
         assert report.ratio == 1.0
         assert report.within_bounds
@@ -48,11 +45,7 @@ class TestValueCheck:
         partition = equal_area_partition(2, 64)
         rule = build_quadrature(2, 6)
         report = mz_check(
-            rule,
-            partition,
-            partition.representatives,
-            lambda pts: np.full(len(pts), -0.5),
-            degree=0,
+            rule, partition, lambda pts: np.full(len(pts), -0.5), degree=0
         )
         assert report.ratio == 1.0
 
@@ -68,7 +61,7 @@ class TestValueCheck:
             phi = np.arctan2(pts[:, 1], pts[:, 0])
             return np.cos(k * phi)
 
-        report = mz_check(rule, partition, points, poly, degree=k, max_resolution=4096)
+        report = mz_check(rule, partition, poly, degree=k, max_resolution=4096)
         phi = np.arctan2(points[:, 1], points[:, 0])
         discrete = np.abs(np.cos(k * phi)).mean()
         assert report.discrete_average == pytest.approx(discrete, rel=1e-12)
@@ -79,16 +72,16 @@ class TestValueCheck:
         model, partition, rule, _ = _setup(2, 5, 2000)
         for seed in range(3):
             poly = sample_boundary_polynomial(model, rule, 40, seed=seed)
-            report = mz_check(rule, partition, partition.representatives, poly)
+            report = mz_check(rule, partition, poly)
             assert report.within_bounds
             assert report.condition_satisfied  # mesh 0.112 < 1/5
 
     def test_scale_invariance_exact_for_binary_scales(self):
         model, partition, rule, poly = _setup(2, 4, 200)
-        base = mz_check(rule, partition, partition.representatives, poly)
+        base = mz_check(rule, partition, poly)
         for c in (4.0, 0.25, -2.0):
             scaled = KernelPolynomial(model, poly.anchors, c * poly.coefficients)
-            report = mz_check(rule, partition, partition.representatives, scaled)
+            report = mz_check(rule, partition, scaled)
             assert report.ratio == base.ratio
 
     def test_degenerate_flagged(self):
@@ -98,25 +91,14 @@ class TestValueCheck:
         zero = KernelPolynomial(
             model, partition.representatives[:4], np.zeros(4)
         )
-        report = mz_check(rule, partition, partition.representatives, zero)
+        report = mz_check(rule, partition, zero)
         assert report.degenerate
         assert math.isnan(report.ratio)
-
-    def test_rejects_mismatched_points(self):
-        _, partition, rule, poly = _setup(2, 3, 16)
-        points = np.roll(partition.representatives, 1, axis=0)
-        with pytest.raises(ValueError):
-            mz_check(rule, partition, points, poly)
 
     def test_callable_requires_degree(self):
         _, partition, rule, _ = _setup(2, 3, 16)
         with pytest.raises(ValueError):
-            mz_check(
-                rule,
-                partition,
-                partition.representatives,
-                lambda pts: np.ones(len(pts)),
-            )
+            mz_check(rule, partition, lambda pts: np.ones(len(pts)))
 
 
 class TestGradientCheck:
@@ -127,9 +109,7 @@ class TestGradientCheck:
         rule = build_quadrature(2, 8)
         e = np.array([0.0, 0.0, 1.0])
         poly = KernelPolynomial(model, np.array([e]), np.array([1.0]))
-        report = mz_gradient_check(
-            rule, partition, partition.representatives, poly, max_resolution=512
-        )
+        report = mz_gradient_check(rule, partition, poly, max_resolution=512)
         assert report.integral == pytest.approx(3.0 * math.pi / 4.0, rel=1e-4)
         lo, hi = gradient_bounds(2)
         assert lo <= report.ratio <= hi
@@ -142,7 +122,7 @@ class TestGradientCheck:
         poly = KernelPolynomial(
             model, np.array([[1.0, 0.0]]), np.array([1.0])
         )
-        report = mz_gradient_check(rule, partition, partition.representatives, poly)
+        report = mz_gradient_check(rule, partition, poly)
         assert report.lower == pytest.approx(1.0 / 3.0)
         assert report.upper == pytest.approx(3.0)
         assert report.within_bounds
@@ -154,7 +134,7 @@ class TestGradientCheck:
         # rotation reorders the dot-product sums and is only ulp-close
         model, partition, rule, poly = _setup(2, 3, 60)
         points = partition.representatives
-        base = mz_gradient_check(rule, partition, points, poly)
+        base = mz_gradient_check(rule, partition, poly)
         flip = np.diag([-1.0, -1.0, 1.0])
         rotated_poly = KernelPolynomial(
             model, poly.anchors @ flip.T, poly.coefficients
@@ -199,12 +179,11 @@ class TestCirclePath:
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
     def test_scale_invariance_exact_for_binary_scales(self, d, t, n, cap, check):
         model, partition, rule, poly = _setup(d, t, n)
-        points = partition.representatives
-        base = check(rule, partition, points, poly, max_resolution=cap)
+        base = check(rule, partition, poly, max_resolution=cap)
         assert base.meta["evaluated_points"] < base.meta["integration_nodes"]
         for c in (4.0, 0.25, -2.0):
             scaled = KernelPolynomial(model, poly.anchors, c * poly.coefficients)
-            report = check(rule, partition, points, scaled, max_resolution=cap)
+            report = check(rule, partition, scaled, max_resolution=cap)
             assert report.integral == abs(c) * base.integral
             assert report.ratio == base.ratio
 
@@ -213,8 +192,8 @@ class TestCirclePath:
         # 2t + 1 = 11 points and the gradient check 13 on each of r circles
         _, partition, rule, poly = _setup(2, 5, 200)
         levels = [7 * 2**k for k in range(5)]
-        value = mz_check(rule, partition, partition.representatives, poly, max_resolution=128)
-        gradient = mz_gradient_check(rule, partition, partition.representatives, poly, max_resolution=128)
+        value = mz_check(rule, partition, poly, max_resolution=128)
+        gradient = mz_gradient_check(rule, partition, poly, max_resolution=128)
         for report, samples in ((value, 11), (gradient, 13)):
             assert report.meta["integration_resolution"] == 112
             assert report.meta["integration_nodes"] == sum(2 * r * r for r in levels)
@@ -226,7 +205,6 @@ class TestCirclePath:
         report = mz_check(
             rule,
             partition,
-            partition.representatives,
             lambda pts: pts[:, 0] ** 2,
             degree=2,
             max_resolution=24,
@@ -245,7 +223,7 @@ class TestSweep:
         deviations = []
         for n in (100, 10000):
             partition = equal_area_partition(2, n)
-            report = mz_check(rule, partition, partition.representatives, poly)
+            report = mz_check(rule, partition, poly)
             deviations.append(abs(report.ratio - 1.0))
         assert deviations[-1] < 0.1
         assert deviations[-1] <= deviations[0] + 1e-6
@@ -278,10 +256,36 @@ class TestSweep:
     def test_checks_reject_bad_mesh_constant(self, check, mesh_constant):
         _, partition, rule, poly = _setup(2, 3, 50)
         with pytest.raises(ValueError, match="mesh constant must be positive and finite"):
-            check(rule, partition, partition.representatives, poly, mesh_constant=mesh_constant)
+            check(rule, partition, poly, mesh_constant=mesh_constant)
+
+    @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
+    def test_checks_reject_mixed_spheres(self, check):
+        _, partition2, rule2, poly2 = _setup(2, 2, 20)
+        _, partition3, rule3, _ = _setup(3, 2, 20)
+        with pytest.raises(ValueError, match=r"rule is on S\^3 but the partition is on S\^2"):
+            check(rule3, partition2, poly2)
+        with pytest.raises(ValueError, match=r"polynomial is on S\^2 but the partition is on S\^3"):
+            check(rule3, partition3, poly2)
+        with pytest.raises(ValueError, match=r"rule is on S\^2 but the partition is on S\^3"):
+            check(rule2, partition3, poly2)
+
+    def test_check_rejects_unbounded_max_resolution(self, monkeypatch):
+        # |P| never meets the refinement tolerance, so a NaN cap would
+        # double the resolution until memory runs out; stop past 256
+        build = quadrature.build_quadrature
+
+        def bounded_build(d, resolution):
+            if resolution > 256:
+                raise RuntimeError(f"refined to resolution {resolution}")
+            return build(d, resolution)
+
+        monkeypatch.setattr(quadrature, "build_quadrature", bounded_build)
+        _, partition, rule, poly = _setup(2, 3, 50)
+        with pytest.raises(ValueError, match="max_resolution must be finite"):
+            mz_check(rule, partition, poly, max_resolution=math.nan)
 
     def test_mesh_norm_reported(self):
         _, partition, rule, poly = _setup(2, 5, 400)
-        report = mz_check(rule, partition, partition.representatives, poly)
+        report = mz_check(rule, partition, poly)
         assert report.mesh_norm == pytest.approx(partition_norm(partition))
         assert report.mesh_threshold == pytest.approx(1.0 / 5.0)

@@ -210,6 +210,23 @@ class TestIntegrate:
         assert value == pytest.approx(0.5, abs=1e-5)
         assert agreement < 1e-4
 
+    @pytest.mark.parametrize("cap", [math.nan, math.inf])
+    def test_rejects_unbounded_max_resolution(self, cap):
+        # |x_0| never meets rel_tol, so a cap that never stops the doubling
+        # would run until memory runs out; the integrand raises after
+        # seven levels (4 .. 256) to keep a regression finite
+        levels = []
+
+        def integrand(rule):
+            levels.append(rule.resolution)
+            if len(levels) > 7:
+                raise RuntimeError(f"refined past resolution {levels[-2]}")
+            return np.abs(rule.nodes[:, 0])
+
+        with pytest.raises(ValueError, match="max_resolution must be finite"):
+            integrate_refined(2, integrand, start_resolution=4, max_resolution=cap)
+        assert levels == []
+
     def test_kernel_sections_have_zero_mean(self, rng):
         for t in (1, 4, 10):
             model = kernel_model(2, t)

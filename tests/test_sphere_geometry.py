@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,12 @@ class TestMisplaced:
     def test_representatives_are_in_place(self):
         p = equal_area_partition(2, 2000)
         assert p.misplaced(p.representatives).size == 0
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 16), (3, 40)])
+    def test_build_rejects_misplaced_representatives(self, d, n):
+        p = equal_area_partition(d, n)
+        with pytest.raises(AssertionError, match="representative 0 lies outside its cell"):
+            replace(p, representatives=np.roll(p.representatives, 1, axis=0))
 
     def test_rejects_wrong_shape(self):
         p = equal_area_partition(2, 10)
