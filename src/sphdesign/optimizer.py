@@ -6,8 +6,9 @@ are often exact critical points of the defect, or lie in the basin of a
 local minimum that is not a design.  The defect is then minimized by
 L-BFGS over unnormalised coordinates Y, one row per point, whose unit rows
 are the points.  (scipy's L-BFGS-B finds the same designs, but importing
-`scipy.optimize` costs each process that runs the finder about 0.15 s and
-24 MB on top of numpy and scipy.special.)  The defect vanishes exactly at
+`scipy.optimize` costs each process that runs the finder about 0.5 s and
+50 MB on top of numpy, the package's only runtime dependency.)  The
+defect vanishes exactly at
 t-designs, so reaching the target tolerance is a certificate candidate
 that is always re-verified independently by `verify_design`; a refuted
 candidate does not end the search.

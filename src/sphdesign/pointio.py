@@ -27,10 +27,9 @@ class PointFormatError(ValueError):
 
 
 def format_points(config: PointConfiguration) -> str:
-    lines = [f"{config.d} {config.n}"]
-    for row in config.points:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * (config.d + 1))
+    body = "\n".join([row] * config.n) % tuple(config.points.ravel().tolist())
+    return f"{config.d} {config.n}\n{body}\n"
 
 
 def parse_points(text: str) -> PointConfiguration:

@@ -2,7 +2,14 @@
 
 On S^1..S^3 one recursive product rule, exact through a stated polynomial
 degree: a uniform grid on the circle, and on S^d a Gauss-Jacobi rule in
-the colatitude cosine times the rule on S^(d-1).  Higher dimensions use
+the colatitude cosine x, weight (1 - x^2)^((d-2)/2), times the rule on
+S^(d-1).  Only two Jacobi weights occur, and both rules come from numpy
+alone.  On S^2 (weight 1) it is Gauss-Legendre: the nodes by Newton on
+the three-term recurrence (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1),
+the weights 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 = (1 - x)(1 + x).
+On S^3 (weight sqrt(1 - x^2)) it is Gauss-Chebyshev of the second kind,
+in closed form: x_k = cos(k pi / (n + 1)), w_k = pi / (n + 1)
+sin^2(k pi / (n + 1)).  Higher dimensions use
 Monte Carlo with seed 0 and exactness degree 0, since the product rule
 there would need 2 * resolution^d nodes.
 
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .kernel import (
     KernelModel,
@@ -50,6 +56,14 @@ from .kernel import (
     row_blocks,
 )
 from .sphere_geometry import frozen_copy, random_points, require_supported_dimension
+
+
+# Most nodes that the last rule of an `integrate_refined` call may hold:
+# above the S^3 rule at the MZ checks' default cap of 256 (2 * 256**3 nodes).
+MAX_RULE_NODES = 2**26
+# `integrate_refined`'s cap when none is given, lowered on each sphere to
+# the last doubling whose rule fits MAX_RULE_NODES (256 on S^3).
+DEFAULT_MAX_RESOLUTION = 1024
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -87,18 +101,56 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton on P_n from the three-term recurrence, all nodes at once from
+    cos(pi (k - 1/4) / (n + 1/2)); weights 2 / ((1 - x^2) P_n'(x)^2).
+    Nodes and weights are symmetrised, so the rule is exactly even.
+    """
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, derivative = _legendre_and_derivative(n, x)
+        step = p / derivative
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre nodes did not converge for n={n}")
+    x = 0.5 * (x - x[::-1])
+    weights = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre_and_derivative(n, x)[1] ** 2)
+    return x, 0.5 * (weights + weights[::-1])
+
+
+def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) by (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1), and P_n'(x)
+    = n (P_(n-1) - x P_n) / (1 - x^2), for x inside (-1, 1)."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight sqrt(1 - x^2) on [-1, 1], nodes ascending:
+    x_k = cos(k pi / (n + 1)), w_k = pi / (n + 1) sin^2(k pi / (n + 1))."""
+    angles = math.pi * np.arange(n, 0, -1) / (n + 1)
+    return np.cos(angles), math.pi / (n + 1) * np.sin(angles) ** 2
+
+
 def _product_rule(d: int, resolution: int):
     """Nodes and weights exact through degree 2 * resolution - 1 on S^d.
 
     S^1 is the uniform grid of 2 * resolution angles.  S^d for d >= 2 is a
     Gauss-Jacobi rule in x = x_0, weight (1 - x^2)^((d-2)/2), times the rule
-    on S^(d-1) scaled by sqrt(1 - x^2).
+    on S^(d-1) scaled by sqrt(1 - x^2): Gauss-Legendre on S^2 and
+    Gauss-Chebyshev of the second kind on S^3.
     """
     if d == 1:
         m = 2 * resolution
         phis = 2.0 * math.pi * np.arange(m) / m
         return np.stack([np.cos(phis), np.sin(phis)], axis=1), np.full(m, 1.0 / m)
-    x, w = roots_jacobi(resolution, (d - 2) / 2, (d - 2) / 2)
+    x, w = (_gauss_legendre if d == 2 else _gauss_chebyshev_u)(resolution)
     sub_nodes, sub_weights = _product_rule(d - 1, resolution)
     n_sub = len(sub_weights)
     nodes = np.empty((resolution * n_sub, d + 1))
@@ -109,10 +161,15 @@ def _product_rule(d: int, resolution: int):
     return nodes, weights
 
 
+def _rule_size(d: int, resolution: int) -> int:
+    """Node count of the rule `build_quadrature(d, resolution)` returns."""
+    return 1024 * resolution if d > 3 else 2 * resolution**d
+
+
 @lru_cache(maxsize=64)
 def _cached_rule(d: int, resolution: int) -> QuadratureRule:
     if d > 3:
-        count = 1024 * resolution
+        count = _rule_size(d, resolution)
         nodes = random_points(d, count, np.random.default_rng(0))
         weights = np.full(count, 1.0 / count)
         exact = 0
@@ -188,7 +245,7 @@ def integrate_refined(
     f,
     start_resolution: int,
     rel_tol: float = 1e-8,
-    max_resolution: int = 1024,
+    max_resolution: int | None = None,
 ):
     """Integrate with resolution doubling until two estimates agree.
 
@@ -198,10 +255,25 @@ def integrate_refined(
     achieved_rel_change, resolution).  Absolute-value integrands converge
     only algebraically, so the loop stops at max_resolution if the target
     is not reached; the achieved agreement is reported so callers can
-    decide.  max_resolution must be finite, or that stop never comes.
+    decide.  max_resolution must be finite, or that stop never comes, and
+    the last rule it allows may hold at most `MAX_RULE_NODES` nodes; both
+    are checked before any rule is built.  Without a max_resolution the
+    doubling stops at `DEFAULT_MAX_RESOLUTION` or at the last rule within
+    the budget, whichever comes first.
     """
-    if not math.isfinite(max_resolution):
+    cap = DEFAULT_MAX_RESOLUTION if max_resolution is None else max_resolution
+    if not math.isfinite(cap):
         raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
+    top = start_resolution
+    while 2 * top <= cap and (
+        max_resolution is not None or _rule_size(d, 2 * top) <= MAX_RULE_NODES
+    ):
+        top *= 2
+    if _rule_size(d, top) > MAX_RULE_NODES:
+        raise ValueError(
+            f"max_resolution {cap!r} allows a resolution-{top} rule of "
+            f"{_rule_size(d, top)} nodes on S^{d}, over the budget of {MAX_RULE_NODES}"
+        )
     res = start_resolution
     prev = None
     change = math.inf
@@ -212,7 +284,7 @@ def integrate_refined(
             change = abs(value - prev) / max(abs(value), 1e-300)
             if change <= rel_tol:
                 return value, change, res
-        if 2 * res > max_resolution:
+        if res == top:
             return value, change, res
         prev = value
         res *= 2

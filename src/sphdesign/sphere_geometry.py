@@ -10,14 +10,30 @@ with colatitude theta in [0, pi] measured from the pole e_0 = (1, 0, ..., 0)
 and xi a point of the subsphere S^{d-1}.  The normalized measure of the cap
 {theta <= a} is the regularized incomplete beta value
 
-    Phi_d(a) = I_{sin^2(a/2)}(d/2, d/2),
+    Phi_d(a) = I_z(d/2, d/2),  z = sin^2(a/2),
 
 which is what makes exactly equal cell areas possible: cell boundaries are
-placed by inverting Phi_d at the target cumulative measures.
+placed by inverting Phi_d at the target cumulative measures.  Phi_d and
+its inverse use the standard library alone; with h = d/2,
+
+    d = 1:     Phi_1(a) = a / pi;
+    d = 2:     Phi_2(a) = z, inverted as a = 2 asin(sqrt(v));
+    d >= 3:    I_z(h, h) = (z(1-z))^h / (h B(h, h)) * sum_k (2h)_k / (h+1)_k z^k,
+
+the last the hypergeometric series 2F1(2h, 1; h+1; z).  It is summed on
+z <= 1/2, where every term is positive, and above it by the symmetry
+I_z = 1 - I_{1-z} with 1 - z = cos^2(a/2); all land within a few eps
+relative of the exact value.  The inverse for d >= 3 is a
+bracketed Newton iteration in z from the small-cap asymptote
+I_z ~ z^h / (h B(h, h)), and a measure v > 1/2 maps to pi minus the
+colatitude of 1 - v.
 
 The partition splits the sphere into two polar caps plus collars of equal
 cumulative measure; each collar is subdivided by recursively partitioning
-its angular factor S^{d-1}.  Cell diameters are computed exactly (not just
+its angular factor S^{d-1}.  Collar cell counts round the accumulated
+ideal counts to the nearest integer, and a count within `COLLAR_TIE` of a
+half-integer rounds down, so the cell structure does not follow the last
+bits of the cap measure.  Cell diameters are computed exactly (not just
 bounded) from the closed-form maximum of the geodesic distance over a
 product cell, so the measured diameter constants are tight for this
 construction.
@@ -30,7 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +55,8 @@ CONFIG_NORM_TOLERANCE = 1e-12
 SUPPORTED_DIMENSIONS = range(1, 9)
 # Angular slack of cell membership tests.
 CELL_TOLERANCE = 1e-9
+# Accumulated ideal collar counts this close to k + 1/2 round down to k.
+COLLAR_TIE = 1e-9
 
 
 def require_supported_dimension(d: int):
@@ -100,15 +117,74 @@ def cap_measure(d: int, theta: float) -> float:
         return 0.0
     if theta >= math.pi:
         return 1.0
-    z = math.sin(0.5 * theta) ** 2
-    return float(betainc(d / 2.0, d / 2.0, z))
+    if d == 1:
+        return theta / math.pi
+    if d == 2:
+        return math.sin(0.5 * theta) ** 2
+    if theta <= 0.5 * math.pi:
+        return _incomplete_beta(d, math.sin(0.5 * theta) ** 2)
+    return 1.0 - _incomplete_beta(d, math.cos(0.5 * theta) ** 2)
 
 
 def cap_colatitude(d: int, measure: float) -> float:
     """Inverse of `cap_measure`: the colatitude whose cap has the given measure."""
     v = min(max(measure, 0.0), 1.0)
-    z = float(betaincinv(d / 2.0, d / 2.0, v))
-    return 2.0 * math.asin(min(1.0, math.sqrt(z)))
+    if d == 1:
+        return math.pi * v
+    if d == 2:
+        return 2.0 * math.asin(min(1.0, math.sqrt(v)))
+    if v > 0.5:
+        return math.pi - cap_colatitude(d, 1.0 - v)
+    return 2.0 * math.asin(math.sqrt(_inverse_incomplete_beta(d, v)))
+
+
+def _small_cap_constant(d: int) -> float:
+    """1 / (h B(h, h)) with h = d/2: I_z(h, h) ~ z^h / (h B(h, h)) as z -> 0."""
+    h = 0.5 * d
+    return math.gamma(d) / (h * math.gamma(h) ** 2)
+
+
+@lru_cache(maxsize=4096)
+def _incomplete_beta(d: int, z: float) -> float:
+    """I_z(d/2, d/2) for 0 <= z <= 1/2 (module docstring), cached because a
+    partition build asks for each collar bound once per cell."""
+    h = 0.5 * d
+    term = total = 1.0
+    k = 0
+    while term > 0.25 * math.ulp(1.0) * total:
+        term *= (2.0 * h + k) / (h + 1.0 + k) * z
+        total += term
+        k += 1
+    return _small_cap_constant(d) * (z * (1.0 - z)) ** h * total
+
+
+def _inverse_incomplete_beta(d: int, v: float) -> float:
+    """The z in [0, 1/2] with I_z(d/2, d/2) = v, for d >= 3 and 0 <= v <= 1/2.
+
+    Starts from the small-cap asymptote z^h / (h B(h, h)) = v, which is
+    the answer to rounding once z < 2^-60, since I_z = z^h / (h B(h, h)) *
+    (1 + O(z)).  Otherwise Newton on z, kept inside a bracket that every
+    evaluation narrows; a step that leaves the bracket bisects it
+    instead.  I_z is convex on [0, 1/2] for d >= 3, so after at most one
+    step the iterates approach the root from above.
+    """
+    h = 0.5 * d
+    c = _small_cap_constant(d)
+    z = min(0.5, v ** (1.0 / h) / c ** (1.0 / h))
+    if z < 2.0**-60:
+        return z
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        f = _incomplete_beta(d, z) - v
+        new = z - f / (h * c * (z * (1.0 - z)) ** (h - 1.0))
+        if abs(new - z) <= 4.0 * math.ulp(z):
+            return new
+        if f > 0.0:
+            hi = z
+        else:
+            lo = z
+        z = new if lo < new < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"cap colatitude did not converge for d={d}, measure={v!r}")
 
 
 def sphere_surface_area(d: int) -> float:
@@ -301,7 +377,8 @@ def _libm(fn, *columns) -> np.ndarray:
 
 
 def _collar_counts(d: int, n: int, theta_c: float, n_collars: int) -> list[int]:
-    """Integer cell counts per collar by cumulative rounding of ideal counts."""
+    """Integer cell counts per collar by cumulative rounding of ideal counts;
+    a count within COLLAR_TIE of k + 1/2 rounds down to k."""
     fitting = (math.pi - 2.0 * theta_c) / n_collars
     counts = []
     acc = 0.0
@@ -309,7 +386,7 @@ def _collar_counts(d: int, n: int, theta_c: float, n_collars: int) -> list[int]:
         lo = theta_c + (j - 1) * fitting
         hi = theta_c + j * fitting
         ideal = n * (cap_measure(d, hi) - cap_measure(d, lo))
-        y = max(1, round(ideal + acc))
+        y = max(1, math.ceil(ideal + acc - 0.5 - COLLAR_TIE))
         acc += ideal - y
         counts.append(y)
     counts[-1] += (n - 2) - sum(counts)

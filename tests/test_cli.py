@@ -22,7 +22,7 @@ from sphdesign.pointio import (
     read_points,
     write_text_atomic,
 )
-from sphdesign.sphere_geometry import PointConfiguration, random_points
+from sphdesign.sphere_geometry import PointConfiguration, equal_area_partition, random_points
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +35,27 @@ class TestPointFiles:
         back = read_points(str(path))
         assert back.d == 2
         assert np.array_equal(back.points, cfg.points)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            (2, 400), (3, 500), (4, 500),
+            "icosahedron", "dodecahedron", "d4-minimal-vectors", "24-cell", "polygon(5)", "cube(3)",
+            [[-0.0, 1.0, 0.0], [0.0, -0.0, -1.0]],
+        ],
+    )
+    def test_format_matches_per_value_formatting(self, source):
+        # one "%.17g" format over all values gives the text of formatting
+        # each value on its own, signed zeros included
+        if isinstance(source, str):
+            config = catalog_design(source)
+        elif isinstance(source, tuple):
+            config = PointConfiguration(source[0], equal_area_partition(*source).representatives)
+        else:
+            config = PointConfiguration(2, source)
+        lines = [f"{config.d} {config.n}"]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in config.points]
+        assert format_points(config) == "\n".join(lines) + "\n"
 
     def test_header_format(self):
         cfg = catalog_design("polygon(3)")
@@ -327,6 +348,28 @@ class TestCliCommands:
             env={**os.environ, "PYTHONPATH": str(SOURCE)},
         )
         assert result.stdout.strip() == "False"
+
+    def test_imports_load_no_scipy(self):
+        # numpy is the only runtime dependency: no module, cli included,
+        # may pull scipy in (__main__ would run the CLI)
+        code = (
+            "import importlib, pkgutil, sys, sphdesign\n"
+            "for module in pkgutil.iter_modules(sphdesign.__path__):\n"
+            "    if module.name != '__main__':\n"
+            "        importlib.import_module('sphdesign.' + module.name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sphdesign')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(SOURCE)},
+        )
+        loaded, scipy_modules = result.stdout.splitlines()
+        assert "'sphdesign.cli'" in loaded and "'sphdesign.quadrature'" in loaded
+        assert scipy_modules == "[]"
 
     def test_defaults_match_library_defaults(self):
         # the parser restates library defaults as literals, since importing

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi
 
 from conftest import unit
 import sphdesign.kernel as kernel
@@ -16,6 +17,7 @@ from sphdesign.kernel import (
 )
 from sphdesign.quadrature import (
     KernelPolynomial,
+    QuadratureRule,
     build_quadrature,
     default_resolution,
     integrate,
@@ -83,9 +85,10 @@ class TestProductRule:
             assert np.array_equal(rule.weights, np.full(2 * res, 1.0 / (2 * res)))
 
     def test_s2_is_legendre_times_the_grid(self):
+        # the layout, exactly; the Legendre nodes' accuracy is TestGaussRules'
         for res in self.RESOLUTIONS:
             rule = build_quadrature(2, res)
-            x, w = roots_legendre(res)
+            x, w = quadrature._gauss_legendre(res)
             cos, sin = self._grid(res)
             st = np.sqrt(1.0 - x**2)
             expected = np.stack(
@@ -123,6 +126,57 @@ class TestProductRule:
             cos, sin = self._grid(res)
             circle = np.stack([np.outer(rho, cos), np.outer(rho, sin)], axis=2)
             assert np.max(np.abs(runs[:, :, -2:] - circle)) <= 4 * np.finfo(float).eps
+
+
+def _mp_legendre_rule(n, x0):
+    """40-digit Gauss-Legendre nodes and weights, by Newton in mpmath from
+    the float nodes x0."""
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, x0.tolist()):
+            for _ in range(4):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+                derivative = n * (x * p - p_prev) / (x * x - 1)
+                x -= p / derivative
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * derivative**2))
+    return nodes, weights
+
+
+class TestGaussRules:
+    """The colatitude rules of the S^2 and S^3 product rules, against scipy
+    and a 40-digit reference."""
+
+    ULP = np.spacing(1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_nodes_match_scipy_roots_jacobi(self, alpha):
+        rule = quadrature._gauss_legendre if alpha == 0.0 else quadrature._gauss_chebyshev_u
+        for n in range(1, 257):
+            x, w = rule(n)
+            expected, _ = roots_jacobi(n, alpha, alpha)
+            assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
+            assert np.max(np.abs(x - expected)) <= 4 * self.ULP, n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
+    def test_legendre_weights_match_40_digit_reference(self, n):
+        # worst relative weight errors over all nodes: 5.7e-14, 2.9e-13
+        # and 1.9e-13 at n = 64, 128, 256, where scipy's roots_jacobi is
+        # 1.1e-12, 5.5e-11 and 1.3e-10 off; the reference runs on every
+        # 8th node and its mirror image
+        x, w = quadrature._gauss_legendre(n)
+        picked = np.unique(np.r_[np.arange(0, n, 8), n - 1 - np.arange(0, n, 8)])
+        nodes, weights = _mp_legendre_rule(n, x[picked])
+        assert np.max(np.abs(x[picked] - np.array(nodes, dtype=float))) <= self.ULP
+        gap = np.abs(w[picked] / np.array(weights, dtype=float) - 1.0)
+        assert np.max(gap) <= 4e-15 * n
+
+    def test_legendre_rule_is_even(self):
+        for n in (1, 2, 5, 16, 31, 256):
+            x, w = quadrature._gauss_legendre(n)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
 class TestCircleValues:
@@ -209,6 +263,51 @@ class TestIntegrate:
         )
         assert value == pytest.approx(0.5, abs=1e-5)
         assert agreement < 1e-4
+
+    def test_rejects_a_cap_whose_last_rule_exceeds_the_node_budget(self):
+        levels = []
+
+        def integrand(rule):
+            levels.append(rule.resolution)
+            return np.abs(rule.nodes[:, 0])
+
+        with pytest.raises(ValueError, match="over the budget"):
+            integrate_refined(2, integrand, start_resolution=4, max_resolution=1e300)
+        assert levels == []
+
+    @pytest.mark.parametrize("d, cap", [(1, 2**25), (2, 4096), (3, 256), (4, 2**16)])
+    def test_largest_caps_within_the_node_budget(self, d, cap):
+        # the MZ checks' S^3 default of 256 (2 * 256**3 nodes) among them;
+        # the integrand stops the run at its first rule
+        def integrand(rule):
+            raise RuntimeError("ran")
+
+        with pytest.raises(RuntimeError, match="ran"):
+            integrate_refined(d, integrand, start_resolution=1, max_resolution=cap)
+        with pytest.raises(ValueError, match="over the budget"):
+            integrate_refined(d, integrand, start_resolution=1, max_resolution=2 * cap)
+
+    def test_default_cap_converges_on_s3(self):
+        # the mean of x_0^2 over S^3 is 1/4; resolutions 4 and 8 agree
+        value, agreement, res = integrate_refined(3, lambda rule: rule.nodes[:, 0] ** 2, 4)
+        assert value == pytest.approx(0.25, abs=1e-14)
+        assert agreement <= 1e-8 and res == 8
+
+    @pytest.mark.parametrize("d, last", [(1, 1024), (2, 1024), (3, 256), (5, 1024)])
+    def test_default_cap_stops_at_the_last_rule_within_the_budget(self, monkeypatch, d, last):
+        # one-node stand-ins for the rules, whose value never settles
+        def stand_in(d, resolution):
+            return QuadratureRule(d, resolution, unit(np.ones((1, d + 1))), np.ones(1), 0)
+
+        monkeypatch.setattr(quadrature, "build_quadrature", stand_in)
+        levels = []
+
+        def integrand(rule):
+            levels.append(rule.resolution)
+            return np.array([float(rule.resolution)])
+
+        _, _, res = integrate_refined(d, integrand, 4)
+        assert res == last and levels == [4 * 2**k for k in range(len(levels))]
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf])
     def test_rejects_unbounded_max_resolution(self, cap):
@@ -527,14 +626,22 @@ class TestSampleBoundary:
 
     def test_prescale_invariance(self):
         # normalization removes overall scale: doubling the raw coefficients
-        # before scaling yields the identical polynomial
+        # before scaling yields the identical polynomial.  The raw draw is
+        # the sampler's first, redrawn from its seed.
         model = kernel_model(2, 3)
         rule = build_quadrature(2, default_resolution(3))
         poly = sample_boundary_polynomial(model, rule, 24, seed=9)
-        doubled = KernelPolynomial(model, poly.anchors, 2.0 * poly.coefficients)
-        mass = integrate(rule, doubled.gradient_norm)
-        rescaled = doubled.coefficients / mass
-        assert np.array_equal(rescaled, poly.coefficients)
+        rng = np.random.default_rng(9)
+        anchors = random_points(2, 24, rng)
+        raw = rng.standard_normal(24)
+        assert np.array_equal(anchors, poly.anchors)
+
+        def normalized(coefficients):
+            mass = integrate(rule, KernelPolynomial(model, anchors, coefficients).gradient_norm)
+            return coefficients / mass
+
+        assert np.array_equal(normalized(raw), poly.coefficients)
+        assert np.array_equal(normalized(2.0 * raw), poly.coefficients)
 
     def test_deterministic(self):
         model = kernel_model(2, 3)

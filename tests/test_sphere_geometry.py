@@ -1,9 +1,11 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
+import sphdesign.sphere_geometry as sphere_geometry
 from sphdesign.sphere_geometry import (
     CELL_TOLERANCE,
     SUPPORTED_DIMENSIONS,
@@ -51,6 +53,110 @@ class TestCapMeasure:
                 assert cap_measure(d, cap_colatitude(d, v)) == pytest.approx(
                     v, abs=1e-12
                 )
+
+
+def _mp_cap_measure(d, theta):
+    """40-digit I_{sin^2(theta/2)}(d/2, d/2) at the float theta."""
+    half = mpmath.mpf(d) / 2
+    return mpmath.betainc(half, half, 0, mpmath.sin(mpmath.mpf(theta) / 2) ** 2, regularized=True)
+
+
+class TestCapOracle:
+    """cap_measure and cap_colatitude against 40-digit mpmath.
+
+    Worst relative errors on these grids: the measure 1.2e-15 here and
+    1.3e-15 from scipy.special's betainc at d >= 2, the colatitude 5.4e-16
+    here and 7.0e-16 from betaincinv.  At d = 1 scipy reaches 1.4e-11 and
+    2.1e-13, since sin^2(theta/2) near theta = pi loses the small
+    complement; the closed form theta / pi reaches 1.4e-16.
+    """
+
+    THETAS = (1e-6, 1e-3, 1e-2, 0.1, *np.linspace(0.05, math.pi - 0.05, 37).tolist(), math.pi - 1e-3, math.pi - 1e-6)
+    MEASURES = (1e-12, 1e-8, 1e-4, 1e-2, *(k / 32 for k in range(1, 32)), 1 - 1e-2, 1 - 1e-4)
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_measure(self, d):
+        with mpmath.workdps(40):
+            for theta in self.THETAS:
+                reference = _mp_cap_measure(d, theta)
+                assert abs(cap_measure(d, theta) - reference) <= 1e-14 * reference, theta
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_colatitude(self, d):
+        # the reference is one 40-digit Newton step from the float result:
+        # Phi_d'(theta) = sin^(d-1)(theta) / W_d, W_d = sqrt(pi) G(d/2) / G((d+1)/2)
+        with mpmath.workdps(40):
+            scale = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d + 1) / 2)
+            for v in self.MEASURES:
+                theta = cap_colatitude(d, v)
+                slope = mpmath.sin(theta) ** (d - 1) / scale
+                reference = theta - (_mp_cap_measure(d, theta) - v) / slope
+                assert abs(theta - reference) <= 1e-14 * reference, v
+
+
+def _scipy_cap_measure(d, theta):
+    from scipy.special import betainc
+
+    if theta <= 0.0:
+        return 0.0
+    if theta >= math.pi:
+        return 1.0
+    return float(betainc(d / 2.0, d / 2.0, math.sin(0.5 * theta) ** 2))
+
+
+def _scipy_cap_colatitude(d, measure):
+    from scipy.special import betaincinv
+
+    z = float(betaincinv(d / 2.0, d / 2.0, min(max(measure, 0.0), 1.0)))
+    return 2.0 * math.asin(min(1.0, math.sqrt(z)))
+
+
+def _recorded_build(d, n):
+    """The cells of _build_cells(d, n) as one row of bounds per cell, and
+    every collar count list the build made, in order."""
+    counts = []
+    collar_counts = sphere_geometry._collar_counts
+
+    def recording(*args):
+        counts.append(collar_counts(*args))
+        return counts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sphere_geometry, "_collar_counts", recording)
+        cells = sphere_geometry._build_cells(d, n)
+    rows = []
+    for cell in cells:
+        row = []
+        while cell is not None:
+            row += [cell.lo, cell.hi]
+            cell = cell.sub
+        rows.append(row)
+    return rows, counts
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_partition_does_not_depend_on_the_cap_measure_bits(d):
+    # scipy's cap measure and this module's differ in the last bits; with
+    # near-ties rounded down (COLLAR_TIE) both give the same collar counts,
+    # which round() did not (first at n = 15 on S^3)
+    for n in range(1, 151):
+        rows, counts = _recorded_build(d, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sphere_geometry, "cap_measure", _scipy_cap_measure)
+            patch.setattr(sphere_geometry, "cap_colatitude", _scipy_cap_colatitude)
+            scipy_rows, scipy_counts = _recorded_build(d, n)
+        assert counts == scipy_counts, n
+        assert [len(r) for r in rows] == [len(r) for r in scipy_rows], n
+        gap = max(abs(a - b) for row, other in zip(rows, scipy_rows) for a, b in zip(row, other))
+        assert gap <= 1e-12, n
+
+
+@pytest.mark.parametrize("scale, first", [(1 - 2**-50, 15), (1.0, 15), (1 + 2**-50, 15), (1 + 1e-8, 16)])
+def test_collar_counts_round_near_ties_down(monkeypatch, scale, first):
+    # two collars of ideal count 31/2 each: a count within COLLAR_TIE of
+    # k + 1/2 rounds down on either side of it (round() gave 16 at 15.5)
+    monkeypatch.setattr(sphere_geometry, "cap_measure", lambda d, theta: scale * theta / math.pi)
+    assert sphere_geometry._collar_counts(2, 31, 0.0, 2) == [first, 29 - first]
 
 
 class TestEqualAreaPartition:
