@@ -94,22 +94,22 @@ def _pair_cosines(model: KernelModel, config: PointConfiguration):
         yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts[lo:]))
 
 
-def _mirror_weights(lo: int, hi: int, n: int) -> np.ndarray:
-    """Column weights of the block of rows lo..hi in the whole pair matrix:
-    1 on its leading square, 2 on the rectangle right of it, whose mirror
-    image lies below the diagonal.  Scaling by 1 or 2 is exact."""
-    weights = np.full(n - lo, 2.0)
-    weights[: hi - lo] = 1.0
-    return weights
+def _kernel_blocks(model: KernelModel, config: PointConfiguration):
+    """Yield (s, weights, levels) per block of `_pair_cosines`: column
+    weights 1 on the block's leading square and 2 on the rectangle right of
+    it, whose mirror image lies below the diagonal (exact scalings), and
+    the exact level sums of the weighted kernel values."""
+    for lo, hi, s in _pair_cosines(model, config):
+        weights = np.full(config.n - lo, 2.0)
+        weights[: hi - lo] = 1.0
+        values = _value(model, s)
+        values *= weights
+        yield s, weights, _exact_level_sums(values)
 
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
     """Kernel defect of the configuration; zero exactly at t-designs."""
-    levels = []
-    for lo, hi, s in _pair_cosines(model, config):
-        values = _value(model, s)
-        values *= _mirror_weights(lo, hi, config.n)
-        levels += _exact_level_sums(values)
+    levels = (level for *_, block in _kernel_blocks(model, config) for level in block)
     return math.fsum(levels) / config.n**2
 
 
@@ -120,20 +120,13 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
 
 
 def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
-    """`defect` and `degree_residuals` from one pair pass, bit for bit.
-
-    Each block's kernel values come from the same `kernel._value` call as
-    in `defect`, so its level sums do not change; the scan on S^d gives only
-    the per-degree level sums of the residuals.  `_exact_level_sums`
-    overwrites its input and the scan still needs P_k for two more degrees,
-    so each P_k goes in as its product with the weights, a new array.
-    """
+    """`defect` and `degree_residuals` from one pair pass, bit for bit: the
+    levels of `_kernel_blocks`, and per degree those of P_k times the
+    weights, a new array, as `_exact_level_sums` overwrites its input and
+    the scan on S^d still needs P_k for two more degrees."""
     kernel_levels, degree_levels = [], [[] for _ in range(model.t)]
-    for lo, hi, s in _pair_cosines(model, config):
-        weights = _mirror_weights(lo, hi, config.n)
-        values = _value(model, s)
-        values *= weights
-        kernel_levels += _exact_level_sums(values)
+    for s, weights, levels in _kernel_blocks(model, config):
+        kernel_levels += levels
         for k, p in _degree_scan(model.d, model.t, s):
             degree_levels[k - 1] += _exact_level_sums(p * weights)
     n_sq = config.n**2

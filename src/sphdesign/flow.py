@@ -76,6 +76,8 @@ class FlowConfig:
     step_count: int = 64
 
     def __post_init__(self):
+        # first, since a bad mesh constant also gives a bad default horizon
+        _require_mesh_constant(self.mesh_constant)
         # negated comparisons so NaN is rejected too
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")

@@ -236,9 +236,9 @@ def _degree_scan(d: int, t: int, s: np.ndarray):
     Each degree takes four in-place ufunc calls into three buffers made
     once per scan, and s itself is never written.  So a yielded array is
     overwritten two steps later, when its buffer receives P_{k+2}; a caller
-    that keeps one past that copies it.  This is the only polynomial
-    recurrence: kernel values and derivatives are two adjacent terms of it
-    (module docstring).
+    that keeps one past that copies it.  The only polynomial recurrence:
+    kernel values and derivatives are two adjacent terms of it (module
+    docstring), and `quadrature._gauss_rule` finds its zeros.
     """
     p = np.array(s, dtype=float)
     p_prev, term = np.ones_like(p), np.empty_like(p)

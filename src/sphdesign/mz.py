@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import _require_mesh_constant
-from .kernel import _exact_row_sums, kernel_model
+from .kernel import _exact_level_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
     QuadratureRule,
@@ -99,7 +99,7 @@ def _ratio_report(
     representatives and the integral of magnitude(h(nodes)); h goes through
     `_circle_values` at circle_degree unless that is None."""
     samples = magnitude(h(partition.representatives))
-    discrete = float(_exact_row_sums(samples[None])[0]) / partition.n
+    discrete = math.fsum(_exact_level_sums(samples)) / partition.n
     work = {"integration_nodes": 0, "evaluated_points": 0}
 
     def evaluate(points):

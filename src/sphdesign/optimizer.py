@@ -118,8 +118,9 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     """
 
     def evaluate(y):
-        value, grad = _section_defect(model, unit_rows(y))
-        return value, grad / np.linalg.norm(y, axis=1, keepdims=True)
+        norms = np.linalg.norm(y, axis=1, keepdims=True)  # as in unit_rows
+        value, grad = _section_defect(model, y / norms)
+        return value, grad / norms
 
     y = x
     value, grad = evaluate(y)

@@ -3,13 +3,10 @@
 On S^1..S^3 one recursive product rule, exact through a stated polynomial
 degree: a uniform grid on the circle, and on S^d a Gauss-Jacobi rule in
 the colatitude cosine x, weight (1 - x^2)^((d-2)/2), times the rule on
-S^(d-1).  Only two Jacobi weights occur, and both rules come from numpy
-alone.  On S^2 (weight 1) it is Gauss-Legendre: the nodes by Newton on
-the three-term recurrence (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1),
-the weights 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 = (1 - x)(1 + x).
-On S^3 (weight sqrt(1 - x^2)) it is Gauss-Chebyshev of the second kind,
-in closed form: x_k = cos(k pi / (n + 1)), w_k = pi / (n + 1)
-sin^2(k pi / (n + 1)).  Higher dimensions use
+S^(d-1).  Every colatitude rule comes from one Newton iteration on the
+kernel's recurrence (`kernel._degree_scan`), with the derivative from
+(1 - x^2) P_n' = n (P_(n-1) - x P_n) (`_gauss_rule`): Gauss-Legendre on
+S^2 and Gauss-Chebyshev of the second kind on S^3.  Higher dimensions use
 Monte Carlo with seed 0 and exactness degree 0, since the product rule
 there would need 2 * resolution^d nodes.
 
@@ -49,7 +46,8 @@ import numpy as np
 
 from .kernel import (
     KernelModel,
-    _exact_row_sums,
+    _degree_scan,
+    _exact_level_sums,
     kernel_derivative,
     kernel_value,
     kernel_value_and_derivative,
@@ -101,63 +99,62 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+def _value_and_slope(d: int, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) of S^d and (1 - x^2) P_n'(x) = n (P_(n-1)(x) - x P_n(x))
+    (Szego, *Orthogonal Polynomials*, section 4.7), from one degree scan."""
+    prev = np.ones_like(x)  # P_0
+    for k, p in _degree_scan(d, n, x):
+        if k < n:
+            prev = p
+    return p, n * (prev - x * p)
 
-    Newton on P_n from the three-term recurrence, all nodes at once from
-    cos(pi (k - 1/4) / (n + 1/2)); weights 2 / ((1 - x^2) P_n'(x)^2).
-    Nodes and weights are symmetrised, so the rule is exactly even.
+
+def _gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule for the weight (1 - x^2)^((d-2)/2) on [-1, 1]: nodes
+    ascending, weights summing to 1.
+
+    The nodes are the zeros of P_n of S^d, all found at once by Newton on
+    `kernel._degree_scan` from x_k = cos((k + l/2 - 1/2) pi / (n + l)),
+    l = (d - 1) / 2: the usual Legendre start on S^2 and the exact zeros of
+    the Chebyshev U_n on S^3.  The weights are proportional to
+    1 / ((1 - x^2) P_n'(x)^2) = (1 - x^2) / ((1 - x^2) P_n'(x))^2.  Nodes
+    and weights are symmetrised, so the rule is exactly even.
     """
-    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    lam = (d - 1) / 2
+    x = np.cos(math.pi * (np.arange(n, 0, -1) + lam / 2 - 0.5) / (n + lam))
     for _ in range(100):
-        p, derivative = _legendre_and_derivative(n, x)
-        step = p / derivative
+        p, slope = _value_and_slope(d, n, x)
+        step = p * (1.0 - x) * (1.0 + x) / slope
         x = x - step
         if np.max(np.abs(step)) <= 1e-15:
             break
     else:
-        raise ArithmeticError(f"Gauss-Legendre nodes did not converge for n={n}")
+        raise ArithmeticError(f"Gauss nodes did not converge for d={d}, n={n}")
     x = 0.5 * (x - x[::-1])
-    weights = 2.0 / ((1.0 - x) * (1.0 + x) * _legendre_and_derivative(n, x)[1] ** 2)
-    return x, 0.5 * (weights + weights[::-1])
-
-
-def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) by (j + 1) P_(j+1) = (2j + 1) x P_j - j P_(j-1), and P_n'(x)
-    = n (P_(n-1) - x P_n) / (1 - x^2), for x inside (-1, 1)."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-
-
-def _gauss_chebyshev_u(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight sqrt(1 - x^2) on [-1, 1], nodes ascending:
-    x_k = cos(k pi / (n + 1)), w_k = pi / (n + 1) sin^2(k pi / (n + 1))."""
-    angles = math.pi * np.arange(n, 0, -1) / (n + 1)
-    return np.cos(angles), math.pi / (n + 1) * np.sin(angles) ** 2
+    weights = (1.0 - x) * (1.0 + x) / _value_and_slope(d, n, x)[1] ** 2
+    weights = weights + weights[::-1]  # symmetric; the factor 2 scales out
+    return x, weights / weights.sum()
 
 
 def _product_rule(d: int, resolution: int):
     """Nodes and weights exact through degree 2 * resolution - 1 on S^d.
 
     S^1 is the uniform grid of 2 * resolution angles.  S^d for d >= 2 is a
-    Gauss-Jacobi rule in x = x_0, weight (1 - x^2)^((d-2)/2), times the rule
-    on S^(d-1) scaled by sqrt(1 - x^2): Gauss-Legendre on S^2 and
-    Gauss-Chebyshev of the second kind on S^3.
+    Gauss-Jacobi rule in x = x_0, weight (1 - x^2)^((d-2)/2) (`_gauss_rule`),
+    times the rule on S^(d-1) scaled by sqrt(1 - x^2).
     """
     if d == 1:
         m = 2 * resolution
         phis = 2.0 * math.pi * np.arange(m) / m
         return np.stack([np.cos(phis), np.sin(phis)], axis=1), np.full(m, 1.0 / m)
-    x, w = (_gauss_legendre if d == 2 else _gauss_chebyshev_u)(resolution)
+    x, w = _gauss_rule(d, resolution)
     sub_nodes, sub_weights = _product_rule(d - 1, resolution)
     n_sub = len(sub_weights)
     nodes = np.empty((resolution * n_sub, d + 1))
     nodes[:, 0] = np.repeat(x, n_sub)
     st = np.repeat(np.sqrt(1.0 - x**2), n_sub)
     nodes[:, 1:] = st[:, None] * np.tile(sub_nodes, (resolution, 1))
-    weights = np.repeat(w / w.sum(), n_sub) * np.tile(sub_weights, resolution)
+    weights = np.repeat(w, n_sub) * np.tile(sub_weights, resolution)
     return nodes, weights
 
 
@@ -206,7 +203,7 @@ def integrate(rule: QuadratureRule, f) -> float:
         raise ValueError(
             f"integrand returned shape {values.shape}, expected {rule.weights.shape}"
         )
-    return float(_exact_row_sums((rule.weights * values)[None])[0])
+    return math.fsum(_exact_level_sums(rule.weights * values))
 
 
 def _circle_values(rule: QuadratureRule, h, deg: int) -> np.ndarray:

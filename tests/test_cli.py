@@ -323,6 +323,13 @@ class TestCliCommands:
         assert main(argv + ["--mesh-constant", mesh_constant]) == 1
         assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mesh_constant", ["0", "-1", "nan"])
+    def test_flow_demo_rejects_bad_mesh_constant(self, capsys, mesh_constant):
+        # named as such, not as the horizon it would give
+        argv = ["flow-demo", "--d", "2", "--t", "2", "--n", "20", "--trials", "1"]
+        assert main(argv + ["--mesh-constant", mesh_constant]) == 1
+        assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flag, message",
         [

@@ -41,6 +41,10 @@ class TestDefaults:
             mesh_threshold(2, 3, mesh_constant)
         with pytest.raises(ValueError, match="mesh constant"):
             design_count_constant(2, 5.0, mesh_constant)
+        with pytest.raises(ValueError, match="mesh constant"):
+            FlowConfig(epsilon=0.1, horizon=0.1, mesh_constant=mesh_constant)
+        with pytest.raises(ValueError, match="mesh constant"):
+            FlowConfig.defaults(2, 3, mesh_constant=mesh_constant)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,19 @@ class TestGradientCheck:
             assert coarse == pytest.approx(fine, abs=1e-10)
 
 
+class TestDiscreteAverage:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_is_fsum_of_the_samples(self, d):
+        # bit for bit; the average does not depend on the integration cap
+        _, partition, rule, poly = _setup(d, 3, 60)
+        points = partition.representatives
+        value = mz_check(rule, partition, poly, max_resolution=rule.resolution)
+        assert value.discrete_average == math.fsum(np.abs(poly(points))) / partition.n
+        gradient = mz_gradient_check(rule, partition, poly, max_resolution=rule.resolution)
+        norms = quadrature._row_norms(poly.gradient(points))
+        assert gradient.discrete_average == math.fsum(norms) / partition.n
+
+
 class TestCirclePath:
     """Kernel-polynomial integrals go through quadrature._circle_values."""
 

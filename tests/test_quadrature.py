@@ -88,7 +88,7 @@ class TestProductRule:
         # the layout, exactly; the Legendre nodes' accuracy is TestGaussRules'
         for res in self.RESOLUTIONS:
             rule = build_quadrature(2, res)
-            x, w = quadrature._gauss_legendre(res)
+            x, w = quadrature._gauss_rule(2, res)
             cos, sin = self._grid(res)
             st = np.sqrt(1.0 - x**2)
             expected = np.stack(
@@ -96,7 +96,7 @@ class TestProductRule:
                 axis=1,
             )
             assert np.array_equal(rule.nodes, expected)
-            expected_weights = np.repeat(w / 2.0, 2 * res) / (2 * res)
+            expected_weights = np.repeat(w, 2 * res) / (2 * res)
             assert np.max(np.abs(rule.weights - expected_weights)) < 1e-11 / len(expected_weights)
 
     def test_s3_colatitudes_are_chebyshev_u_roots(self):
@@ -151,31 +151,32 @@ class TestGaussRules:
 
     ULP = np.spacing(1.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_nodes_match_scipy_roots_jacobi(self, alpha):
-        rule = quadrature._gauss_legendre if alpha == 0.0 else quadrature._gauss_chebyshev_u
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nodes_match_scipy_roots_jacobi(self, d):
+        alpha = (d - 2) / 2
         for n in range(1, 257):
-            x, w = rule(n)
+            x, w = quadrature._gauss_rule(d, n)
             expected, _ = roots_jacobi(n, alpha, alpha)
             assert np.all(np.diff(x) > 0.0) and np.all(w > 0.0)
             assert np.max(np.abs(x - expected)) <= 4 * self.ULP, n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 256])
     def test_legendre_weights_match_40_digit_reference(self, n):
-        # worst relative weight errors over all nodes: 5.7e-14, 2.9e-13
-        # and 1.9e-13 at n = 64, 128, 256, where scipy's roots_jacobi is
+        # worst relative weight errors over all nodes: 7.0e-14, 1.6e-13
+        # and 3.2e-13 at n = 64, 128, 256, where scipy's roots_jacobi is
         # 1.1e-12, 5.5e-11 and 1.3e-10 off; the reference runs on every
         # 8th node and its mirror image
-        x, w = quadrature._gauss_legendre(n)
+        x, w = quadrature._gauss_rule(2, n)
         picked = np.unique(np.r_[np.arange(0, n, 8), n - 1 - np.arange(0, n, 8)])
         nodes, weights = _mp_legendre_rule(n, x[picked])
         assert np.max(np.abs(x[picked] - np.array(nodes, dtype=float))) <= self.ULP
-        gap = np.abs(w[picked] / np.array(weights, dtype=float) - 1.0)
+        # the rule's weights sum to 1, the Legendre weights to 2
+        gap = np.abs(2.0 * w[picked] / np.array(weights, dtype=float) - 1.0)
         assert np.max(gap) <= 4e-15 * n
 
     def test_legendre_rule_is_even(self):
         for n in (1, 2, 5, 16, 31, 256):
-            x, w = quadrature._gauss_legendre(n)
+            x, w = quadrature._gauss_rule(2, n)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
@@ -253,6 +254,16 @@ class TestIntegrate:
         e = unit(rng.standard_normal(d + 1))
         value = integrate(rule, lambda x: (x @ e) ** 2)
         assert value == pytest.approx(1.0 / (d + 1), abs=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_is_fsum_of_the_weighted_values(self, d):
+        # bit for bit, on the product rules and the Monte Carlo rule of S^5
+        rule = build_quadrature(d, 7)
+
+        def f(x):
+            return np.cos(3.0 * x[:, 0]) - x[:, -1] ** 3
+
+        assert integrate(rule, f) == math.fsum(rule.weights * f(rule.nodes))
 
     def test_absolute_coordinate_s2(self):
         # (1/2) * integral of |cos| * sin over [0, pi] = 1/2; the integrand
