@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,13 @@ from .quadrature import (
     _row_norms,
     sample_boundary_polynomial,
 )
-from .sphere_geometry import PointConfiguration, equal_area_partition, partition_norm, unit_rows
+from .sphere_geometry import (
+    PointConfiguration,
+    equal_area_partition,
+    norm_column,
+    partition_norm,
+    unit_rows,
+)
 
 
 class FlowStepError(RuntimeError):
@@ -83,8 +90,9 @@ class FlowConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
-        if self.step_count < 1:
-            raise ValueError("step_count must be >= 1")
+        # an integral float such as 3.0 would still fail in range()
+        if not isinstance(self.step_count, numbers.Integral) or self.step_count < 1:
+            raise ValueError(f"step_count must be an integer >= 1, got {self.step_count!r}")
 
     @classmethod
     def defaults(
@@ -172,7 +180,7 @@ def integrate_flow(
         k3 = velocity(y + 0.5 * h * k2)
         k4 = velocity(y + h * k3)
         raw = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norms = np.linalg.norm(raw, axis=1)
+        norms = norm_column(raw)
         shift = float(np.max(np.abs(norms - 1.0)))
         drift_limit = 10.0 * h * h
         # negated comparison so non-finite states fail too
@@ -181,7 +189,7 @@ def integrate_flow(
                 f"renormalization shift {shift:.3e} exceeds {drift_limit:.3e}; "
                 "increase step_count"
             )
-        return raw / norms[:, None], k1
+        return raw / norms, k1
 
     h = cfg.horizon / cfg.step_count
     y = x0
@@ -204,7 +212,7 @@ def integrate_flow(
     y_fine = x0
     for _ in range(2 * cfg.step_count):
         y_fine = advance(y_fine, cfg.horizon / (2 * cfg.step_count))[0]
-    halving_gap = float(np.max(np.linalg.norm(y - y_fine, axis=1)))
+    halving_gap = float(np.max(norm_column(y - y_fine)))
     return FlowTrace(
         final=PointConfiguration(d=start.d, points=y),
         s_values=np.array(s_values),

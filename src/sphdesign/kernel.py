@@ -233,38 +233,57 @@ def _degree_scan(d: int, t: int, s: np.ndarray):
     a_k - (a_k - 1) = 1 up to sign exactly, and P_k(+-1) = (+-1)^k holds
     exactly at every degree.
 
-    Each degree takes four in-place ufunc calls into three buffers made
-    once per scan, and s itself is never written.  So a yielded array is
-    overwritten two steps later, when its buffer receives P_{k+2}; a caller
-    that keeps one past that copies it.  The only polynomial recurrence:
-    kernel values and derivatives are two adjacent terms of it (module
-    docstring), and `quadrature._gauss_rule` finds its zeros.
+    P_0 is the scalar 1, as (a_2 - 1) * 1 is exact, and the yielded P_1 is
+    s itself, so a caller must not write to it.  Every later degree takes
+    four ufunc calls into at most three buffers made during the scan, and
+    s itself is never written.  So a yielded P_k, k >= 2, is overwritten
+    two steps later, when its buffer receives P_{k+2}; a caller that keeps
+    one past that copies it.  The only polynomial recurrence: kernel values
+    and derivatives are two adjacent terms of it (module docstring), and
+    `quadrature._gauss_rule` finds its zeros.
     """
-    p = np.array(s, dtype=float)
-    p_prev, term = np.ones_like(p), np.empty_like(p)
+    p_prev, p, spare = 1.0, s, None  # P_0, P_1, and a buffer free for the next term
     for k in range(1, t + 1):
         if k >= 2:
             a = (2 * k + d - 3) / (k + d - 2)
-            np.multiply(s, a, out=term)
+            term = np.multiply(s, a, out=np.empty_like(s) if spare is None else spare)
             term *= p
-            p_prev *= a - 1.0
-            np.subtract(term, p_prev, out=p_prev)
-            p, p_prev = p_prev, p
+            if k == 2:
+                term -= a - 1.0  # (a - 1) * P_0
+                p_prev, p = p, term
+            elif k == 3:
+                # (a - 1) * P_1 goes to a new buffer, as s is read only
+                new = np.multiply(s, a - 1.0, out=np.empty_like(s))
+                np.subtract(term, new, out=new)
+                p_prev, p, spare = p, new, term
+            else:
+                p_prev *= a - 1.0
+                np.subtract(term, p_prev, out=p_prev)
+                p_prev, p, spare = p, p_prev, term
         yield k, p
+
+
+def _scaled(p, s: np.ndarray, factor: float):
+    """factor * p, in place unless p is s, which is never written; p may
+    also be the scalar P_0."""
+    if p is s:
+        return np.multiply(s, factor, out=np.empty_like(s))
+    p *= factor
+    return p
 
 
 def _one_plus_kernel(d: int, t: int, s: np.ndarray) -> np.ndarray:
     """1 + K_{d,t}(s) = C(t+d, t) P_t(s) + C(t+d-1, t-1) P_{t-1}(s), with
-    the P_k of S^(d+2) (module docstring); 1 at t = 0."""
+    the P_k of S^(d+2) (module docstring); 1 at t = 0.  Never s itself."""
     if t == 0:
         return np.ones_like(s)
     prev = 1.0  # P_0
     for k, last in _degree_scan(d + 2, t, s):
         if k < t:
             prev = last
-    # the scan has ended, so its buffers are free to take the result
-    prev *= math.comb(t + d - 1, t - 1)
-    last *= math.comb(t + d, t)
+    # the scan has ended, so its buffers, though not s, are free to take the result
+    prev = _scaled(prev, s, math.comb(t + d - 1, t - 1))
+    last = _scaled(last, s, math.comb(t + d, t))
     last += prev
     return last
 
@@ -282,10 +301,10 @@ def _derivative(model: KernelModel, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_input_shape(values: np.ndarray, s):
-    if np.isscalar(s) or getattr(s, "ndim", 1) == 0:
-        return float(values)
-    return values
+def _as_input_shape(values: np.ndarray):
+    """A float for the value at one cosine, else the array: values has the
+    shape of the cosines given."""
+    return float(values) if values.ndim == 0 else values
 
 
 def gegenbauer_normalized(model: KernelModel, k: int, s):
@@ -298,23 +317,23 @@ def gegenbauer_normalized(model: KernelModel, k: int, s):
         raise ValueError(f"degree {k} outside [0, {model.t}]")
     arr = clamp_cosine(s)
     if k == 0:
-        return _as_input_shape(np.ones_like(arr), s)
+        return _as_input_shape(np.ones_like(arr))
     for _, p in _degree_scan(model.d, k, arr):
         pass  # the scan ends at degree k
-    return _as_input_shape(p, s)
+    return _as_input_shape(p.copy() if p is arr else p)  # P_1 is the cosines
 
 
 def kernel_value(model: KernelModel, s):
     """Evaluate the zero-mean reproducing kernel at inner product(s) s."""
-    return _as_input_shape(_value(model, clamp_cosine(s)), s)
+    return _as_input_shape(_value(model, clamp_cosine(s)))
 
 
 def kernel_derivative(model: KernelModel, s):
     """Derivative d/ds of `kernel_value`, as a kernel on S^(d+2)."""
-    return _as_input_shape(_derivative(model, clamp_cosine(s)), s)
+    return _as_input_shape(_derivative(model, clamp_cosine(s)))
 
 
 def kernel_value_and_derivative(model: KernelModel, s):
     """Both kernel values and derivatives, from one clamp of s."""
     arr = clamp_cosine(s)
-    return _as_input_shape(_value(model, arr), s), _as_input_shape(_derivative(model, arr), s)
+    return _as_input_shape(_value(model, arr)), _as_input_shape(_derivative(model, arr))

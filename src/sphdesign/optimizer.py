@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import DesignReport, _section_defect, lower_bound, verify_design
 from .kernel import kernel_model
-from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
+from .sphere_geometry import PointConfiguration, equal_area_partition, norm_column, unit_rows
 
 # L-BFGS: the (step, gradient change) pairs kept, the Armijo slope and the
 # halvings of a trial step; then the seed noise scale of every attempt.
@@ -118,8 +118,8 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     """
 
     def evaluate(y):
-        norms = np.linalg.norm(y, axis=1, keepdims=True)  # as in unit_rows
-        value, grad = _section_defect(model, y / norms)
+        norms = norm_column(y)
+        value, grad = _section_defect(model, y / norms)  # at unit_rows(y)
         return value, grad / norms
 
     y = x

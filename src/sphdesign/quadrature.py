@@ -39,7 +39,7 @@ cosine block is contracted once.  Tests pin the result within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -102,11 +102,11 @@ class QuadratureRule:
 def _value_and_slope(d: int, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) of S^d and (1 - x^2) P_n'(x) = n (P_(n-1)(x) - x P_n(x))
     (Szego, *Orthogonal Polynomials*, section 4.7), from one degree scan."""
-    prev = np.ones_like(x)  # P_0
+    prev = 1.0  # P_0
     for k, p in _degree_scan(d, n, x):
         if k < n:
             prev = p
-    return p, n * (prev - x * p)
+    return (p.copy() if p is x else p), n * (prev - x * p)  # P_1 is x
 
 
 def _gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,6 +304,8 @@ class KernelPolynomial:
     model: KernelModel
     anchors: np.ndarray  # (m, d+1)
     coefficients: np.ndarray  # (m,)
+    # a[:, None] * V, formed once for every gradient pass (`_tangent`)
+    _weighted_anchors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         anchors = frozen_copy(self.anchors)
@@ -312,15 +314,20 @@ class KernelPolynomial:
             raise ValueError(f"anchors must be (m, {self.model.d + 1})")
         if coefficients.shape != (anchors.shape[0],):
             raise ValueError("one coefficient per anchor required")
+        weighted = coefficients[:, None] * anchors
+        weighted.flags.writeable = False
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_weighted_anchors", weighted)
 
-    def _walk(self, pts: np.ndarray, kernel):
-        """Yield (rows, block, kernel(model, s)) for each row block of pts.
+    def _walk(self, pts: np.ndarray, kernel, rows):
+        """The tuple rows(block, kernel(model, s)) of arrays with one row per
+        point, for the row blocks of pts stacked.
 
         The only place a cosine block s = block @ anchors.T is formed, in
-        blocks of at most `kernel.BLOCK_COSINES` cosines.  When pts is the
-        anchor array itself, as in `squared_norm_and_gradient`, and all
+        blocks of at most `kernel.BLOCK_COSINES` cosines.  When pts fits in
+        one block, the tuple that rows returns is the result.  When pts is
+        the anchor array itself, as in `squared_norm_and_gradient`, and all
         anchors fit in one block (len(anchors)**2 <= BLOCK_COSINES), the
         block multiplies one buffer by its transpose, which numpy rounds as
         a symmetric (SYRK) product.  Any other points, an equal copy of the
@@ -328,35 +335,42 @@ class KernelPolynomial:
         through GEMM, whose last bits can differ and depend on the row
         tiling.
         """
-        for lo, hi in row_blocks(len(pts), len(self.anchors)):
+        bounds = list(row_blocks(len(pts), len(self.anchors)))
+        if len(bounds) <= 1:
+            return rows(pts, kernel(self.model, pts @ self.anchors.T))
+        out = None
+        for lo, hi in bounds:
             block = pts[lo:hi]
-            yield slice(lo, hi), block, kernel(self.model, block @ self.anchors.T)
+            parts = rows(block, kernel(self.model, block @ self.anchors.T))
+            if out is None:
+                out = tuple(np.empty((len(pts), *part.shape[1:])) for part in parts)
+            for whole, part in zip(out, parts):
+                whole[lo:hi] = part
+        return out
 
     def _tangent(self, block, derivative) -> np.ndarray:
         """Spherical gradient rows at block from its kernel derivatives: the
         ambient gradient K'(S) @ (a[:, None] * V) less its radial part
         (module docstring), so the cosine block is contracted once."""
-        ambient = derivative @ (self.coefficients[:, None] * self.anchors)
+        ambient = derivative @ self._weighted_anchors
         ambient -= np.einsum("ij,ij->i", ambient, block)[:, None] * block
         return ambient
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        values = np.empty(pts.shape[0])
-        for rows, _, k in self._walk(pts, kernel_value):
-            values[rows] = k @ self.coefficients
+        (values,) = self._walk(
+            np.atleast_2d(pts), kernel_value, lambda _, k: (k @ self.coefficients,)
+        )
         return float(values[0]) if single else values
 
     def gradient(self, points) -> np.ndarray:
         """Spherical gradient at each point; rows are tangent vectors."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        grad = np.empty(pts.shape)
-        for rows, block, dk in self._walk(pts, kernel_derivative):
-            grad[rows] = self._tangent(block, dk)
+        (grad,) = self._walk(
+            np.atleast_2d(pts), kernel_derivative, lambda block, dk: (self._tangent(block, dk),)
+        )
         return grad[0] if single else grad
 
     def gradient_norm(self, points):
@@ -371,11 +385,11 @@ class KernelPolynomial:
 
         Bit for bit `coefficients @ self(anchors)` and `gradient(anchors)`.
         """
-        values = np.empty(self.anchors.shape[0])
-        grad = np.empty(self.anchors.shape)
-        for rows, block, (k, dk) in self._walk(self.anchors, kernel_value_and_derivative):
-            values[rows] = k @ self.coefficients
-            grad[rows] = self._tangent(block, dk)
+        values, grad = self._walk(
+            self.anchors,
+            kernel_value_and_derivative,
+            lambda block, kdk: (kdk[0] @ self.coefficients, self._tangent(block, kdk[1])),
+        )
         return float(self.coefficients @ values), grad
 
 

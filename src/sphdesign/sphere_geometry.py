@@ -3,7 +3,7 @@
 This module decides what a valid point array is: the supported sphere
 dimensions (`SUPPORTED_DIMENSIONS`), unit rows (`PointConfiguration`),
 copy-and-freeze for the arrays that frozen types hold (`frozen_copy`), and
-row-wise normalisation (`unit_rows`).
+row-wise normalisation (`unit_rows`, over the row norms of `norm_column`).
 
 Zonal coordinates: a point of S^d is written (cos(theta), sin(theta) * xi)
 with colatitude theta in [0, pi] measured from the pole e_0 = (1, 0, ..., 0)
@@ -101,9 +101,18 @@ class PointConfiguration:
         return self.points.shape[0]
 
 
+def norm_column(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a float array, as an (n, 1) column.
+
+    Bit for bit np.linalg.norm(x, axis=1, keepdims=True), which computes
+    the same sum of squares, without its dispatch.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
+
+
 def unit_rows(x: np.ndarray) -> np.ndarray:
     """Each row of x divided by its Euclidean norm."""
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return x / norm_column(x)
 
 
 def random_points(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

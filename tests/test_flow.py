@@ -58,6 +58,20 @@ class TestDefaults:
         assert cfg.epsilon == default_epsilon(2)
         assert cfg.horizon == flow_horizon(3)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, 0, -4, math.nan, "8"])
+    def test_step_count_must_be_a_positive_integer(self, steps):
+        # range() in integrate_flow would raise TypeError on a float
+        with pytest.raises(ValueError, match="step_count"):
+            FlowConfig(epsilon=0.1, horizon=0.1, step_count=steps)
+        with pytest.raises(ValueError, match="step_count"):
+            FlowConfig.defaults(2, 3, step_count=steps)
+
+    def test_numpy_integer_step_count_runs(self):
+        cfg = FlowConfig(epsilon=0.1, horizon=0.05, step_count=np.int64(3))
+        poly = KernelPolynomial(kernel_model(2, 2), np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
+        start = PointConfiguration(d=2, points=np.array([[1.0, 0.0, 0.0]]))
+        assert integrate_flow(poly, start, cfg).field_evals == 4 * 3 * 3
+
 
 class TestFlowField:
     def _linear_section(self, coefficient):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
+import sphdesign.design as design
+import sphdesign.quadrature as quadrature
 from sphdesign.kernel import (
     MAX_DEGREE,
     SNAP_TOLERANCE,
@@ -23,7 +25,7 @@ from sphdesign.kernel import (
     kernel_value,
     kernel_value_and_derivative,
 )
-from sphdesign.sphere_geometry import SUPPORTED_DIMENSIONS
+from sphdesign.sphere_geometry import SUPPORTED_DIMENSIONS, random_points
 
 
 class TestHarmonicDim:
@@ -182,6 +184,88 @@ class TestClampCosine:
         ):
             assert not np.shares_memory(out, s)
         assert s.tobytes() == before.tobytes()
+
+
+def _read_only(s):
+    s = np.array(s, dtype=float)
+    s.flags.writeable = False  # a write raises instead of passing unseen
+    return s
+
+
+class TestInputCosinesAreReadOnly:
+    """The recurrence yields P_1 = s itself, so no evaluation may write to
+    its cosines or hand them back: every result is a new array."""
+
+    SHAPES = [(), (7,), (6, 5)]
+
+    @staticmethod
+    def _cosines(rng, shape):
+        s = rng.uniform(-1.0, 1.0, shape)
+        if s.ndim:  # in range, so clamp_cosine passes the array through
+            s.flat[0], s.flat[-1] = 1.0, -1.0
+        return s
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_and_gegenbauer(self, rng, d, degree, shape):
+        model = kernel_model(d, degree)
+        for s in (self._cosines(rng, shape), _read_only(self._cosines(rng, shape))):
+            before = s.copy()
+            outputs = [
+                kernel_value(model, s),
+                kernel_derivative(model, s),
+                *kernel_value_and_derivative(model, s),
+                *(gegenbauer_normalized(model, k, s) for k in range(degree + 1)),
+            ]
+            for out in outputs:
+                assert not np.shares_memory(out, s)
+                assert isinstance(out, float) if shape == () else out.shape == shape
+            assert s.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gauss_rule(self, monkeypatch, d, n):
+        seen = []
+
+        def checked(d, n, x):
+            x = _read_only(x)
+            before = x.copy()
+            outputs = value_and_slope(d, n, x)
+            assert not any(np.shares_memory(out, x) for out in outputs)
+            assert x.tobytes() == before.tobytes()
+            seen.append(n)
+            return outputs
+
+        value_and_slope = quadrature._value_and_slope
+        monkeypatch.setattr(quadrature, "_value_and_slope", checked)
+        nodes, weights = quadrature._gauss_rule(d, n)
+        assert seen and set(seen) == {n}
+        assert not np.shares_memory(nodes, weights)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_defect_and_residuals(self, rng, monkeypatch, d, t, n):
+        blocks = []
+
+        def checked(model, config):
+            for lo, hi, s in pair_cosines(model, config):
+                s.flags.writeable = False
+                blocks.append((s, s.copy()))
+                yield lo, hi, s
+
+        pair_cosines = design._pair_cosines
+        model = kernel_model(d, t)
+        config = design.PointConfiguration(d=d, points=random_points(d, n, rng))
+        expected = design._defect_and_residuals(model, config)
+        monkeypatch.setattr(design, "_pair_cosines", checked)
+        value, residuals = design._defect_and_residuals(model, config)
+        assert value == expected[0] and np.array_equal(residuals, expected[1])
+        assert blocks
+        for s, before in blocks:
+            assert s.tobytes() == before.tobytes()
+            assert not np.shares_memory(residuals, s)
 
 
 class TestKernelValue:

@@ -601,6 +601,31 @@ class TestKernelPolynomialBlocks:
             assert np.max(np.abs(v - v1)) <= scale
             assert np.max(np.abs(g - g1)) <= scale
 
+    # (d, t, anchors, n): the flow's one-block fields at 2 * dim P_t anchors
+    # ((2,3,200), (3,3,200), its 20-point warm-up and one point), a finder
+    # section of 181 anchors in one SYRK block, and 300 anchors on S^3 in
+    # blocks of 109 rows; the test above covers more multi-block passes
+    @pytest.mark.parametrize(
+        "d,t,anchors,n",
+        [(2, 3, 30, 200), (3, 3, 58, 200), (3, 3, 58, 20), (2, 3, 30, 1),
+         (2, 6, ONE_BLOCK_ANCHORS, 181), (3, 4, 300, 300)],
+    )
+    def test_one_block_passes_match_explicit_blocks(self, rng, d, t, anchors, n):
+        model = kernel_model(d, t)
+        poly = KernelPolynomial(model, random_points(d, anchors, rng), rng.standard_normal(anchors))
+        pts = random_points(d, n, rng)
+        rows = max(1, kernel.BLOCK_COSINES // anchors)
+        values, grads = self._explicit(poly, pts, rows)
+        assert poly(pts).tobytes() == values.tobytes()
+        assert poly.gradient(pts).tobytes() == grads.tobytes()
+        one_value, one_grad = self._explicit(poly, pts[:1], rows)  # a 1-row product
+        assert poly(pts[0]) == one_value[0]
+        assert poly.gradient(pts[0]).tobytes() == one_grad[0].tobytes()
+        own_values, own_grads = self._explicit(poly, poly.anchors, rows)
+        norm, grad = poly.squared_norm_and_gradient()
+        assert norm == float(poly.coefficients @ own_values)
+        assert grad.tobytes() == own_grads.tobytes()
+
     def test_squared_norm_across_blocks_matches_gram(self, rng):
         model = kernel_model(3, 3)
         poly = KernelPolynomial(model, random_points(3, 1500, rng), rng.standard_normal(1500))

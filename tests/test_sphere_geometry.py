@@ -16,8 +16,10 @@ from sphdesign.sphere_geometry import (
     equal_area_partition,
     frozen_copy,
     measure_diameter_constant,
+    norm_column,
     partition_norm,
     random_points,
+    unit_rows,
 )
 
 
@@ -28,6 +30,18 @@ def test_frozen_copy_is_a_read_only_float_c_order_copy():
     assert not frozen.flags.writeable and source.flags.writeable
     source[0, 0] = 7
     assert frozen[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_unit_rows_match_linalg_norm_bit_for_bit(rng, d, scale):
+    # tiny rows underflow to zero norms and give inf or NaN in both
+    x = scale * rng.standard_normal((300, d + 1))
+    x[:2] = 0.0
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert unit_rows(x).tobytes() == (x / norms).tobytes()
+    assert norm_column(x).tobytes() == norms.tobytes()
 
 
 class TestCapMeasure:
