@@ -17,20 +17,24 @@ too; only the residuals scan the degrees on S^d one by one, so the sum of
 the residuals matches the defect up to rounding.
 
 The pair matrices are symmetric, so each unordered pair is evaluated once:
-the pass walks the upper triangle in row blocks (rows lo..hi against
-points lo..n) of at most `kernel.BLOCK_COSINES` pairs, or one row when a
-row is wider.  A block's leading square counts once and the rectangle
-right of it twice.  Error-free extraction (`kernel._exact_level_sums`)
-turns every block into a few level sums that add up exactly, and one
-math.fsum over the levels of all blocks rounds the total once: it equals
-math.fsum of all N^2 entries of the matrix.  A correctly rounded total
-does not depend on point ordering, so permutation invariance holds
+one pass forms the N diagonal cosines and the N(N-1)/2 above the diagonal,
+packed into blocks of at most `kernel.BLOCK_COSINES` cosines, or one row
+when a row is wider (`_pair_cosines`), with one kernel call per block.  The
+diagonal counts once and every other pair twice, for its mirror image, and
+doubling is exact.  Error-free extraction (`kernel._exact_level_sums`)
+turns every weighted block into a few level sums that add up exactly, and
+one math.fsum over the levels of all blocks rounds the total once: it
+equals math.fsum of all N^2 entries of the matrix.  A correctly rounded
+total does not depend on point ordering, so permutation invariance holds
 exactly, not just approximately.  The pair inner products go through
 einsum rather than BLAS matmul for the same reason: BLAS tiling makes the
 last ulp of a dot product depend on its position in the output matrix,
 while einsum gives every entry the same value as its mirror image.  Since
 every entry and the total are the same whatever the block size, so is the
-verdict.  `verify_design` takes the defect and the residuals from one pass.
+verdict.  `verify_design` takes the defect, the residuals and the largest
+off-diagonal cosine, whose arccosine is the minimum separation, from one
+pass; a max is exact, so the separation does not depend on point order
+either.
 
 The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
@@ -44,6 +48,8 @@ configuration.  Every finder result is re-verified with the exact
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 import re
@@ -51,15 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import harmonics
-from .kernel import (
-    KernelModel,
-    _degree_scan,
-    _exact_level_sums,
-    _value,
-    clamp_cosine,
-    triangle_blocks,
-)
+from . import harmonics, kernel
+from .kernel import KernelModel, _degree_scan, _exact_level_sums, _value, clamp_cosine
 from .quadrature import KernelPolynomial
 from .sphere_geometry import PointConfiguration, require_supported_dimension, unit_rows
 
@@ -80,31 +79,82 @@ def lower_bound(d: int, t: int) -> int:
     return 2 * math.comb(d + k, d)
 
 
-def _pair_cosines(model: KernelModel, config: PointConfiguration):
-    """Yield (lo, hi, s): clamped inner products of rows lo..hi with points lo..n.
+# Rows per run in a block of `_pair_cosines`: a run is paired with the
+# points after it by one einsum call, and with itself through its own small
+# square, whose strict upper triangle is kept.
+RUN_ROWS = 32
 
-    The blocks tile the upper triangle of the pair matrix (including the
-    diagonal); the einsum cosines are exactly symmetric, so its lower
-    triangle holds the same values.
+
+@functools.lru_cache(maxsize=None)
+def _strict_upper(rows: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of a rows x rows matrix,
+    row by row; read-only, as every caller shares it.  Runs have at most
+    RUN_ROWS rows, so the cache holds at most RUN_ROWS entries."""
+    index = np.flatnonzero(np.triu(np.ones((rows, rows), dtype=bool), 1))
+    index.flags.writeable = False
+    return index
+
+
+def _pair_cosines(model: KernelModel, config: PointConfiguration):
+    """Yield (lo, hi, s): the clamped inner products of rows lo..hi with the
+    points after them, packed flat, so that every pair i <= j lies in
+    exactly one block.
+
+    In order, the block of rows lo..hi holds
+    - when lo = 0, the n diagonal cosines <x_i, x_i>;
+    - for each run of at most RUN_ROWS rows a..b in lo..hi, the rectangle
+      of rows a..b against columns b..n, row by row, and then the strict
+      upper triangle of rows a..b against themselves, row by row.
+    A block takes as many rows as fit in `kernel.BLOCK_COSINES` cosines,
+    and never fewer than one, so a pass forms n(n+1)/2 cosines.  einsum
+    gives each cosine the bits of its entry in the full pair matrix, whose
+    lower triangle holds the same values.
     """
     if model.d != config.d:
         raise ValueError(f"model is on S^{model.d} but configuration is on S^{config.d}")
-    pts = config.points
-    for lo, hi in triangle_blocks(config.n):
-        yield lo, hi, clamp_cosine(np.einsum("ik,jk->ij", pts[lo:hi], pts[lo:]))
+    pts, n = config.points, config.n
+    lo = 0
+    while lo < n:
+        width, diagonal = n - lo, n if lo == 0 else 0
+        fit = bisect.bisect_right(
+            range(1, width + 1),
+            kernel.BLOCK_COSINES - diagonal,
+            key=lambda r: r * width - r * (r + 1) // 2,  # cosines of r rows
+        )
+        hi = lo + max(1, fit)
+        s = np.empty(diagonal + (hi - lo) * (n - lo + n - hi - 1) // 2)
+        if diagonal:
+            np.einsum("ik,ik->i", pts, pts, out=s[:n])
+        at = diagonal
+        for a in range(lo, hi, RUN_ROWS):
+            b = min(a + RUN_ROWS, hi)
+            rectangle = s[at : at + (b - a) * (n - b)]
+            np.einsum("ik,jk->ij", pts[a:b], pts[b:], out=rectangle.reshape(b - a, n - b))
+            upper = _strict_upper(b - a)
+            at += rectangle.size + upper.size
+            square = np.einsum("ik,jk->ij", pts[a:b], pts[a:b])
+            square.take(upper, out=s[at - upper.size : at])
+        yield lo, hi, clamp_cosine(s)
+        lo = hi
+
+
+def _pair_weighted(values: np.ndarray, diagonal: int) -> np.ndarray:
+    """values times the pair weights, as a new array: 1 on the first
+    `diagonal` entries and 2, exactly, on the rest, each of which stands for
+    a pair and its mirror image."""
+    weighted = values * 2.0
+    weighted[:diagonal] = values[:diagonal]
+    return weighted
 
 
 def _kernel_blocks(model: KernelModel, config: PointConfiguration):
-    """Yield (s, weights, levels) per block of `_pair_cosines`: column
-    weights 1 on the block's leading square and 2 on the rectangle right of
-    it, whose mirror image lies below the diagonal (exact scalings), and
-    the exact level sums of the weighted kernel values."""
-    for lo, hi, s in _pair_cosines(model, config):
-        weights = np.full(config.n - lo, 2.0)
-        weights[: hi - lo] = 1.0
-        values = _value(model, s)
-        values *= weights
-        yield s, weights, _exact_level_sums(values)
+    """Yield (s, diagonal, levels) per block of `_pair_cosines`: diagonal is
+    the number of diagonal cosines that open the block (n in the first, 0
+    in the rest), and levels the exact level sums of its weighted kernel
+    values."""
+    for lo, _, s in _pair_cosines(model, config):
+        diagonal = config.n if lo == 0 else 0
+        yield s, diagonal, _exact_level_sums(_pair_weighted(_value(model, s), diagonal))
 
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
@@ -119,24 +169,30 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
     return KernelPolynomial(model, points, np.full(n, 1.0 / n))
 
 
-def _defect_and_residuals(model: KernelModel, config: PointConfiguration):
-    """`defect` and `degree_residuals` from one pair pass, bit for bit: the
-    levels of `_kernel_blocks`, and per degree those of P_k times the
-    weights, a new array, as `_exact_level_sums` overwrites its input and
-    the scan on S^d still needs P_k for two more degrees."""
+def _pair_pass(model: KernelModel, config: PointConfiguration):
+    """`defect`, `degree_residuals` and the largest off-diagonal cosine (None
+    for one point) from one pair pass, bit for bit: the levels of
+    `_kernel_blocks`, and per degree those of the weighted P_k, a new
+    array, as `_exact_level_sums` overwrites its input and the scan on S^d
+    still needs P_k for two more degrees.  A max is exact, so the largest
+    cosine does not depend on point order either."""
     kernel_levels, degree_levels = [], [[] for _ in range(model.t)]
-    for s, weights, levels in _kernel_blocks(model, config):
+    largest = None
+    for s, diagonal, levels in _kernel_blocks(model, config):
         kernel_levels += levels
+        if s.size > diagonal:
+            block_max = float(s[diagonal:].max())
+            largest = block_max if largest is None else max(largest, block_max)
         for k, p in _degree_scan(model.d, model.t, s):
-            degree_levels[k - 1] += _exact_level_sums(p * weights)
+            degree_levels[k - 1] += _exact_level_sums(_pair_weighted(p, diagonal))
     n_sq = config.n**2
     residuals = np.array([z * math.fsum(r) / n_sq for z, r in zip(model.dims, degree_levels)])
-    return math.fsum(kernel_levels) / n_sq, residuals
+    return math.fsum(kernel_levels) / n_sq, residuals, largest
 
 
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:
     """Per-degree residuals rho_1..rho_t; nonnegative and summing to the defect."""
-    return _defect_and_residuals(model, config)[1]
+    return _pair_pass(model, config)[1]
 
 
 def _section_defect(model: KernelModel, points: np.ndarray) -> tuple[float, np.ndarray]:
@@ -197,6 +253,11 @@ def verify_design(
 ) -> DesignReport:
     """Full verification report; verdict is defect <= tolerance.
 
+    The meta gives `min_separation`, the smallest angle in radians between
+    two points (arccos of the largest off-diagonal cosine, so about 1e-8
+    from 0 for coincident points whose cosine rounds below 1), and
+    `separation_times_t`; both are None for one point.
+
     On S^2 the kernel defect is additionally cross-checked against the
     squared empirical means of the explicit real harmonic basis; a
     disagreement beyond rounding scale indicates an internal bug and
@@ -204,8 +265,11 @@ def verify_design(
     """
     if not 0.0 < tolerance < math.inf:  # rejects NaN too
         raise ValueError("tolerance must be positive and finite")
-    total, residuals = _defect_and_residuals(model, config)
+    total, residuals, largest = _pair_pass(model, config)
     report_meta = dict(meta or {})
+    separation = None if largest is None else math.acos(largest)
+    report_meta["min_separation"] = separation
+    report_meta["separation_times_t"] = None if separation is None else separation * model.t
     if model.d == 2:
         basis_means = harmonics.mean_residuals(model.t, config.points)
         cross = float(math.fsum(r * r for r in basis_means))

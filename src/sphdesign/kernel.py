@@ -132,18 +132,6 @@ def row_blocks(n: int, width: int):
         yield start, min(start + size, n)
 
 
-def triangle_blocks(n: int):
-    """Yield (lo, hi) bounds that split the upper triangle of an n x n
-    matrix, rows lo..hi against columns lo..n, into blocks of at most
-    BLOCK_COSINES cosines, and never fewer than one row; later, narrower
-    blocks take more rows."""
-    lo = 0
-    while lo < n:
-        hi = min(lo + max(1, BLOCK_COSINES // (n - lo)), n)
-        yield lo, hi
-        lo = hi
-
-
 def _extraction_levels(work: np.ndarray, m: int, top: float):
     """Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate
     floating-point summation, part I"), level by level, reducing work in place.
@@ -166,35 +154,42 @@ def _extraction_levels(work: np.ndarray, m: int, top: float):
         top = max(work.max(), -work.min())
 
 
-def _exact_row_sums(x) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D array.
+def _row_level_sums(work: np.ndarray) -> np.ndarray:
+    """A 2-D array whose row i holds floats with the exact sum of row i of
+    the 2-D array work, which is overwritten.
 
-    Bit-identical to [math.fsum(row) for row in x]: the exact level sums of
-    `_extraction_levels`, with 2^m >= n + 2 for rows of n values, are
-    rounded once per row by math.fsum.  Rows whose sigma would overflow, or
-    that hold inf or NaN, are summed by math.fsum itself, so its value or
-    exception (including its order-dependent OverflowError) carries over.
+    Its columns are the row sums of each level of `_extraction_levels`,
+    with 2^m >= n + 2 for rows of n values, so math.fsum of one of its
+    rows, or of such rows joined over blocks of columns, is the correctly
+    rounded sum.  A row whose sigma would overflow, or that holds inf or
+    NaN, comes out as zeros and then its values, in order, for math.fsum to
+    decide; the other rows then end in zeros.  math.fsum drops leading
+    zeros, and trailing ones change no finite sum.
     """
-    work = np.array(x, dtype=float, order="C")  # residuals, reduced in place
-    if work.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {work.shape}")
     rows, n = work.shape
+    passed = np.zeros((rows, 0))
     if work.size == 0:
-        return np.zeros(rows)
+        return passed
     m = (n + 1).bit_length()
     limit = 2.0 ** (1023 - m)  # max |r| < limit keeps sigma finite
-    special = {}
     top = max(work.max(), -work.min())
     if not top < limit:  # also true on NaN
         wild = ~(np.abs(work).max(axis=1) < limit)
-        special = {i: math.fsum(work[i]) for i in np.flatnonzero(wild)}
+        passed = np.where(wild[:, None], work, 0.0)
         work[wild] = 0.0
         top = max(work.max(), -work.min())
-    levels = [q.sum(axis=1).tolist() for q in _extraction_levels(work, m, top)]
-    out = np.array([math.fsum(s) for s in zip(*levels)]) if levels else np.zeros(rows)
-    for i, value in special.items():
-        out[i] = value
-    return out
+    return np.column_stack([q.sum(axis=1) for q in _extraction_levels(work, m, top)] + [passed])
+
+
+def _exact_row_sums(x) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D array: bit-identical to
+    [math.fsum(row) for row in x], including its value or exception
+    (its order-dependent OverflowError too) on the rows that
+    `_row_level_sums` passes through."""
+    work = np.array(x, dtype=float, order="C")  # residuals, reduced in place
+    if work.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got shape {work.shape}")
+    return np.array([math.fsum(row) for row in _row_level_sums(work).tolist()], dtype=float)
 
 
 def _exact_level_sums(x: np.ndarray) -> list[float]:

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rotation
+from sphdesign import design, harmonics, kernel
 from sphdesign.design import (
+    RUN_ROWS,
+    _kernel_blocks,
     _pair_cosines,
     _section_defect,
     catalog_design,
@@ -452,6 +455,26 @@ class TestVerifyDesign:
                 assert report.defect == reference_defect
                 assert np.array_equal(report.residuals, reference_residuals)
 
+    def test_separation_of_catalog_designs(self):
+        ico = verify_design(kernel_model(2, 5), catalog_design("icosahedron"))
+        assert abs(ico.meta["min_separation"] - math.acos(1 / math.sqrt(5))) <= 1e-15
+        assert ico.meta["separation_times_t"] == 5 * ico.meta["min_separation"]
+        # the 24-cell's coordinates and nearest-neighbour cosines are exact
+        cell = verify_design(kernel_model(3, 5), catalog_design("24-cell"))
+        assert cell.meta["min_separation"] == math.acos(0.5)
+
+    def test_separation_of_coincident_and_single_points(self, rng):
+        octahedron = catalog_design("cross-polytope(2)").points
+        doubled = PointConfiguration(d=2, points=np.concatenate([octahedron, octahedron[:1]]))
+        report = verify_design(kernel_model(2, 3), doubled)
+        assert report.meta["min_separation"] == 0.0 == report.meta["separation_times_t"]
+        # a repeated random point: acos of a cosine a few ulps below 1
+        pts = random_points(4, 30, rng)
+        repeated = PointConfiguration(d=4, points=np.concatenate([pts, pts[7:8]]))
+        assert verify_design(kernel_model(4, 2), repeated).meta["min_separation"] <= 1e-7
+        single = verify_design(kernel_model(2, 3), PointConfiguration(d=2, points=octahedron[:1]))
+        assert single.meta["min_separation"] is None and single.meta["separation_times_t"] is None
+
     def test_shuffled_report_is_identical(self, rng):
         model = kernel_model(2, 7)
         pts = random_points(2, 600, rng)
@@ -463,25 +486,87 @@ class TestVerifyDesign:
         assert np.array_equal(shuffled.residuals, base.residuals)
         assert shuffled.meta == base.meta
         assert "harmonic_cross_check_gap" in base.meta
+        assert 0.0 < base.meta["min_separation"] < math.pi
+
+
+def _packed_pairs(n, lo, hi):
+    """Row and column of each cosine in the block of rows lo..hi, in the
+    order `_pair_cosines` documents."""
+    rows, cols = [], []
+    if lo == 0:
+        rows.append(np.arange(n))
+        cols.append(np.arange(n))
+    for a in range(lo, hi, RUN_ROWS):
+        b = min(a + RUN_ROWS, hi)
+        i, j = np.meshgrid(np.arange(a, b), np.arange(b, n), indexing="ij")
+        rows.append(i.ravel())
+        cols.append(j.ravel())
+        i, j = np.triu_indices(b - a, 1)
+        rows.append(i + a)
+        cols.append(j + a)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 class TestSymmetricPairCosines:
-    """Verification sums the upper triangle of the pair matrix and counts
-    the rectangles right of the diagonal twice.  Exact permutation
-    invariance rests on the einsum cosines being exactly symmetric."""
+    """Verification evaluates each unordered pair once: the diagonal with
+    weight 1 and the strict upper triangle with weight 2.  Exact
+    permutation invariance rests on the einsum cosines being exactly
+    symmetric."""
 
     @pytest.mark.parametrize("n", [1, 400])
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
-    def test_blocks_are_slices_of_the_full_matrix_and_its_transpose(self, rng, d, n):
+    def test_packed_cosines_are_the_full_matrix_and_its_transpose(self, rng, d, n):
         pts = random_points(d, n, rng)
         full = np.clip(np.einsum("ik,jk->ij", pts, pts), -1.0, 1.0)
         blocks = list(_pair_cosines(kernel_model(d, 2), PointConfiguration(d=d, points=pts)))
         assert len(blocks) >= (3 if n > 1 else 1)
         for lo, hi, s in blocks:
+            i, j = _packed_pairs(n, lo, hi)
             # compare bit patterns: array_equal would let -0.0 match 0.0
             bits = s.view(np.int64)
-            assert np.array_equal(bits, full[lo:hi, lo:].view(np.int64))
-            assert np.array_equal(bits, full.T[lo:hi, lo:].view(np.int64))
+            assert np.array_equal(bits, full[i, j].view(np.int64))
+            assert np.array_equal(bits, full.T[i, j].view(np.int64))
+
+    @pytest.mark.parametrize("budget", [1, 7, kernel.BLOCK_COSINES])
+    @pytest.mark.parametrize("n", [1, 2, 3, 181, 182, 600])
+    def test_every_pair_once_with_its_weight(self, rng, monkeypatch, n, budget):
+        monkeypatch.setattr(kernel, "BLOCK_COSINES", budget)
+        model = kernel_model(3, 3)
+        config = PointConfiguration(d=3, points=random_points(3, n, rng))
+        seen = np.zeros((n, n), dtype=int)
+        blocks = list(_kernel_blocks(model, config))
+        bounds = [(lo, hi) for lo, hi, _ in _pair_cosines(model, config)]
+        assert len(blocks) == len(bounds)
+        for (lo, hi), (s, diagonal, levels) in zip(bounds, blocks):
+            i, j = _packed_pairs(n, lo, hi)
+            assert s.shape == i.shape
+            np.add.at(seen, (i, j), 1)
+            weights = np.where(i == j, 1.0, 2.0)
+            assert diagonal == np.count_nonzero(i == j) and np.all(i[:diagonal] == j[:diagonal])
+            # powers of two scale exactly, so fsum of the products is exact
+            assert math.fsum(levels) == math.fsum((weights * kernel_value(model, s)).tolist())
+        assert np.array_equal(seen, np.triu(np.ones((n, n), dtype=int)))
+
+    @pytest.mark.parametrize("n", [1, 2, 181, 182, 400, 600])
+    def test_one_pass_evaluates_each_pair_once(self, rng, monkeypatch, n):
+        # one kernel call per block, n(n+1)/2 cosines in all
+        sizes = []
+
+        def counted(model, s):
+            sizes.append(s.size)
+            return value(model, s)
+
+        value = design._value
+        monkeypatch.setattr(design, "_value", counted)
+        model = kernel_model(2, 4)
+        config = PointConfiguration(d=2, points=random_points(2, n, rng))
+        blocks = [s.size for *_, s in _pair_cosines(model, config)]
+        assert sum(blocks) == n * (n + 1) // 2
+        defect(model, config)
+        assert sizes == blocks
+        sizes.clear()
+        verify_design(model, config)
+        assert sizes == blocks
 
 
 class TestVerificationProperties:
@@ -555,6 +640,32 @@ class TestCatalog:
             catalog_design("polygon(0)")
 
 
+def _basis_by_order(t, pts):
+    """`basis_values` with the Legendre recurrences run one order m at a
+    time, each column its own array: the reference for the recurrence run
+    over all orders at once."""
+    x = np.clip(pts[:, 0], -1.0, 1.0)
+    phi = np.arctan2(pts[:, 2], pts[:, 1])
+    sx = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    columns = [None] * basis_size(t)
+    for m in range(t + 1):
+        p = np.ones_like(x)
+        for j in range(1, m + 1):
+            p = math.sqrt((2 * j + 1) / (2 * j)) * sx * p
+        values = [p] if m == t else [p, math.sqrt(2 * m + 3) * x * p]
+        for k in range(m + 2, t + 1):
+            a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
+            b = math.sqrt((2 * k + 1) * (k - 1 - m) * (k - 1 + m) / ((2 * k - 3) * (k - m) * (k + m)))
+            values.append(a * x * values[-1] - b * values[-2])
+        for k, p in enumerate(values, start=m):
+            if m == 0 and k > 0:
+                columns[k * k - 1] = p
+            elif m > 0:
+                columns[k * k + 2 * m - 2] = p * (math.sqrt(2.0) * np.cos(m * phi))
+                columns[k * k + 2 * m - 1] = p * (math.sqrt(2.0) * np.sin(m * phi))
+    return np.stack(columns, axis=1)
+
+
 class TestHarmonicBasis:
     def test_basis_size(self):
         assert basis_size(5) == 35
@@ -579,6 +690,37 @@ class TestHarmonicBasis:
         values = basis_values(t, rule.nodes)
         gram = (values * rule.weights[:, None]).T @ values
         assert np.allclose(gram, np.eye(basis_size(t)), atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 30])
+    def test_matches_order_by_order_recurrence(self, rng, t):
+        pts = np.concatenate([random_points(2, 50, rng), np.eye(3), -np.eye(3)])
+        values = basis_values(t, pts)
+        assert values.shape == (56, basis_size(t))
+        assert values.tobytes() == _basis_by_order(t, pts).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 1000, harmonics.BLOCK_VALUES])
+    @pytest.mark.parametrize("t,n", [(3, 1), (3, 700), (20, 400)])
+    def test_mean_residuals_are_fsum_of_each_column(self, rng, monkeypatch, t, n, block):
+        # blocks of at most `block` values (or one point), rounded once
+        # across blocks: each mean is math.fsum of its column over n
+        default = harmonics.BLOCK_VALUES
+        monkeypatch.setattr(harmonics, "BLOCK_VALUES", block)
+        sizes = []
+
+        def recorded(t, pts):
+            sizes.append(len(pts))
+            return basis_rows(t, pts)
+
+        basis_rows = harmonics._basis_rows
+        monkeypatch.setattr(harmonics, "_basis_rows", recorded)
+        pts = random_points(2, n, rng)
+        means = mean_residuals(t, pts)
+        expected = [math.fsum(column) / n for column in _basis_by_order(t, pts).T.tolist()]
+        assert [float(v).hex() for v in means] == [v.hex() for v in expected]
+        assert sum(sizes) == n
+        assert all(size * basis_size(t) <= block or size == 1 for size in sizes)
+        if block == default and (t, n) == (20, 400):
+            assert sizes == [400]  # the benchmark's cross-check is one block
 
     def test_design_means_vanish(self):
         ico = catalog_design("icosahedron")

@@ -17,6 +17,7 @@ from sphdesign.kernel import (
     _degree_scan,
     _exact_level_sums,
     _exact_row_sums,
+    _row_level_sums,
     clamp_cosine,
     gegenbauer_normalized,
     harmonic_dim,
@@ -258,10 +259,11 @@ class TestInputCosinesAreReadOnly:
         pair_cosines = design._pair_cosines
         model = kernel_model(d, t)
         config = design.PointConfiguration(d=d, points=random_points(d, n, rng))
-        expected = design._defect_and_residuals(model, config)
+        expected = design._pair_pass(model, config)
         monkeypatch.setattr(design, "_pair_cosines", checked)
-        value, residuals = design._defect_and_residuals(model, config)
+        value, residuals, largest = design._pair_pass(model, config)
         assert value == expected[0] and np.array_equal(residuals, expected[1])
+        assert largest == expected[2]
         assert blocks
         for s, before in blocks:
             assert s.tobytes() == before.tobytes()
@@ -516,6 +518,13 @@ def _assert_matches_fsum(rows):
     assert [float(v).hex() for v in got] == [v.hex() for v in expected]
 
 
+def _fsum_or_error(values):
+    try:
+        return math.fsum(values).hex()
+    except ValueError as exc:  # inf - inf
+        return type(exc)
+
+
 class TestExactRowSums:
     """The vectorised row sums against math.fsum, bit for bit."""
 
@@ -582,6 +591,18 @@ class TestExactRowSums:
             blocks = [p.copy() for _, p in _degree_scan(d, t, s)] + [kernel_value(model, s)]
             for block in blocks:
                 _assert_matches_fsum(block.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows(st.one_of(_MIXED, _SPECIAL)), st.integers(1, 12))
+    def test_level_sums_join_across_column_blocks(self, rows, width):
+        # the harmonic cross-check's blocked sums: the level sums of each
+        # block of columns, joined, hold each row's exact sum
+        x = np.array(rows, dtype=float).reshape(len(rows), -1 if rows else 0)
+        joined = np.zeros((len(rows), 0))
+        for lo in range(0, x.shape[1], width):
+            joined = np.concatenate([joined, _row_level_sums(x[:, lo : lo + width].copy())], axis=1)
+        for row, levels in zip(rows, joined.tolist()):
+            assert _fsum_or_error(levels) == _fsum_or_error(row)
 
     def test_leaves_input_unchanged(self, rng):
         x = rng.standard_normal((3, 9))

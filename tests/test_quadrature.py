@@ -547,25 +547,23 @@ class TestKernelPolynomialBlocks:
         poly(pts)
         poly.gradient(pts)
         poly.squared_norm_and_gradient()
+        assert all(rows * width <= budget or rows == 1 for rows, width in shapes)
+        # each pass takes as few blocks as the budget allows
+        passes = [(n, anchors), (n, anchors), (anchors, anchors)]
+        assert len(shapes) == sum(-(-rows // max(1, budget // width)) for rows, width in passes)
+        # the pair pass: packed blocks within the budget, or of one row,
+        # each of which would overflow it with one row more
         config = PointConfiguration(d=2, points=pts[:400])
-        bounds = []
+        bounds, sizes = [], []
         for lo, hi, s in _pair_cosines(model, config):
-            assert s.shape == (hi - lo, config.n - lo)  # rows lo..hi, columns lo..n
+            assert s.ndim == 1
             bounds.append((lo, hi))
-            shapes.append(s.shape)
+            sizes.append(s.size)
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == config.n
-        assert all(rows * width <= budget or rows == 1 for rows, width in shapes)
-        # each pass takes as few blocks as the budget allows; the triangle's
-        # blocks narrow as they go, so each takes as many rows as fit
-        passes = [(n, anchors), (n, anchors), (anchors, anchors)]
-        triangle, lo = 0, 0
-        while lo < config.n:
-            lo += max(1, budget // (config.n - lo))
-            triangle += 1
-        assert len(shapes) == triangle + sum(
-            -(-rows // max(1, budget // width)) for rows, width in passes
-        )
+        assert sum(sizes) == config.n * (config.n + 1) // 2
+        assert all(size <= budget or hi - lo == 1 for (lo, hi), size in zip(bounds, sizes))
+        assert all(size + config.n - hi - 1 > budget for (_, hi), size in zip(bounds[:-1], sizes))
 
     @pytest.mark.parametrize("d,t,n", [(2, 6, 300), (3, 4, 200), (1, 9, 150)])
     def test_verification_does_not_depend_on_block_size(self, rng, monkeypatch, d, t, n):
