@@ -53,7 +53,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -222,17 +222,7 @@ class DesignReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "t": self.t,
-            "n": self.n,
-            "defect": self.defect,
-            "residuals": [float(r) for r in self.residuals],
-            "verdict": bool(self.verdict),
-            "tolerance": self.tolerance,
-            "lower_bound": self.lower_bound,
-            "meta": self.meta,
-        }
+        return {**asdict(self), "residuals": [float(r) for r in self.residuals]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

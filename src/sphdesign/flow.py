@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -245,7 +245,7 @@ class PositivityTrial:
     step_halving_gap: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return asdict(self)
 
 
 @dataclass
@@ -273,21 +273,7 @@ class PositivityReport:
         return min(trial.slope_margin for trial in self.trials)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "t": self.t,
-            "n": self.n,
-            "mesh_constant": self.mesh_constant,
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "mesh_norm": self.mesh_norm,
-            "mesh_threshold": self.mesh_threshold,
-            "mesh_condition_ok": self.mesh_condition_ok,
-            "positive_count": self.positive_count,
-            "trial_count": len(self.trials),
-            "trials": [trial.to_dict() for trial in self.trials],
-            "meta": self.meta,
-        }
+        return {**asdict(self), "positive_count": self.positive_count, "trial_count": len(self.trials)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .kernel import _exact_row_sums, _row_level_sums
+from .kernel import _row_level_sums
 
 # Basis values in one block of `mean_residuals`: 8 MiB of float64 per array,
 # so the cross-check's memory does not grow with the number of points.
@@ -103,4 +103,4 @@ def mean_residuals(t: int, points) -> np.ndarray:
     step = max(1, BLOCK_VALUES // size)
     for lo in range(0, len(pts), step):
         sums = _row_level_sums(np.concatenate([sums, _basis_rows(t, pts[lo : lo + step])], axis=1))
-    return _exact_row_sums(sums) / len(pts)
+    return np.array([math.fsum(row) for row in sums.tolist()]) / len(pts)

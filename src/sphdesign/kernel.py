@@ -181,17 +181,6 @@ def _row_level_sums(work: np.ndarray) -> np.ndarray:
     return np.column_stack([q.sum(axis=1) for q in _extraction_levels(work, m, top)] + [passed])
 
 
-def _exact_row_sums(x) -> np.ndarray:
-    """Correctly rounded sum of each row of a 2-D array: bit-identical to
-    [math.fsum(row) for row in x], including its value or exception
-    (its order-dependent OverflowError too) on the rows that
-    `_row_level_sums` passes through."""
-    work = np.array(x, dtype=float, order="C")  # residuals, reduced in place
-    if work.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {work.shape}")
-    return np.array([math.fsum(row) for row in _row_level_sums(work).tolist()], dtype=float)
-
-
 def _exact_level_sums(x: np.ndarray) -> list[float]:
     """Floats whose exact sum is the exact sum of every entry of x, which is
     overwritten.

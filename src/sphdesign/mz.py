@@ -12,12 +12,14 @@ with r the configured mesh constant.  The admissible r is not known in
 closed form, so violations are recorded with margins rather than raised.
 The rule, the partition and a KernelPolynomial P must share one sphere.
 
-The integrals come from `integrate_refined`.  For a KernelPolynomial each
-level evaluates P (degree t) or grad P (each ambient component of degree
-<= t + 1) at 2 * deg + 1 points per circle of the product rule and
-interpolates to the nodes (`quadrature._circle_values`) before taking
-|.|; plain callables are evaluated at every node.  Each report's meta
-gives `integration_nodes`, the rule nodes summed over the levels, and
+The integrals come from `integrate_refined`, capped at MAX_RESOLUTION
+unless a check is given its own cap.  Each level evaluates P (degree m) or
+grad P (each ambient component of degree <= t + 1) at 2 * deg + 1 points
+per circle of the product rule and interpolates to the nodes
+(`quadrature._circle_values`) before taking |.|; a plain callable P must
+be a polynomial of its stated degree m, so that it is a trigonometric
+polynomial of degree <= m on every circle.  Each report's meta gives
+`integration_nodes`, the rule nodes summed over the levels, and
 `evaluated_points`, the points where the integrand was evaluated.
 """
 
@@ -47,6 +49,10 @@ DEGENERATE_INTEGRAL = 1e-14
 
 VALUE_BOUNDS = (0.5, 1.5)
 
+# Resolution at which the integral refinement of every check and trial
+# sweep stops unless given another cap: on S^3 its rule is 2 * 128**3 nodes.
+MAX_RESOLUTION = 128
+
 
 def gradient_bounds(d: int) -> tuple[float, float]:
     root = 3.0 * math.sqrt(d)
@@ -75,29 +81,32 @@ class MZReport:
     meta: dict = field(default_factory=dict)
 
 
-def _require_partition_sphere(rule: QuadratureRule, partition: Partition, P):
-    """Raise ValueError unless the rule and a KernelPolynomial P lie on the partition's sphere."""
+def _ratio_report(
+    partition: Partition,
+    rule: QuadratureRule,
+    P,
+    degree: int,
+    h,
+    h_degree: int,
+    magnitude,
+    bounds: tuple[float, float],
+    kind: str,
+    mesh_constant: float,
+    max_resolution: int,
+) -> MZReport:
+    """Compare magnitude(h) averaged over the partition's representatives
+    with the integral of magnitude(h(nodes)).
+
+    h is P or its gradient, of degree h_degree on every circle, which sets
+    both the circle sampling (`_circle_values`) and the mesh threshold
+    mesh_constant / max(h_degree, 1).  The rule, the partition and a
+    KernelPolynomial P must lie on one sphere.
+    """
+    _require_mesh_constant(mesh_constant)
     polynomial = P.model.d if isinstance(P, KernelPolynomial) else partition.d
     for name, d in (("rule", rule.d), ("polynomial", polynomial)):
         if d != partition.d:
             raise ValueError(f"{name} is on S^{d} but the partition is on S^{partition.d}")
-
-
-def _ratio_report(
-    partition: Partition,
-    rule: QuadratureRule,
-    degree: int,
-    h,
-    circle_degree: int | None,
-    magnitude,
-    bounds: tuple[float, float],
-    threshold: float,
-    kind: str,
-    max_resolution: int,
-) -> MZReport:
-    """The sample average is of magnitude(h) at the partition's
-    representatives and the integral of magnitude(h(nodes)); h goes through
-    `_circle_values` at circle_degree unless that is None."""
     samples = magnitude(h(partition.representatives))
     discrete = math.fsum(_exact_level_sums(samples)) / partition.n
     work = {"integration_nodes": 0, "evaluated_points": 0}
@@ -108,9 +117,7 @@ def _ratio_report(
 
     def integrand(level: QuadratureRule):
         work["integration_nodes"] += len(level.nodes)
-        if circle_degree is None:
-            return magnitude(evaluate(level.nodes))
-        return magnitude(_circle_values(level, evaluate, circle_degree))
+        return magnitude(_circle_values(level, evaluate, h_degree))
 
     integral, agreement, used_res = integrate_refined(
         partition.d,
@@ -121,6 +128,7 @@ def _ratio_report(
     degenerate = integral < DEGENERATE_INTEGRAL
     ratio = math.nan if degenerate else discrete / integral
     mesh = partition_norm(partition)
+    threshold = mesh_constant / max(h_degree, 1)
     lower, upper = bounds
     return MZReport(
         d=partition.d,
@@ -148,16 +156,15 @@ def mz_check(
     P,
     degree: int | None = None,
     mesh_constant: float = 1.0,
-    max_resolution: int = 256,
+    max_resolution: int = MAX_RESOLUTION,
 ) -> MZReport:
     """Compare |P| averaged over the partition's representatives with its integral.
 
-    P is normally a KernelPolynomial (degree defaults to its model degree);
-    any vectorized callable works if `degree` is given explicitly, which is
-    how the full polynomial space including constants is exercised.
+    P is normally a KernelPolynomial (degree defaults to its model degree).
+    Any vectorized callable that is a polynomial of degree at most `degree`
+    works if `degree` is given explicitly, which is how the full polynomial
+    space including constants is exercised.
     """
-    _require_mesh_constant(mesh_constant)
-    _require_partition_sphere(rule, partition, P)
     if degree is None:
         if not isinstance(P, KernelPolynomial):
             raise ValueError("degree is required for a plain callable")
@@ -165,13 +172,14 @@ def mz_check(
     return _ratio_report(
         partition,
         rule,
+        P,
         degree,
         P,
-        P.model.t if isinstance(P, KernelPolynomial) else None,
+        degree,
         lambda values: np.abs(np.asarray(values, dtype=float)),
         VALUE_BOUNDS,
-        mesh_constant / max(degree, 1),
         "value",
+        mesh_constant,
         max_resolution,
     )
 
@@ -181,22 +189,20 @@ def mz_gradient_check(
     partition: Partition,
     P: KernelPolynomial,
     mesh_constant: float = 1.0,
-    max_resolution: int = 256,
+    max_resolution: int = MAX_RESOLUTION,
 ) -> MZReport:
     """Compare |grad P| averaged over the partition's representatives with its integral."""
-    _require_mesh_constant(mesh_constant)
-    _require_partition_sphere(rule, partition, P)
-    degree = P.model.t
     return _ratio_report(
         partition,
         rule,
-        degree,
+        P,
+        P.model.t,
         P.gradient,
-        degree + 1,
+        P.model.t + 1,
         _row_norms,
         gradient_bounds(partition.d),
-        mesh_constant / (degree + 1),
         "gradient",
+        mesh_constant,
         max_resolution,
     )
 
@@ -221,13 +227,13 @@ def run_trials(
     seed: int,
     kind: str = "value",
     mesh_constant: float = 1.0,
-    max_resolution: int = 128,
+    max_resolution: int = MAX_RESOLUTION,
 ) -> list[MZReport]:
     """Random-polynomial trials at one partition size.
 
-    Sweeps cap the integral refinement at a lower resolution than single
-    checks; the achieved agreement (typically ~1e-5, far below the width of
-    the ratio bounds) is recorded in each report.
+    Each check's integral refinement stops at max_resolution at the latest;
+    the achieved agreement (typically ~1e-5, far below the width of the
+    ratio bounds) is recorded in each report.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

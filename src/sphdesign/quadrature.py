@@ -57,11 +57,9 @@ from .sphere_geometry import frozen_copy, random_points, require_supported_dimen
 
 
 # Most nodes that the last rule of an `integrate_refined` call may hold:
-# above the S^3 rule at the MZ checks' default cap of 256 (2 * 256**3 nodes).
+# the S^3 rule at resolution 256 (2 * 256**3 nodes, 1 GiB of coordinates
+# and 256 MiB of weights) is the largest that fits.
 MAX_RULE_NODES = 2**26
-# `integrate_refined`'s cap when none is given, lowered on each sphere to
-# the last doubling whose rule fits MAX_RULE_NODES (256 on S^3).
-DEFAULT_MAX_RESOLUTION = 1024
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -242,7 +240,8 @@ def integrate_refined(
     f,
     start_resolution: int,
     rel_tol: float = 1e-8,
-    max_resolution: int | None = None,
+    *,
+    max_resolution: int,
 ):
     """Integrate with resolution doubling until two estimates agree.
 
@@ -254,21 +253,16 @@ def integrate_refined(
     is not reached; the achieved agreement is reported so callers can
     decide.  max_resolution must be finite, or that stop never comes, and
     the last rule it allows may hold at most `MAX_RULE_NODES` nodes; both
-    are checked before any rule is built.  Without a max_resolution the
-    doubling stops at `DEFAULT_MAX_RESOLUTION` or at the last rule within
-    the budget, whichever comes first.
+    are checked before any rule is built.
     """
-    cap = DEFAULT_MAX_RESOLUTION if max_resolution is None else max_resolution
-    if not math.isfinite(cap):
+    if not math.isfinite(max_resolution):
         raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
     top = start_resolution
-    while 2 * top <= cap and (
-        max_resolution is not None or _rule_size(d, 2 * top) <= MAX_RULE_NODES
-    ):
+    while 2 * top <= max_resolution:
         top *= 2
     if _rule_size(d, top) > MAX_RULE_NODES:
         raise ValueError(
-            f"max_resolution {cap!r} allows a resolution-{top} rule of "
+            f"max_resolution {max_resolution!r} allows a resolution-{top} rule of "
             f"{_rule_size(d, top)} nodes on S^{d}, over the budget of {MAX_RULE_NODES}"
         )
     res = start_resolution

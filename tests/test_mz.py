@@ -1,9 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_rotation
+import sphdesign.mz as mz
 import sphdesign.quadrature as quadrature
 from sphdesign.kernel import kernel_model
 from sphdesign.mz import (
@@ -212,7 +214,8 @@ class TestCirclePath:
             assert report.meta["integration_nodes"] == sum(2 * r * r for r in levels)
             assert report.meta["evaluated_points"] == sum(samples * r for r in levels)
 
-    def test_plain_callable_evaluated_at_every_node(self):
+    def test_plain_callable_takes_the_circle_path(self):
+        # x_0^2 has degree 2, so each circle is sampled at 5 angles
         partition = equal_area_partition(2, 50)
         rule = build_quadrature(2, 6)
         report = mz_check(
@@ -225,7 +228,7 @@ class TestCirclePath:
         # x_0^2 is integrated exactly, so refinement stops at resolution 12
         assert report.meta["integration_resolution"] == 12
         assert report.meta["integration_nodes"] == 2 * (36 + 144)
-        assert report.meta["evaluated_points"] == report.meta["integration_nodes"]
+        assert report.meta["evaluated_points"] == 5 * 6 + 5 * 12
 
 
 class TestSweep:
@@ -296,6 +299,25 @@ class TestSweep:
         _, partition, rule, poly = _setup(2, 3, 50)
         with pytest.raises(ValueError, match="max_resolution must be finite"):
             mz_check(rule, partition, poly, max_resolution=math.nan)
+
+    def test_entry_points_share_one_default_cap(self):
+        for entry in (mz_check, mz_gradient_check, run_trials):
+            cap = inspect.signature(entry).parameters["max_resolution"].default
+            assert cap == mz.MAX_RESOLUTION == 128, entry.__name__
+
+    @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
+    def test_s3_check_without_a_cap_stops_at_the_default(self, monkeypatch, check):
+        # one-node stand-ins for the rules, moved with the resolution so
+        # that the integral never settles and only the cap ends refinement
+        def stand_in(d, resolution):
+            node = np.array([[1.0, resolution, 0.0, 0.0]]) / math.hypot(1.0, resolution)
+            return quadrature.QuadratureRule(d, resolution, node, np.ones(1), 0)
+
+        _, partition, rule, poly = _setup(3, 2, 20)
+        monkeypatch.setattr(quadrature, "build_quadrature", stand_in)
+        report = check(rule, partition, poly)
+        assert report.meta["integration_resolution"] == 128
+        assert report.meta["integration_nodes"] == 6  # levels 4, 8, ..., 128
 
     def test_mesh_norm_reported(self):
         _, partition, rule, poly = _setup(2, 5, 400)

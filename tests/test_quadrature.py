@@ -17,7 +17,6 @@ from sphdesign.kernel import (
 )
 from sphdesign.quadrature import (
     KernelPolynomial,
-    QuadratureRule,
     build_quadrature,
     default_resolution,
     integrate,
@@ -288,8 +287,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("d, cap", [(1, 2**25), (2, 4096), (3, 256), (4, 2**16)])
     def test_largest_caps_within_the_node_budget(self, d, cap):
-        # the MZ checks' S^3 default of 256 (2 * 256**3 nodes) among them;
-        # the integrand stops the run at its first rule
+        # the S^3 cap of 256 (2 * 256**3 nodes) among them; the integrand
+        # stops the run at its first rule
         def integrand(rule):
             raise RuntimeError("ran")
 
@@ -298,27 +297,17 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="over the budget"):
             integrate_refined(d, integrand, start_resolution=1, max_resolution=2 * cap)
 
-    def test_default_cap_converges_on_s3(self):
+    def test_converges_on_s3_below_the_cap(self):
         # the mean of x_0^2 over S^3 is 1/4; resolutions 4 and 8 agree
-        value, agreement, res = integrate_refined(3, lambda rule: rule.nodes[:, 0] ** 2, 4)
+        value, agreement, res = integrate_refined(
+            3, lambda rule: rule.nodes[:, 0] ** 2, 4, max_resolution=64
+        )
         assert value == pytest.approx(0.25, abs=1e-14)
         assert agreement <= 1e-8 and res == 8
 
-    @pytest.mark.parametrize("d, last", [(1, 1024), (2, 1024), (3, 256), (5, 1024)])
-    def test_default_cap_stops_at_the_last_rule_within_the_budget(self, monkeypatch, d, last):
-        # one-node stand-ins for the rules, whose value never settles
-        def stand_in(d, resolution):
-            return QuadratureRule(d, resolution, unit(np.ones((1, d + 1))), np.ones(1), 0)
-
-        monkeypatch.setattr(quadrature, "build_quadrature", stand_in)
-        levels = []
-
-        def integrand(rule):
-            levels.append(rule.resolution)
-            return np.array([float(rule.resolution)])
-
-        _, _, res = integrate_refined(d, integrand, 4)
-        assert res == last and levels == [4 * 2**k for k in range(len(levels))]
+    def test_requires_a_cap(self):
+        with pytest.raises(TypeError, match="max_resolution"):
+            integrate_refined(3, lambda rule: rule.nodes[:, 0] ** 2, 4)
 
     @pytest.mark.parametrize("cap", [math.nan, math.inf])
     def test_rejects_unbounded_max_resolution(self, cap):
