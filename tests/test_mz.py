@@ -305,15 +305,18 @@ class TestSweep:
             cap = inspect.signature(entry).parameters["max_resolution"].default
             assert cap == mz.MAX_RESOLUTION == 128, entry.__name__
 
+    @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
-    def test_s3_check_without_a_cap_stops_at_the_default(self, monkeypatch, check):
+    def test_check_without_a_cap_stops_at_the_default(self, monkeypatch, check, d):
         # one-node stand-ins for the rules, moved with the resolution so
         # that the integral never settles and only the cap ends refinement
         def stand_in(d, resolution):
-            node = np.array([[1.0, resolution, 0.0, 0.0]]) / math.hypot(1.0, resolution)
+            node = np.zeros((1, d + 1))
+            node[0, :2] = [1.0, resolution]
+            node /= math.hypot(1.0, resolution)
             return quadrature.QuadratureRule(d, resolution, node, np.ones(1), 0)
 
-        _, partition, rule, poly = _setup(3, 2, 20)
+        _, partition, rule, poly = _setup(d, 2, 20)
         monkeypatch.setattr(quadrature, "build_quadrature", stand_in)
         report = check(rule, partition, poly)
         assert report.meta["integration_resolution"] == 128
