@@ -150,9 +150,9 @@ def _invocation_meta(args) -> dict:
 
 def _cmd_bounds(args) -> int:
     from .design import lower_bound
+    from .sphere_geometry import require_count
 
-    if args.t_max < 1:
-        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
+    require_count("--t-max", args.t_max)
     lines = ["d t n_min"]
     for t in range(1, args.t_max + 1):
         lines.append(f"{args.d} {t} {lower_bound(args.d, t)}")
@@ -283,11 +283,7 @@ def _cmd_mz_test(args) -> int:
         kind=args.kind,
         mesh_constant=args.mesh_constant,
     )
-    csv = reports_to_csv(reports)
-    if args.csv:
-        _emit(csv, args.csv)
-    else:
-        sys.stdout.write(csv)
+    _emit(reports_to_csv(reports), args.csv)
     inside = sum(r.within_bounds for r in reports)
     print(f"within bounds: {inside}/{len(reports)} ({args.kind} check)")
     return EXIT_OK

@@ -61,6 +61,7 @@ from . import harmonics, kernel
 from .kernel import KernelModel, _degree_scan, _exact_level_sums, _value, clamp_cosine
 from .quadrature import KernelPolynomial
 from .sphere_geometry import PointConfiguration, require_supported_dimension, unit_rows
+from .sphere_geometry import require_count, require_positive_finite
 
 
 def lower_bound(d: int, t: int) -> int:
@@ -69,10 +70,8 @@ def lower_bound(d: int, t: int) -> int:
     Two-case binomial formula: C(d+k, d) + C(d+k-1, d) for t = 2k and
     2*C(d+k, d) for t = 2k+1.  Exact integer arithmetic.
     """
-    if d < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    if t < 1:
-        raise ValueError(f"degree must be >= 1, got {t}")
+    require_count("sphere dimension", d)
+    require_count("degree", t)
     k = t // 2
     if t % 2 == 0:
         return math.comb(d + k, d) + math.comb(d + k - 1, d)
@@ -253,8 +252,7 @@ def verify_design(
     disagreement beyond rounding scale indicates an internal bug and
     raises CrossCheckError.
     """
-    if not 0.0 < tolerance < math.inf:  # rejects NaN too
-        raise ValueError("tolerance must be positive and finite")
+    require_positive_finite("tolerance", tolerance)
     total, residuals, largest = _pair_pass(model, config)
     report_meta = dict(meta or {})
     separation = None if largest is None else math.acos(largest)
@@ -404,8 +402,7 @@ def catalog_design(name: str) -> PointConfiguration:
             raise ValueError(f"{base} requires an integer argument, e.g. {base}(3)")
         value = int(arg)
         if base == "polygon":
-            if value < 1:
-                raise ValueError(f"polygon({value}) needs at least one vertex")
+            require_count("polygon vertex count", value)
             return PointConfiguration(d=1, points=_polygon(value))
         require_supported_dimension(value)
         return PointConfiguration(d=value, points=_PARAMETRIC[base](value))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ from .sphere_geometry import (
     partition_norm,
     unit_rows,
 )
+from .sphere_geometry import require_count, require_positive_finite
 
 
 class FlowStepError(RuntimeError):
@@ -52,14 +52,9 @@ def flow_horizon(t: int, mesh_constant: float = 1.0) -> float:
     return mesh_constant / (3.0 * t)
 
 
-def _require_mesh_constant(mesh_constant: float) -> None:
-    if not 0.0 < mesh_constant < math.inf:  # rejects NaN too
-        raise ValueError(f"mesh constant must be positive and finite, got {mesh_constant}")
-
-
 def mesh_threshold(d: int, t: int, mesh_constant: float = 1.0) -> float:
     """Partition-norm bound mesh_constant / (54 d t) required by the analysis."""
-    _require_mesh_constant(mesh_constant)
+    require_positive_finite("mesh constant", mesh_constant)
     return mesh_constant / (54.0 * d * t)
 
 
@@ -69,7 +64,7 @@ def design_count_constant(d: int, diameter_constant: float, mesh_constant: float
     B is the measured partition diameter constant and r the configured mesh
     constant; no sharpness is claimed.
     """
-    _require_mesh_constant(mesh_constant)
+    require_positive_finite("mesh constant", mesh_constant)
     return (54.0 * d * diameter_constant / mesh_constant) ** d
 
 
@@ -84,15 +79,10 @@ class FlowConfig:
 
     def __post_init__(self):
         # first, since a bad mesh constant also gives a bad default horizon
-        _require_mesh_constant(self.mesh_constant)
-        # negated comparisons so NaN is rejected too
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be positive and finite")
-        # an integral float such as 3.0 would still fail in range()
-        if not isinstance(self.step_count, numbers.Integral) or self.step_count < 1:
-            raise ValueError(f"step_count must be an integer >= 1, got {self.step_count!r}")
+        require_positive_finite("mesh constant", self.mesh_constant)
+        require_positive_finite("epsilon", self.epsilon)
+        require_positive_finite("horizon", self.horizon)
+        require_count("step_count", self.step_count)
 
     @classmethod
     def defaults(
@@ -117,8 +107,7 @@ def flow_field(P: KernelPolynomial, y, epsilon: float):
     A NaN gradient row stays NaN (np.fmax takes epsilon for its norm), so
     `integrate_flow`'s drift check still fails on it.
     """
-    if not 0.0 < epsilon < math.inf:  # rejects NaN too
-        raise ValueError("clamp threshold must be positive and finite")
+    require_positive_finite("clamp threshold", epsilon)
     y = np.asarray(y, dtype=float)
     grad = P.gradient(unit_rows(np.atleast_2d(y)))
     grad /= np.fmax(_row_norms(grad), epsilon)[:, None]
@@ -244,9 +233,6 @@ class PositivityTrial:
     max_displacement: float
     step_halving_gap: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PositivityReport:
@@ -298,8 +284,7 @@ def positivity_experiment(
     margins, never raised: at desk scale the mesh condition is usually far
     from satisfied, so the bounds are measurements, not guarantees.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_count("trials", trials)
     d, t = model.d, model.t
     partition = equal_area_partition(d, n_points)
     seeds = PointConfiguration(d=d, points=partition.representatives)

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_geometry import CONFIG_NORM_TOLERANCE, require_supported_dimension
+from .sphere_geometry import CONFIG_NORM_TOLERANCE
+from .sphere_geometry import require_count, require_supported_dimension
 
 # Inner products of accepted points may land slightly outside [-1, 1]: by
 # (1 + delta)^2 - 1 from the norm tolerance delta, plus dot-product
@@ -64,10 +65,8 @@ MAX_DEGREE = 200
 
 def harmonic_dim(d: int, k: int) -> int:
     """Dimension Z(d, k) of the space of degree-k spherical harmonics on S^d."""
-    if d < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    if k < 1:
-        raise ValueError(f"harmonic degree must be >= 1, got {k}")
+    require_count("sphere dimension", d)
+    require_count("harmonic degree", k)
     return (2 * k + d - 1) * math.comb(k + d - 2, k - 1) // k
 
 
@@ -91,7 +90,8 @@ class KernelModel:
 def kernel_model(d: int, t: int) -> KernelModel:
     """Build a KernelModel, validating the supported (d, t) ranges."""
     require_supported_dimension(d)
-    if not 1 <= t <= MAX_DEGREE:
+    require_count("degree", t)
+    if t > MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {t}")
     dims = tuple(harmonic_dim(d, k) for k in range(1, t + 1))
     return KernelModel(d=d, t=t, dims=dims)

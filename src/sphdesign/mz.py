@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import _require_mesh_constant
 from .kernel import _exact_level_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
@@ -44,6 +43,7 @@ from .quadrature import (
     sample_boundary_polynomial,
 )
 from .sphere_geometry import Partition, equal_area_partition, partition_norm
+from .sphere_geometry import require_count, require_positive_finite
 
 DEGENERATE_INTEGRAL = 1e-14
 
@@ -102,7 +102,7 @@ def _ratio_report(
     mesh_constant / max(h_degree, 1).  The rule, the partition and a
     KernelPolynomial P must lie on one sphere.
     """
-    _require_mesh_constant(mesh_constant)
+    require_positive_finite("mesh constant", mesh_constant)
     polynomial = P.model.d if isinstance(P, KernelPolynomial) else partition.d
     for name, d in (("rule", rule.d), ("polynomial", polynomial)):
         if d != partition.d:
@@ -169,6 +169,7 @@ def mz_check(
         if not isinstance(P, KernelPolynomial):
             raise ValueError("degree is required for a plain callable")
         degree = P.model.t
+    require_count("degree", degree, minimum=0)
     return _ratio_report(
         partition,
         rule,
@@ -235,8 +236,7 @@ def run_trials(
     the achieved agreement (typically ~1e-5, far below the width of the
     ratio bounds) is recorded in each report.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    require_count("trials", trials)
     checks = {"value": mz_check, "gradient": mz_gradient_check}
     if kind not in checks:
         raise ValueError(f"unknown check kind {kind!r}; expected 'value' or 'gradient'")

@@ -37,6 +37,7 @@ import numpy as np
 from .design import DesignReport, _section_defect, lower_bound, verify_design
 from .kernel import kernel_model
 from .sphere_geometry import PointConfiguration, equal_area_partition, norm_column, unit_rows
+from .sphere_geometry import require_count, require_positive_finite
 
 # L-BFGS: the (step, gradient change) pairs kept, the Armijo slope and the
 # halvings of a trial step; then the seed noise scale of every attempt.
@@ -59,14 +60,10 @@ class FinderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 < self.defect_target < math.inf:  # rejects NaN too
-            raise ValueError("defect_target must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
+        require_count("n", self.n)
+        require_positive_finite("defect_target", self.defect_target)
+        require_count("max_iterations", self.max_iterations)
+        require_count("restarts", self.restarts, minimum=0)
 
 
 def seed_points(d: int, n: int) -> PointConfiguration:

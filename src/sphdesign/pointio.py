@@ -17,7 +17,8 @@ import tempfile
 
 import numpy as np
 
-from .sphere_geometry import CONFIG_NORM_TOLERANCE, PointConfiguration, require_supported_dimension
+from .sphere_geometry import CONFIG_NORM_TOLERANCE, PointConfiguration
+from .sphere_geometry import require_count, require_supported_dimension
 
 POINT_NORM_TOLERANCE = 1e-9
 
@@ -45,10 +46,9 @@ def parse_points(text: str) -> PointConfiguration:
         raise PointFormatError("line 1: header entries must be integers") from None
     try:
         require_supported_dimension(d)
+        require_count("N", n)
     except ValueError as exc:
         raise PointFormatError(f"line 1: {exc}") from None
-    if n < 1:
-        raise PointFormatError("line 1: N must be positive")
     # (file line number, fields) of each non-blank line after the header
     body = [(i, line.split()) for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != n:

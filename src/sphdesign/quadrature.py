@@ -8,7 +8,9 @@ kernel's recurrence (`kernel._degree_scan`), with the derivative from
 (1 - x^2) P_n' = n (P_(n-1) - x P_n) (`_gauss_rule`): Gauss-Legendre on
 S^2 and Gauss-Chebyshev of the second kind on S^3.  Higher dimensions use
 Monte Carlo with seed 0 and exactness degree 0, since the product rule
-there would need 2 * resolution^d nodes.
+there would need 2 * resolution^d nodes.  Every rule `build_quadrature`
+returns holds at most `MAX_RULE_NODES` nodes; it refuses a larger one
+before allocating anything.
 
 Product-rule nodes lie in contiguous runs of 2 * resolution on circles:
 each run shares its leading d - 1 coordinates and a radius rho, and its
@@ -53,12 +55,13 @@ from .kernel import (
     kernel_value_and_derivative,
     row_blocks,
 )
-from .sphere_geometry import frozen_copy, random_points, require_supported_dimension
+from .sphere_geometry import frozen_copy, random_points
+from .sphere_geometry import require_count, require_supported_dimension
 
 
-# Most nodes that the last rule of an `integrate_refined` call may hold:
-# the S^3 rule at resolution 256 (2 * 256**3 nodes, 1 GiB of coordinates
-# and 256 MiB of weights) is the largest that fits.
+# Most nodes of any rule `build_quadrature` returns: the S^3 rule at
+# resolution 256 (2 * 256**3 nodes, 1 GiB of coordinates and 256 MiB of
+# weights) is the largest that fits.
 MAX_RULE_NODES = 2**26
 
 
@@ -161,6 +164,16 @@ def _rule_size(d: int, resolution: int) -> int:
     return 1024 * resolution if d > 3 else 2 * resolution**d
 
 
+def _require_rule_budget(d: int, resolution: int) -> None:
+    """Raise ValueError if build_quadrature(d, resolution) would exceed MAX_RULE_NODES nodes."""
+    nodes = _rule_size(d, resolution)
+    if nodes > MAX_RULE_NODES:
+        raise ValueError(
+            f"a resolution-{resolution} rule on S^{d} has {nodes} nodes, "
+            f"over the budget of {MAX_RULE_NODES}"
+        )
+
+
 @lru_cache(maxsize=64)
 def _cached_rule(d: int, resolution: int) -> QuadratureRule:
     if d > 3:
@@ -182,10 +195,11 @@ def _cached_rule(d: int, resolution: int) -> QuadratureRule:
 
 
 def build_quadrature(d: int, resolution: int) -> QuadratureRule:
-    """Quadrature rule on S^d; product rules for d <= 3, Monte Carlo (seed 0) beyond."""
+    """Quadrature rule on S^d; product rules for d <= 3, Monte Carlo (seed 0)
+    beyond.  A rule over `MAX_RULE_NODES` nodes is refused before it is built."""
     require_supported_dimension(d)
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    require_count("resolution", resolution)
+    _require_rule_budget(d, resolution)
     return _cached_rule(d, resolution)
 
 
@@ -252,19 +266,16 @@ def integrate_refined(
     only algebraically, so the loop stops at max_resolution if the target
     is not reached; the achieved agreement is reported so callers can
     decide.  max_resolution must be finite, or that stop never comes, and
-    the last rule it allows may hold at most `MAX_RULE_NODES` nodes; both
-    are checked before any rule is built.
+    the last rule it allows must be within `build_quadrature`'s budget of
+    `MAX_RULE_NODES` nodes; both are checked before any rule is built.
     """
     if not math.isfinite(max_resolution):
         raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
+    require_count("start_resolution", start_resolution)
     top = start_resolution
     while 2 * top <= max_resolution:
         top *= 2
-    if _rule_size(d, top) > MAX_RULE_NODES:
-        raise ValueError(
-            f"max_resolution {max_resolution!r} allows a resolution-{top} rule of "
-            f"{_rule_size(d, top)} nodes on S^{d}, over the budget of {MAX_RULE_NODES}"
-        )
+    _require_rule_budget(d, top)
     res = start_resolution
     prev = None
     change = math.inf
@@ -402,15 +413,11 @@ def sample_boundary_polynomial(
     """
     if rule.d != model.d:
         raise ValueError("rule and model are on different spheres")
+    require_count("m_anchors", m_anchors)
     rng = np.random.default_rng(seed)
-    for _ in range(100):
-        anchors = random_points(model.d, m_anchors, rng)
-        coefficients = rng.standard_normal(m_anchors)
-        if np.max(np.abs(coefficients)) < 1e-14:
-            continue
-        candidate = KernelPolynomial(model, anchors, coefficients)
-        mass = integrate(rule, candidate.gradient_norm)
-        if mass < 1e-14:
-            continue
-        return KernelPolynomial(model, anchors, coefficients / mass)
-    raise RuntimeError("failed to sample a nonzero polynomial after 100 attempts")
+    anchors = random_points(model.d, m_anchors, rng)
+    coefficients = rng.standard_normal(m_anchors)
+    mass = integrate(rule, KernelPolynomial(model, anchors, coefficients).gradient_norm)
+    if not mass > 0.0:  # negated comparison so NaN fails too
+        raise ValueError(f"sampled polynomial has gradient mass {mass!r}, not > 0")
+    return KernelPolynomial(model, anchors, coefficients / mass)

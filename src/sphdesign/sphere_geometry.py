@@ -1,9 +1,12 @@
 """Point arrays on S^d and recursive zonal equal-area partitions.
 
-This module decides what a valid point array is: the supported sphere
-dimensions (`SUPPORTED_DIMENSIONS`), unit rows (`PointConfiguration`),
-copy-and-freeze for the arrays that frozen types hold (`frozen_copy`), and
-row-wise normalisation (`unit_rows`, over the row norms of `norm_column`).
+This module is the one home of the input contracts: integer sphere
+dimensions in `SUPPORTED_DIMENSIONS` (`require_supported_dimension`),
+integer counts and degrees (`require_count`, bools refused) and positive
+finite constants (`require_positive_finite`, NaN refused).  It decides what
+a valid point array is: unit rows (`PointConfiguration`), copy-and-freeze
+for the arrays that frozen types hold (`frozen_copy`), and row-wise
+normalisation (`unit_rows`, over the row norms of `norm_column`).
 
 Zonal coordinates: a point of S^d is written (cos(theta), sin(theta) * xi)
 with colatitude theta in [0, pi] measured from the pole e_0 = (1, 0, ..., 0)
@@ -42,6 +45,7 @@ construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,10 +63,25 @@ CELL_TOLERANCE = 1e-9
 COLLAR_TIE = 1e-9
 
 
-def require_supported_dimension(d: int):
-    """Raise ValueError unless d is in SUPPORTED_DIMENSIONS."""
-    if d not in SUPPORTED_DIMENSIONS:
-        lo, hi = SUPPORTED_DIMENSIONS[0], SUPPORTED_DIMENSIONS[-1]
+def require_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= minimum; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_positive_finite(name: str, value) -> None:
+    """Raise ValueError unless 0 < value < inf; NaN fails the negated comparison."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_supported_dimension(d: int) -> None:
+    """Raise ValueError unless d is an integer in SUPPORTED_DIMENSIONS."""
+    lo, hi = SUPPORTED_DIMENSIONS[0], SUPPORTED_DIMENSIONS[-1]
+    require_count("sphere dimension", d, lo)
+    if d > hi:
         raise ValueError(f"sphere dimension must be in [{lo}, {hi}], got {d}")
 
 
@@ -445,8 +464,7 @@ def equal_area_partition(d: int, n: int) -> Partition:
     Partitions are frozen, so a repeated (d, n) returns the cached build.
     """
     require_supported_dimension(d)
-    if n < 1:
-        raise ValueError(f"cell count must be >= 1, got {n}")
+    require_count("cell count", n)
     return _cached_partition(d, n)
 
 

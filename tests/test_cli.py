@@ -344,6 +344,18 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    def test_flow_demo_refuses_a_rule_over_the_node_budget(self, capsys, monkeypatch):
+        # 2 * 3000**3 nodes on S^3: refused before any rule is built
+        def refuse(d, resolution):
+            raise AssertionError(f"built a product rule on S^{d} at resolution {resolution}")
+
+        monkeypatch.setattr(quadrature, "_product_rule", refuse)
+        argv = ["flow-demo", "--d", "3", "--t", "3", "--n", "40", "--trials", "1"]
+        assert main(argv + ["--resolution", "3000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "over the budget" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_imports_leave_numpy_unloaded(self):
         # --threads must take effect before numpy loads BLAS
         code = "import sys, sphdesign, sphdesign.cli; print('numpy' in sys.modules)"
