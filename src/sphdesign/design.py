@@ -357,12 +357,7 @@ def _d4_minimal_vectors() -> np.ndarray:
 
 
 def _24_cell() -> np.ndarray:
-    eye = np.eye(4)
-    units = np.concatenate([eye, -eye], axis=0)
-    halves = np.array(
-        [[(0.5 if (i >> b) & 1 else -0.5) for b in range(4)] for i in range(16)]
-    )
-    return np.concatenate([units, halves], axis=0)
+    return np.concatenate([_cross_polytope(3), _cube(3)])
 
 
 # builders of S^d configurations by dimension d; polygon(n) is on S^1

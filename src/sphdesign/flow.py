@@ -35,7 +35,7 @@ from .sphere_geometry import (
     partition_norm,
     unit_rows,
 )
-from .sphere_geometry import require_count, require_positive_finite
+from .sphere_geometry import require_count, require_positive_finite, require_supported_dimension
 
 
 class FlowStepError(RuntimeError):
@@ -44,16 +44,21 @@ class FlowStepError(RuntimeError):
 
 def default_epsilon(d: int) -> float:
     """Clamp threshold 1/(6*sqrt(d)) used throughout the flow analysis."""
+    require_supported_dimension(d)
     return 1.0 / (6.0 * math.sqrt(d))
 
 
 def flow_horizon(t: int, mesh_constant: float = 1.0) -> float:
     """Flow duration mesh_constant / (3 t) for a degree-t polynomial."""
+    require_count("degree", t)
+    require_positive_finite("mesh constant", mesh_constant)
     return mesh_constant / (3.0 * t)
 
 
 def mesh_threshold(d: int, t: int, mesh_constant: float = 1.0) -> float:
     """Partition-norm bound mesh_constant / (54 d t) required by the analysis."""
+    require_supported_dimension(d)
+    require_count("degree", t)
     require_positive_finite("mesh constant", mesh_constant)
     return mesh_constant / (54.0 * d * t)
 
@@ -64,6 +69,8 @@ def design_count_constant(d: int, diameter_constant: float, mesh_constant: float
     B is the measured partition diameter constant and r the configured mesh
     constant; no sharpness is claimed.
     """
+    require_supported_dimension(d)
+    require_positive_finite("diameter constant", diameter_constant)
     require_positive_finite("mesh constant", mesh_constant)
     return (54.0 * d * diameter_constant / mesh_constant) ** d
 
@@ -78,7 +85,6 @@ class FlowConfig:
     step_count: int = 64
 
     def __post_init__(self):
-        # first, since a bad mesh constant also gives a bad default horizon
         require_positive_finite("mesh constant", self.mesh_constant)
         require_positive_finite("epsilon", self.epsilon)
         require_positive_finite("horizon", self.horizon)
@@ -291,7 +297,7 @@ def positivity_experiment(
     mesh = partition_norm(partition)
     threshold = mesh_threshold(d, t, cfg.mesh_constant)
     anchor_count = 2 * model.space_dim
-    slope_bound = 1.0 / (6.0 * math.sqrt(d))
+    slope_bound = default_epsilon(d)
     target_bound = cfg.mesh_constant / (18.0 * math.sqrt(d) * t)
 
     report = PositivityReport(

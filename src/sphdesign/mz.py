@@ -10,17 +10,20 @@ each in its cell at build) is compared with the continuous integral:
 
 with r the configured mesh constant.  The admissible r is not known in
 closed form, so violations are recorded with margins rather than raised.
-The rule, the partition and a KernelPolynomial P must share one sphere.
+A check takes the partition and P alone (a KernelPolynomial P on the
+partition's sphere), and `_ratio_report` is the one check for both kinds.
 
-The integrals come from `integrate_refined`, capped at MAX_RESOLUTION
-unless a check is given its own cap.  Each level evaluates P (degree m) or
-grad P (each ambient component of degree <= t + 1) at 2 * deg + 1 points
-per circle of the product rule and interpolates to the nodes
-(`quadrature._circle_values`) before taking |.|; a plain callable P must
-be a polynomial of its stated degree m, so that it is a trigonometric
-polynomial of degree <= m on every circle.  Each report's meta gives
-`integration_nodes`, the rule nodes summed over the levels, and
-`evaluated_points`, the points where the integrand was evaluated.
+The integrals come from `integrate_refined`, from resolution
+`default_resolution(m)` up to MAX_RESOLUTION unless a check is given its
+own cap.  Each level evaluates P (degree m) or grad P (each ambient
+component of degree <= m + 1) at 2 * deg + 1 points per circle of the
+product rule and interpolates to the nodes (`quadrature._circle_values`)
+before taking |.|.  A plain callable P must be a polynomial of its stated
+degree m, so that it is a trigonometric polynomial of degree <= m on every
+circle; a first level that its interpolant does not reproduce is refused.
+Each report's meta gives `integration_nodes`, the rule nodes summed over
+the levels, and `evaluated_points`, the points where P or grad P was
+evaluated.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 from .kernel import _exact_level_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
-    QuadratureRule,
     _circle_values,
     _row_norms,
     build_quadrature,
@@ -48,6 +50,11 @@ from .sphere_geometry import require_count, require_positive_finite
 DEGENERATE_INTEGRAL = 1e-14
 
 VALUE_BOUNDS = (0.5, 1.5)
+
+# Largest difference, relative to max |P|, between a plain callable's
+# interpolated and direct values on the first level; FFT interpolation of a
+# polynomial of the stated degree stays many orders of magnitude below it.
+DEGREE_TOLERANCE = 1e-8
 
 # Resolution at which the integral refinement of every check and trial
 # sweep stops unless given another cap: on S^3 its rule is 2 * 128**3 nodes.
@@ -83,47 +90,57 @@ class MZReport:
 
 def _ratio_report(
     partition: Partition,
-    rule: QuadratureRule,
     P,
-    degree: int,
-    h,
-    h_degree: int,
-    magnitude,
-    bounds: tuple[float, float],
     kind: str,
+    degree: int | None,
     mesh_constant: float,
     max_resolution: int,
 ) -> MZReport:
-    """Compare magnitude(h) averaged over the partition's representatives
-    with the integral of magnitude(h(nodes)).
+    """Compare |h| averaged over the partition's representatives with its integral.
 
-    h is P or its gradient, of degree h_degree on every circle, which sets
-    both the circle sampling (`_circle_values`) and the mesh threshold
-    mesh_constant / max(h_degree, 1).  The rule, the partition and a
-    KernelPolynomial P must lie on one sphere.
+    kind "value" takes h = P with |.| and VALUE_BOUNDS, kind "gradient"
+    h = grad P with row norms and `gradient_bounds(d)`.  m is `degree`, or
+    P's model degree if None; h has degree deg = m or m + 1 on every circle,
+    which sets the circle sampling and the mesh threshold r / max(deg, 1).
+    A plain callable is also evaluated at the first level's nodes: if the
+    interpolant is off by more than DEGREE_TOLERANCE * max |P| there, P is
+    not of degree m, and a ValueError says so.
     """
     require_positive_finite("mesh constant", mesh_constant)
-    polynomial = P.model.d if isinstance(P, KernelPolynomial) else partition.d
-    for name, d in (("rule", rule.d), ("polynomial", polynomial)):
-        if d != partition.d:
-            raise ValueError(f"{name} is on S^{d} but the partition is on S^{partition.d}")
+    d = partition.d
+    if isinstance(P, KernelPolynomial):
+        if P.model.d != d:
+            raise ValueError(f"polynomial is on S^{P.model.d} but the partition is on S^{d}")
+        degree = P.model.t if degree is None else degree
+    elif degree is None:
+        raise ValueError("degree is required for a plain callable")
+    require_count("degree", degree, minimum=0)
+    if kind == "value":
+        h, h_degree, bounds = P, degree, VALUE_BOUNDS
+        magnitude = lambda values: np.abs(np.asarray(values, dtype=float))
+    else:
+        h, h_degree, bounds = P.gradient, degree + 1, gradient_bounds(d)
+        magnitude = _row_norms
     samples = magnitude(h(partition.representatives))
     discrete = math.fsum(_exact_level_sums(samples)) / partition.n
+    start = default_resolution(degree)
     work = {"integration_nodes": 0, "evaluated_points": 0}
 
     def evaluate(points):
         work["evaluated_points"] += len(points)
         return h(points)
 
-    def integrand(level: QuadratureRule):
+    def integrand(level):
         work["integration_nodes"] += len(level.nodes)
-        return magnitude(_circle_values(level, evaluate, h_degree))
+        values = _circle_values(level, evaluate, h_degree)
+        if level.resolution == start and not isinstance(P, KernelPolynomial):
+            direct = np.asarray(evaluate(level.nodes), dtype=float)
+            if np.max(np.abs(values - direct)) > DEGREE_TOLERANCE * np.max(np.abs(direct)):
+                raise ValueError(f"P is not a polynomial of degree <= {degree}; pass its true `degree`")
+        return magnitude(values)
 
     integral, agreement, used_res = integrate_refined(
-        partition.d,
-        integrand,
-        start_resolution=rule.resolution,
-        max_resolution=max_resolution,
+        d, integrand, start_resolution=start, max_resolution=max_resolution
     )
     degenerate = integral < DEGENERATE_INTEGRAL
     ratio = math.nan if degenerate else discrete / integral
@@ -131,7 +148,7 @@ def _ratio_report(
     threshold = mesh_constant / max(h_degree, 1)
     lower, upper = bounds
     return MZReport(
-        d=partition.d,
+        d=d,
         degree=degree,
         n=partition.n,
         mesh_norm=mesh,
@@ -151,61 +168,27 @@ def _ratio_report(
 
 
 def mz_check(
-    rule: QuadratureRule,
     partition: Partition,
     P,
     degree: int | None = None,
     mesh_constant: float = 1.0,
     max_resolution: int = MAX_RESOLUTION,
 ) -> MZReport:
-    """Compare |P| averaged over the partition's representatives with its integral.
-
-    P is normally a KernelPolynomial (degree defaults to its model degree).
-    Any vectorized callable that is a polynomial of degree at most `degree`
-    works if `degree` is given explicitly, which is how the full polynomial
-    space including constants is exercised.
-    """
-    if degree is None:
-        if not isinstance(P, KernelPolynomial):
-            raise ValueError("degree is required for a plain callable")
-        degree = P.model.t
-    require_count("degree", degree, minimum=0)
-    return _ratio_report(
-        partition,
-        rule,
-        P,
-        degree,
-        P,
-        degree,
-        lambda values: np.abs(np.asarray(values, dtype=float)),
-        VALUE_BOUNDS,
-        "value",
-        mesh_constant,
-        max_resolution,
-    )
+    """Value check of P: a KernelPolynomial (degree defaults to its model
+    degree) or any vectorized callable that is a polynomial of the given
+    degree, which is how the full polynomial space, constants included, is
+    exercised."""
+    return _ratio_report(partition, P, "value", degree, mesh_constant, max_resolution)
 
 
 def mz_gradient_check(
-    rule: QuadratureRule,
     partition: Partition,
     P: KernelPolynomial,
     mesh_constant: float = 1.0,
     max_resolution: int = MAX_RESOLUTION,
 ) -> MZReport:
-    """Compare |grad P| averaged over the partition's representatives with its integral."""
-    return _ratio_report(
-        partition,
-        rule,
-        P,
-        P.model.t,
-        P.gradient,
-        P.model.t + 1,
-        _row_norms,
-        gradient_bounds(partition.d),
-        "gradient",
-        mesh_constant,
-        max_resolution,
-    )
+    """Gradient check of the KernelPolynomial P."""
+    return _ratio_report(partition, P, "gradient", None, mesh_constant, max_resolution)
 
 
 def reports_to_csv(reports) -> str:
@@ -248,12 +231,6 @@ def run_trials(
     for i in range(trials):
         poly = sample_boundary_polynomial(model, rule, 2 * model.space_dim, seed=(seed, i))
         reports.append(
-            check(
-                rule,
-                partition,
-                poly,
-                mesh_constant=mesh_constant,
-                max_resolution=max_resolution,
-            )
+            check(partition, poly, mesh_constant=mesh_constant, max_resolution=max_resolution)
         )
     return reports

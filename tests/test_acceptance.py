@@ -237,9 +237,7 @@ def test_criterion_7_mz_suite():
     partition = equal_area_partition(d, n)
     rule = build_quadrature(d, t + 2)
     # constant polynomial: ratio exactly 1 through the full-space variant
-    constant = mz_check(
-        rule, partition, lambda pts: np.full(len(pts), 1.0), degree=0
-    )
+    constant = mz_check(partition, lambda pts: np.full(len(pts), 1.0), degree=0)
     assert constant.ratio == 1.0
     value_ok = 0
     gradient_ok = 0
@@ -249,10 +247,8 @@ def test_criterion_7_mz_suite():
         poly = sample_boundary_polynomial(model, rule, 70, seed=(1007, i))
         if sample_poly is None:
             sample_poly = poly
-        value_report = mz_check(rule, partition, poly, max_resolution=128)
-        gradient_report = mz_gradient_check(
-            rule, partition, poly, max_resolution=128
-        )
+        value_report = mz_check(partition, poly, max_resolution=128)
+        gradient_report = mz_gradient_check(partition, poly, max_resolution=128)
         if 0.5 <= value_report.ratio <= 1.5:
             value_ok += 1
         if lo_g <= gradient_report.ratio <= hi_g:
@@ -260,11 +256,11 @@ def test_criterion_7_mz_suite():
     assert value_ok >= 99
     assert gradient_ok >= 99
     # exact scale invariance at binary scales
-    base = mz_check(rule, partition, sample_poly, max_resolution=64)
+    base = mz_check(partition, sample_poly, max_resolution=64)
     scaled_poly = KernelPolynomial(
         model, sample_poly.anchors, 4.0 * sample_poly.coefficients
     )
-    scaled = mz_check(rule, partition, scaled_poly, max_resolution=64)
+    scaled = mz_check(partition, scaled_poly, max_resolution=64)
     assert scaled.ratio == base.ratio
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

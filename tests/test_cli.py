@@ -12,7 +12,7 @@ import pytest
 import sphdesign.quadrature as quadrature
 from sphdesign.cli import _parser, main
 from sphdesign.design import DEFAULT_TOLERANCE, catalog_design
-from sphdesign.flow import FlowConfig
+from sphdesign.flow import FlowConfig, design_count_constant, mesh_threshold
 from sphdesign.mz import run_trials
 from sphdesign.optimizer import FinderConfig
 from sphdesign.pointio import (
@@ -22,7 +22,12 @@ from sphdesign.pointio import (
     read_points,
     write_text_atomic,
 )
-from sphdesign.sphere_geometry import PointConfiguration, equal_area_partition, random_points
+from sphdesign.sphere_geometry import (
+    PointConfiguration,
+    equal_area_partition,
+    measure_diameter_constant,
+    random_points,
+)
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
 
@@ -411,7 +416,13 @@ class TestCliCommands:
         for name in ("mesh_constant", "step_count"):
             assert flow_demo[name] == parameter_default(FlowConfig.defaults, name), name
         mz_test = defaults("mz-test", "--d", "2", "--t", "2", "--n", "20")
-        assert mz_test["mesh_constant"] == parameter_default(run_trials, "mesh_constant")
+        for name in ("mesh_constant", "kind"):
+            assert mz_test[name] == parameter_default(run_trials, name), name
+        constants = defaults("constants", "--d", "2")
+        for function in (design_count_constant, mesh_threshold):
+            assert constants["mesh_constant"] == parameter_default(function, "mesh_constant")
+        sweep = tuple(int(n) for n in constants["sweep"].split(","))
+        assert sweep == parameter_default(measure_diameter_constant, "n_values")
 
     def test_threads_flag_validated(self, capsys):
         assert main(["--threads", "0", "bounds", "--d", "1", "--t-max", "2"]) == 1

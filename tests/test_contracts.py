@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import sphdesign.quadrature as quadrature
-from sphdesign.flow import FlowConfig, positivity_experiment
+from sphdesign.flow import (
+    FlowConfig,
+    default_epsilon,
+    design_count_constant,
+    flow_horizon,
+    mesh_threshold,
+    positivity_experiment,
+)
 from sphdesign.kernel import kernel_model
 from sphdesign.mz import mz_check, run_trials
 from sphdesign.optimizer import FinderConfig
@@ -56,6 +63,19 @@ def refuse_product_rule(d, resolution):
         pytest.param(
             lambda rule: FinderConfig(d=2, t=2, n=5, restarts=1.5), "restarts", id="finder-restarts"
         ),
+        pytest.param(lambda rule: FlowConfig.defaults(0, 3), "sphere dimension", id="flow-d"),
+        pytest.param(lambda rule: FlowConfig.defaults(2, 0), "degree", id="flow-t"),
+        pytest.param(lambda rule: default_epsilon(0), "sphere dimension", id="epsilon-d"),
+        pytest.param(lambda rule: flow_horizon(0), "degree", id="horizon-t"),
+        pytest.param(lambda rule: mesh_threshold(2, 0), "degree", id="mesh-threshold-t"),
+        pytest.param(
+            lambda rule: mesh_threshold(2.5, 3), "sphere dimension", id="mesh-threshold-float-d"
+        ),
+        pytest.param(
+            lambda rule: design_count_constant(2, np.nan),
+            "diameter constant",
+            id="count-constant-diameter",
+        ),
         pytest.param(
             lambda rule: positivity_experiment(
                 kernel_model(2, 2), rule, FlowConfig.defaults(2, 2), 20, trials=1.5, seed=0
@@ -67,7 +87,7 @@ def refuse_product_rule(d, resolution):
             lambda rule: run_trials(2, 2, 20, trials=1.5, seed=0), "trials", id="mz-trials"
         ),
         pytest.param(
-            lambda rule: mz_check(rule, equal_area_partition(2, 20), lambda x: x[:, 0], degree=1.5),
+            lambda rule: mz_check(equal_area_partition(2, 20), lambda x: x[:, 0], degree=1.5),
             "degree",
             id="mz-degree",
         ),

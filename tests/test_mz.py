@@ -36,19 +36,13 @@ class TestValueCheck:
     def test_constant_function_ratio_exactly_one(self):
         # full-space variant including constants: degree given explicitly
         partition = equal_area_partition(2, 50)
-        rule = build_quadrature(2, 6)
-        report = mz_check(
-            rule, partition, lambda pts: np.full(len(pts), 1.0), degree=0
-        )
+        report = mz_check(partition, lambda pts: np.full(len(pts), 1.0), degree=0)
         assert report.ratio == 1.0
         assert report.within_bounds
 
     def test_constant_half_ratio_exactly_one(self):
         partition = equal_area_partition(2, 64)
-        rule = build_quadrature(2, 6)
-        report = mz_check(
-            rule, partition, lambda pts: np.full(len(pts), -0.5), degree=0
-        )
+        report = mz_check(partition, lambda pts: np.full(len(pts), -0.5), degree=0)
         assert report.ratio == 1.0
 
     def test_circle_cosine_closed_form(self):
@@ -56,14 +50,13 @@ class TestValueCheck:
         # average can be computed directly and the integral is 2/pi
         k, n = 3, 32
         partition = equal_area_partition(1, n)
-        rule = build_quadrature(1, 64)
         points = partition.representatives
 
         def poly(pts):
             phi = np.arctan2(pts[:, 1], pts[:, 0])
             return np.cos(k * phi)
 
-        report = mz_check(rule, partition, poly, degree=k, max_resolution=4096)
+        report = mz_check(partition, poly, degree=k, max_resolution=4096)
         phi = np.arctan2(points[:, 1], points[:, 0])
         discrete = np.abs(np.cos(k * phi)).mean()
         assert report.discrete_average == pytest.approx(discrete, rel=1e-12)
@@ -74,33 +67,32 @@ class TestValueCheck:
         model, partition, rule, _ = _setup(2, 5, 2000)
         for seed in range(3):
             poly = sample_boundary_polynomial(model, rule, 40, seed=seed)
-            report = mz_check(rule, partition, poly)
+            report = mz_check(partition, poly)
             assert report.within_bounds
             assert report.condition_satisfied  # mesh 0.112 < 1/5
 
     def test_scale_invariance_exact_for_binary_scales(self):
         model, partition, rule, poly = _setup(2, 4, 200)
-        base = mz_check(rule, partition, poly)
+        base = mz_check(partition, poly)
         for c in (4.0, 0.25, -2.0):
             scaled = KernelPolynomial(model, poly.anchors, c * poly.coefficients)
-            report = mz_check(rule, partition, scaled)
+            report = mz_check(partition, scaled)
             assert report.ratio == base.ratio
 
     def test_degenerate_flagged(self):
         model = kernel_model(2, 3)
         partition = equal_area_partition(2, 20)
-        rule = build_quadrature(2, 5)
         zero = KernelPolynomial(
             model, partition.representatives[:4], np.zeros(4)
         )
-        report = mz_check(rule, partition, zero)
+        report = mz_check(partition, zero)
         assert report.degenerate
         assert math.isnan(report.ratio)
 
     def test_callable_requires_degree(self):
-        _, partition, rule, _ = _setup(2, 3, 16)
+        _, partition, _, _ = _setup(2, 3, 16)
         with pytest.raises(ValueError):
-            mz_check(rule, partition, lambda pts: np.ones(len(pts)))
+            mz_check(partition, lambda pts: np.ones(len(pts)))
 
 
 class TestGradientCheck:
@@ -108,10 +100,9 @@ class TestGradientCheck:
         # integral(|grad P|) = 3 pi / 4 for the unit linear section
         model = kernel_model(2, 1)
         partition = equal_area_partition(2, 100)
-        rule = build_quadrature(2, 8)
         e = np.array([0.0, 0.0, 1.0])
         poly = KernelPolynomial(model, np.array([e]), np.array([1.0]))
-        report = mz_gradient_check(rule, partition, poly, max_resolution=512)
+        report = mz_gradient_check(partition, poly, max_resolution=512)
         assert report.integral == pytest.approx(3.0 * math.pi / 4.0, rel=1e-4)
         lo, hi = gradient_bounds(2)
         assert lo <= report.ratio <= hi
@@ -120,11 +111,10 @@ class TestGradientCheck:
     def test_circle_bounds(self):
         model = kernel_model(1, 1)
         partition = equal_area_partition(1, 8)
-        rule = build_quadrature(1, 16)
         poly = KernelPolynomial(
             model, np.array([[1.0, 0.0]]), np.array([1.0])
         )
-        report = mz_gradient_check(rule, partition, poly)
+        report = mz_gradient_check(partition, poly)
         assert report.lower == pytest.approx(1.0 / 3.0)
         assert report.upper == pytest.approx(3.0)
         assert report.within_bounds
@@ -134,9 +124,9 @@ class TestGradientCheck:
         # term and its summation order unchanged, so rotating points and
         # anchors together reproduces the ratio bit-for-bit; a permuted
         # rotation reorders the dot-product sums and is only ulp-close
-        model, partition, rule, poly = _setup(2, 3, 60)
+        model, partition, _, poly = _setup(2, 3, 60)
         points = partition.representatives
-        base = mz_gradient_check(rule, partition, poly)
+        base = mz_gradient_check(partition, poly)
         flip = np.diag([-1.0, -1.0, 1.0])
         rotated_poly = KernelPolynomial(
             model, poly.anchors @ flip.T, poly.coefficients
@@ -180,9 +170,9 @@ class TestDiscreteAverage:
         # bit for bit; the average does not depend on the integration cap
         _, partition, rule, poly = _setup(d, 3, 60)
         points = partition.representatives
-        value = mz_check(rule, partition, poly, max_resolution=rule.resolution)
+        value = mz_check(partition, poly, max_resolution=rule.resolution)
         assert value.discrete_average == math.fsum(np.abs(poly(points))) / partition.n
-        gradient = mz_gradient_check(rule, partition, poly, max_resolution=rule.resolution)
+        gradient = mz_gradient_check(partition, poly, max_resolution=rule.resolution)
         norms = quadrature._row_norms(poly.gradient(points))
         assert gradient.discrete_average == math.fsum(norms) / partition.n
 
@@ -194,11 +184,11 @@ class TestCirclePath:
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
     def test_scale_invariance_exact_for_binary_scales(self, d, t, n, cap, check):
         model, partition, rule, poly = _setup(d, t, n)
-        base = check(rule, partition, poly, max_resolution=cap)
+        base = check(partition, poly, max_resolution=cap)
         assert base.meta["evaluated_points"] < base.meta["integration_nodes"]
         for c in (4.0, 0.25, -2.0):
             scaled = KernelPolynomial(model, poly.anchors, c * poly.coefficients)
-            report = check(rule, partition, scaled, max_resolution=cap)
+            report = check(partition, scaled, max_resolution=cap)
             assert report.integral == abs(c) * base.integral
             assert report.ratio == base.ratio
 
@@ -207,28 +197,33 @@ class TestCirclePath:
         # 2t + 1 = 11 points and the gradient check 13 on each of r circles
         _, partition, rule, poly = _setup(2, 5, 200)
         levels = [7 * 2**k for k in range(5)]
-        value = mz_check(rule, partition, poly, max_resolution=128)
-        gradient = mz_gradient_check(rule, partition, poly, max_resolution=128)
+        value = mz_check(partition, poly, max_resolution=128)
+        gradient = mz_gradient_check(partition, poly, max_resolution=128)
         for report, samples in ((value, 11), (gradient, 13)):
             assert report.meta["integration_resolution"] == 112
             assert report.meta["integration_nodes"] == sum(2 * r * r for r in levels)
             assert report.meta["evaluated_points"] == sum(samples * r for r in levels)
 
     def test_plain_callable_takes_the_circle_path(self):
-        # x_0^2 has degree 2, so each circle is sampled at 5 angles
+        # x_0^2 has degree 2, so each circle is sampled at 5 angles and the
+        # levels start at default_resolution(2) = 4
         partition = equal_area_partition(2, 50)
-        rule = build_quadrature(2, 6)
-        report = mz_check(
-            rule,
-            partition,
-            lambda pts: pts[:, 0] ** 2,
-            degree=2,
-            max_resolution=24,
-        )
-        # x_0^2 is integrated exactly, so refinement stops at resolution 12
-        assert report.meta["integration_resolution"] == 12
-        assert report.meta["integration_nodes"] == 2 * (36 + 144)
-        assert report.meta["evaluated_points"] == 5 * 6 + 5 * 12
+        report = mz_check(partition, lambda pts: pts[:, 0] ** 2, degree=2, max_resolution=24)
+        # x_0^2 is integrated exactly, so refinement stops at resolution 8;
+        # the degree check also evaluates it at the 32 first-level nodes
+        assert report.meta["integration_resolution"] == 8
+        assert report.meta["integration_nodes"] == 2 * (16 + 64)
+        assert report.meta["evaluated_points"] == 5 * 4 + 5 * 8 + 32
+
+    def test_plain_callable_must_have_its_stated_degree(self):
+        # x_1^6 stated as degree 2 aliases on the circles (its integral
+        # would read 0.171 against 1/7); stated as degree 6 it is exact
+        partition = equal_area_partition(2, 200)
+        sextic = lambda pts: pts[:, 1] ** 6
+        with pytest.raises(ValueError, match="degree <= 2"):
+            mz_check(partition, sextic, degree=2, max_resolution=64)
+        report = mz_check(partition, sextic, degree=6, max_resolution=64)
+        assert report.integral == pytest.approx(1.0 / 7.0, rel=1e-14)
 
 
 class TestSweep:
@@ -239,7 +234,7 @@ class TestSweep:
         deviations = []
         for n in (100, 10000):
             partition = equal_area_partition(2, n)
-            report = mz_check(rule, partition, poly)
+            report = mz_check(partition, poly)
             deviations.append(abs(report.ratio - 1.0))
         assert deviations[-1] < 0.1
         assert deviations[-1] <= deviations[0] + 1e-6
@@ -270,20 +265,15 @@ class TestSweep:
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
     @pytest.mark.parametrize("mesh_constant", [0.0, -1.0, math.nan])
     def test_checks_reject_bad_mesh_constant(self, check, mesh_constant):
-        _, partition, rule, poly = _setup(2, 3, 50)
+        _, partition, _, poly = _setup(2, 3, 50)
         with pytest.raises(ValueError, match="mesh constant must be positive and finite"):
-            check(rule, partition, poly, mesh_constant=mesh_constant)
+            check(partition, poly, mesh_constant=mesh_constant)
 
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
     def test_checks_reject_mixed_spheres(self, check):
-        _, partition2, rule2, poly2 = _setup(2, 2, 20)
-        _, partition3, rule3, _ = _setup(3, 2, 20)
-        with pytest.raises(ValueError, match=r"rule is on S\^3 but the partition is on S\^2"):
-            check(rule3, partition2, poly2)
+        _, _, _, poly2 = _setup(2, 2, 20)
         with pytest.raises(ValueError, match=r"polynomial is on S\^2 but the partition is on S\^3"):
-            check(rule3, partition3, poly2)
-        with pytest.raises(ValueError, match=r"rule is on S\^2 but the partition is on S\^3"):
-            check(rule2, partition3, poly2)
+            check(equal_area_partition(3, 20), poly2)
 
     def test_check_rejects_unbounded_max_resolution(self, monkeypatch):
         # |P| never meets the refinement tolerance, so a NaN cap would
@@ -296,9 +286,9 @@ class TestSweep:
             return build(d, resolution)
 
         monkeypatch.setattr(quadrature, "build_quadrature", bounded_build)
-        _, partition, rule, poly = _setup(2, 3, 50)
+        _, partition, _, poly = _setup(2, 3, 50)
         with pytest.raises(ValueError, match="max_resolution must be finite"):
-            mz_check(rule, partition, poly, max_resolution=math.nan)
+            mz_check(partition, poly, max_resolution=math.nan)
 
     def test_entry_points_share_one_default_cap(self):
         for entry in (mz_check, mz_gradient_check, run_trials):
@@ -316,14 +306,14 @@ class TestSweep:
             node /= math.hypot(1.0, resolution)
             return quadrature.QuadratureRule(d, resolution, node, np.ones(1), 0)
 
-        _, partition, rule, poly = _setup(d, 2, 20)
+        _, partition, _, poly = _setup(d, 2, 20)
         monkeypatch.setattr(quadrature, "build_quadrature", stand_in)
-        report = check(rule, partition, poly)
+        report = check(partition, poly)
         assert report.meta["integration_resolution"] == 128
         assert report.meta["integration_nodes"] == 6  # levels 4, 8, ..., 128
 
     def test_mesh_norm_reported(self):
-        _, partition, rule, poly = _setup(2, 5, 400)
-        report = mz_check(rule, partition, poly)
+        _, partition, _, poly = _setup(2, 5, 400)
+        report = mz_check(partition, poly)
         assert report.mesh_norm == pytest.approx(partition_norm(partition))
         assert report.mesh_threshold == pytest.approx(1.0 / 5.0)
