@@ -31,10 +31,10 @@ einsum rather than BLAS matmul for the same reason: BLAS tiling makes the
 last ulp of a dot product depend on its position in the output matrix,
 while einsum gives every entry the same value as its mirror image.  Since
 every entry and the total are the same whatever the block size, so is the
-verdict.  `verify_design` takes the defect, the residuals and the largest
-off-diagonal cosine, whose arccosine is the minimum separation, from one
-pass; a max is exact, so the separation does not depend on point order
-either.
+verdict.  `verify_design` takes the defect, the residuals and the pairs
+at the largest off-diagonal cosine from one pass; the minimum separation
+is the angle of the shortest chord among those pairs.  A max is exact, so
+the separation does not depend on point order either.
 
 The finder minimises the defect as the squared norm of the averaged section
 P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
@@ -147,13 +147,35 @@ def _pair_weighted(values: np.ndarray, diagonal: int) -> np.ndarray:
 
 
 def _kernel_blocks(model: KernelModel, config: PointConfiguration):
-    """Yield (s, diagonal, levels) per block of `_pair_cosines`: diagonal is
-    the number of diagonal cosines that open the block (n in the first, 0
-    in the rest), and levels the exact level sums of its weighted kernel
-    values."""
-    for lo, _, s in _pair_cosines(model, config):
+    """Yield (lo, hi, s, diagonal, levels) per block of `_pair_cosines`:
+    diagonal is the number of diagonal cosines that open the block (n in
+    the first, 0 in the rest), and levels the exact level sums of its
+    weighted kernel values."""
+    for lo, hi, s in _pair_cosines(model, config):
         diagonal = config.n if lo == 0 else 0
-        yield s, diagonal, _exact_level_sums(_pair_weighted(_value(model, s), diagonal))
+        yield lo, hi, s, diagonal, _exact_level_sums(_pair_weighted(_value(model, s), diagonal))
+
+
+def _pairs_at(n: int, lo: int, hi: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j, i < j, of the cosines at the ascending,
+    non-empty positions `at` past the diagonal cosines of the block of rows
+    lo..hi, in the layout `_pair_cosines` documents.  Runs that hold none
+    of the positions cost no numpy call."""
+    i, j = np.empty_like(at), np.empty_like(at)
+    first_at, last_at = int(at[0]), int(at[-1])
+    start = 0
+    for a in range(lo, hi, RUN_ROWS):
+        b = min(a + RUN_ROWS, hi)
+        rectangle, upper = (b - a) * (n - b), _strict_upper(b - a)
+        end = start + rectangle + upper.size
+        if first_at < end and start <= last_at:
+            first, middle, last = np.searchsorted(at, (start, start + rectangle, end))
+            row, col = np.divmod(at[first:middle] - start, max(n - b, 1))
+            i[first:middle], j[first:middle] = a + row, b + col
+            row, col = np.divmod(upper[at[middle:last] - (start + rectangle)], b - a)
+            i[middle:last], j[middle:last] = a + row, a + col
+        start = end
+    return i, j
 
 
 def defect(model: KernelModel, config: PointConfiguration) -> float:
@@ -169,24 +191,40 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
 
 
 def _pair_pass(model: KernelModel, config: PointConfiguration):
-    """`defect`, `degree_residuals` and the largest off-diagonal cosine (None
-    for one point) from one pair pass, bit for bit: the levels of
-    `_kernel_blocks`, and per degree those of the weighted P_k, a new
-    array, as `_exact_level_sums` overwrites its input and the scan on S^d
-    still needs P_k for two more degrees.  A max is exact, so the largest
-    cosine does not depend on point order either."""
+    """`defect`, `degree_residuals` and the minimum separation (None for one
+    point) from one pair pass, bit for bit: the levels of `_kernel_blocks`,
+    and per degree those of the weighted P_k, a new array, as
+    `_exact_level_sums` overwrites its input and the scan on S^d still
+    needs P_k for two more degrees.
+
+    The separation is the smallest angle 2 asin(|x_i - x_j| / 2) over the
+    pairs i < j whose cosine is the largest off the diagonal; the chord
+    keeps the angle of close points, whose cosine rounds to 1.  A max is
+    exact and the chord symmetric in i and j, so the separation does not
+    depend on point order either."""
     kernel_levels, degree_levels = [], [[] for _ in range(model.t)]
-    largest = None
-    for s, diagonal, levels in _kernel_blocks(model, config):
+    largest, closest = None, []
+    for lo, hi, s, diagonal, levels in _kernel_blocks(model, config):
         kernel_levels += levels
         if s.size > diagonal:
-            block_max = float(s[diagonal:].max())
-            largest = block_max if largest is None else max(largest, block_max)
+            off = s[diagonal:]
+            block_max = float(off.max())
+            if largest is None or block_max > largest:
+                largest, closest = block_max, []
+            if block_max == largest:
+                closest.append((lo, hi, np.flatnonzero(off == block_max)))
         for k, p in _degree_scan(model.d, model.t, s):
             degree_levels[k - 1] += _exact_level_sums(_pair_weighted(p, diagonal))
     n_sq = config.n**2
     residuals = np.array([z * math.fsum(r) / n_sq for z, r in zip(model.dims, degree_levels)])
-    return math.fsum(kernel_levels) / n_sq, residuals, largest
+    separation = None
+    if closest:
+        pairs = [_pairs_at(config.n, lo, hi, at) for lo, hi, at in closest]
+        i, j = (np.concatenate(index) for index in zip(*pairs))
+        differences = config.points[i] - config.points[j]
+        chord = math.sqrt(float(np.einsum("ij,ij->i", differences, differences).min()))
+        separation = 2.0 * math.asin(min(1.0, chord / 2.0))
+    return math.fsum(kernel_levels) / n_sq, residuals, separation
 
 
 def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarray:
@@ -243,9 +281,9 @@ def verify_design(
     """Full verification report; verdict is defect <= tolerance.
 
     The meta gives `min_separation`, the smallest angle in radians between
-    two points (arccos of the largest off-diagonal cosine, so about 1e-8
-    from 0 for coincident points whose cosine rounds below 1), and
-    `separation_times_t`; both are None for one point.
+    two points (from the chord at the closest pairs, so 0 exactly for
+    coincident points), and `separation_times_t`; both are None for one
+    point.
 
     On S^2 the kernel defect is additionally cross-checked against the
     squared empirical means of the explicit real harmonic basis; a
@@ -253,9 +291,8 @@ def verify_design(
     raises CrossCheckError.
     """
     require_positive_finite("tolerance", tolerance)
-    total, residuals, largest = _pair_pass(model, config)
+    total, residuals, separation = _pair_pass(model, config)
     report_meta = dict(meta or {})
-    separation = None if largest is None else math.acos(largest)
     report_meta["min_separation"] = separation
     report_meta["separation_times_t"] = None if separation is None else separation * model.t
     if model.d == 2:

@@ -38,6 +38,7 @@ from .kernel import _exact_level_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
     _circle_values,
+    _require_refinement,
     _row_norms,
     build_quadrature,
     default_resolution,
@@ -52,8 +53,9 @@ DEGENERATE_INTEGRAL = 1e-14
 VALUE_BOUNDS = (0.5, 1.5)
 
 # Largest difference, relative to max |P|, between a plain callable's
-# interpolated and direct values on the first level; FFT interpolation of a
-# polynomial of the stated degree stays many orders of magnitude below it.
+# interpolated and direct values on the first level; circle interpolation
+# (`quadrature._interpolation_matrix`) of a polynomial of the stated degree
+# stays many orders of magnitude below it.
 DEGREE_TOLERANCE = 1e-8
 
 # Resolution at which the integral refinement of every check and trial
@@ -225,6 +227,7 @@ def run_trials(
         raise ValueError(f"unknown check kind {kind!r}; expected 'value' or 'gradient'")
     check = checks[kind]
     model = kernel_model(d, t)
+    _require_refinement(default_resolution(t), max_resolution)  # before sampling at that rule
     partition = equal_area_partition(d, n)
     rule = build_quadrature(d, default_resolution(t))
     reports = []

@@ -18,8 +18,11 @@ last two coordinates are rho * (cos phi_j, sin phi_j), phi_j = 2 pi j /
 (2 * resolution), starting at (rho, 0).  A polynomial restricted to such a
 circle is a trigonometric polynomial of at most its own degree, so
 `_circle_values` evaluates it at 2 * deg + 1 angles per circle and
-interpolates to the nodes by FFT, the idea behind fast spherical Fourier
-methods (Gräf & Potts 2011).
+interpolates to the nodes, the idea behind fast spherical Fourier methods
+(Gräf & Potts 2011).  Every circle of a level shares one cached real
+interpolation matrix (`_interpolation_matrix`), so a level is one matrix
+product: O(deg * r) per circle, which at the checks' degrees beats a small
+FFT pair per circle.
 
 Polynomials are always represented in the kernel-section frame: anchors
 v_1..v_M on the sphere and coefficients a_1..a_M encode
@@ -218,19 +221,41 @@ def integrate(rule: QuadratureRule, f) -> float:
     return math.fsum(_exact_level_sums(rule.weights * values))
 
 
+@lru_cache(maxsize=64)
+def _interpolation_matrix(samples: int, run: int) -> np.ndarray:
+    """The (run, samples) matrix M, read-only, that takes the values of a
+    trigonometric polynomial of degree <= deg = (samples - 1) / 2 at
+    psi_s = 2 pi s / samples to its values at phi_j = 2 pi j / run.
+
+    M[j, s] = (1 + 2 sum_{k=1..deg} cos k (phi_j - psi_s)) / samples, the
+    Dirichlet kernel at the angle difference, which is reduced in integers,
+    k (j * samples - s * run) mod (run * samples), before each cosine.  At
+    deg = 0, M is exactly a column of ones.
+    """
+    period = run * samples
+    offsets = np.subtract.outer(np.arange(run) * samples, np.arange(samples) * run) % period
+    total = np.ones((run, samples))
+    for k in range(1, (samples - 1) // 2 + 1):
+        total += 2.0 * np.cos((2.0 * math.pi / period) * (k * offsets % period))
+    matrix = total / samples
+    matrix.flags.writeable = False
+    return matrix
+
+
 def _circle_values(rule: QuadratureRule, h, deg: int) -> np.ndarray:
     """h(rule.nodes), for an h whose restriction to every circle of a
     product rule is a trigonometric polynomial of degree <= deg.
 
     h maps an (n, d+1) point array to n values or n rows.  It is evaluated
-    at the 2 * deg + 1 equispaced angles psi_k = 2 pi k / (2 * deg + 1) of
+    at the 2 * deg + 1 equispaced angles psi_s = 2 pi s / (2 * deg + 1) of
     each circle, psi_0 = 0, and interpolated to the circle's 2r nodes,
-    phi_0 = 0, by `np.fft.rfft` and a zero-padded `np.fft.irfft`.  Both use
-    norm="forward", so neither side needs a scaling pass.  The result
-    equals h(rule.nodes) up to rounding; for a KernelPolynomial, within a
-    few tens of eps * sum|a_m| * K(1) of direct evaluation.  Monte Carlo
-    rules, and rules with 2r <= 2 * deg + 1, where interpolation saves
-    nothing, return h(rule.nodes) itself.
+    phi_0 = 0, by one cached real matrix (`_interpolation_matrix`) applied
+    to all circles at once: values as (circles, samples) @ M.T, rows as
+    M @ (circles, samples, k).  The result equals h(rule.nodes) up to
+    rounding; for a KernelPolynomial, within a few tens of
+    eps * sum|a_m| * K(1) of direct evaluation.  Monte Carlo rules, and
+    rules with 2r <= 2 * deg + 1, where interpolation saves nothing,
+    return h(rule.nodes) itself.
     """
     run = 2 * rule.resolution
     samples = 2 * deg + 1
@@ -243,10 +268,24 @@ def _circle_values(rule: QuadratureRule, h, deg: int) -> np.ndarray:
     points[:, :, -2] = np.multiply.outer(starts[:, -2], np.cos(angles))
     points[:, :, -1] = np.multiply.outer(starts[:, -2], np.sin(angles))
     values = np.asarray(h(points.reshape(-1, rule.d + 1)), dtype=float)
-    values = values.reshape(len(starts), samples, *values.shape[1:])
-    coefficients = np.fft.rfft(values, axis=1, norm="forward")
-    at_nodes = np.fft.irfft(coefficients, n=run, axis=1, norm="forward")
-    return at_nodes.reshape(len(rule.nodes), *values.shape[2:])
+    matrix = _interpolation_matrix(samples, run)
+    if values.ndim == 1:
+        return (values.reshape(len(starts), samples) @ matrix.T).reshape(-1)
+    at_nodes = np.matmul(matrix, values.reshape(len(starts), samples, -1))
+    return at_nodes.reshape(len(rule.nodes), *values.shape[1:])
+
+
+def _require_refinement(start_resolution: int, max_resolution) -> None:
+    """Raise ValueError unless `integrate_refined` can refine from
+    start_resolution to max_resolution: a count, and a finite cap not
+    below it."""
+    if not math.isfinite(max_resolution):
+        raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
+    require_count("start_resolution", start_resolution)
+    if start_resolution > max_resolution:
+        raise ValueError(
+            f"start_resolution {start_resolution} is above max_resolution {max_resolution}"
+        )
 
 
 def integrate_refined(
@@ -266,12 +305,11 @@ def integrate_refined(
     only algebraically, so the loop stops at max_resolution if the target
     is not reached; the achieved agreement is reported so callers can
     decide.  max_resolution must be finite, or that stop never comes, and
-    the last rule it allows must be within `build_quadrature`'s budget of
-    `MAX_RULE_NODES` nodes; both are checked before any rule is built.
+    not below start_resolution, and the last rule it allows must be within
+    `build_quadrature`'s budget of `MAX_RULE_NODES` nodes; all are checked
+    before any rule is built.
     """
-    if not math.isfinite(max_resolution):
-        raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
-    require_count("start_resolution", start_resolution)
+    _require_refinement(start_resolution, max_resolution)
     top = start_resolution
     while 2 * top <= max_resolution:
         top *= 2

@@ -54,6 +54,23 @@ def refuse_product_rule(d, resolution):
             "start_resolution",
             id="refine-start",
         ),
+        # a start above the cap would compute one level past it
+        pytest.param(
+            lambda rule: integrate_refined(2, np.abs, 10, max_resolution=8),
+            "start_resolution 10 is above max_resolution 8",
+            id="refine-start-above-cap",
+        ),
+        pytest.param(
+            lambda rule: mz_check(equal_area_partition(2, 20), lambda x: x[:, 0], degree=130),
+            "start_resolution 132 is above max_resolution 128",
+            id="mz-start-above-cap",
+        ),
+        # refused before the trials sample P at the resolution-132 rule
+        pytest.param(
+            lambda rule: run_trials(2, 130, 20, trials=1, seed=0),
+            "start_resolution 132 is above max_resolution 128",
+            id="mz-trials-start-above-cap",
+        ),
         pytest.param(lambda rule: FinderConfig(d=2, t=2, n=1.5), "^n must", id="finder-n"),
         pytest.param(
             lambda rule: FinderConfig(d=2, t=2, n=5, max_iterations=1.5),

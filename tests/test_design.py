@@ -11,6 +11,7 @@ from sphdesign import design, harmonics, kernel
 from sphdesign.design import (
     RUN_ROWS,
     _kernel_blocks,
+    _pairs_at,
     _pair_cosines,
     _section_defect,
     catalog_design,
@@ -468,12 +469,33 @@ class TestVerifyDesign:
         doubled = PointConfiguration(d=2, points=np.concatenate([octahedron, octahedron[:1]]))
         report = verify_design(kernel_model(2, 3), doubled)
         assert report.meta["min_separation"] == 0.0 == report.meta["separation_times_t"]
-        # a repeated random point: acos of a cosine a few ulps below 1
+        # a repeated random point, whose cosine may round a few ulps below 1
         pts = random_points(4, 30, rng)
         repeated = PointConfiguration(d=4, points=np.concatenate([pts, pts[7:8]]))
-        assert verify_design(kernel_model(4, 2), repeated).meta["min_separation"] <= 1e-7
+        assert verify_design(kernel_model(4, 2), repeated).meta["min_separation"] == 0.0
         single = verify_design(kernel_model(2, 3), PointConfiguration(d=2, points=octahedron[:1]))
         assert single.meta["min_separation"] is None and single.meta["separation_times_t"] is None
+
+    @pytest.mark.parametrize("angle", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_separation_of_close_points(self, rng, angle):
+        # a close pair among 400 random points, in rows 250 and 399, which
+        # lie in different blocks of the pair pass; the cosine of a pair
+        # 1e-8 rad apart rounds to 1.  The reference is the angle between
+        # the stored vectors in 40-digit arithmetic, where a float cross
+        # product would be off by about 1e-16 absolute.
+        pts = random_points(2, 400, rng)
+        x = pts[250]
+        tangent = np.cross(x, rng.standard_normal(3))
+        tangent /= np.linalg.norm(tangent)
+        pts[399] = math.cos(angle) * x + math.sin(angle) * tangent
+        config = PointConfiguration(d=2, points=pts)
+        with mpmath.workdps(40):
+            x, y = (mpmath.matrix(config.points[k].tolist()) for k in (250, 399))
+            cross = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+            expected = float(mpmath.atan2(mpmath.norm(mpmath.matrix(cross)), (x.T * y)[0]))
+        report = verify_design(kernel_model(2, 3), config)
+        assert report.meta["min_separation"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert len(list(_pair_cosines(kernel_model(2, 3), config))) >= 3
 
     def test_shuffled_report_is_identical(self, rng):
         model = kernel_model(2, 7)
@@ -536,8 +558,8 @@ class TestSymmetricPairCosines:
         seen = np.zeros((n, n), dtype=int)
         blocks = list(_kernel_blocks(model, config))
         bounds = [(lo, hi) for lo, hi, _ in _pair_cosines(model, config)]
-        assert len(blocks) == len(bounds)
-        for (lo, hi), (s, diagonal, levels) in zip(bounds, blocks):
+        assert [(lo, hi) for lo, hi, *_ in blocks] == bounds
+        for lo, hi, s, diagonal, levels in blocks:
             i, j = _packed_pairs(n, lo, hi)
             assert s.shape == i.shape
             np.add.at(seen, (i, j), 1)
@@ -546,6 +568,25 @@ class TestSymmetricPairCosines:
             # powers of two scale exactly, so fsum of the products is exact
             assert math.fsum(levels) == math.fsum((weights * kernel_value(model, s)).tolist())
         assert np.array_equal(seen, np.triu(np.ones((n, n), dtype=int)))
+
+    @pytest.mark.parametrize("budget", [1, 7, kernel.BLOCK_COSINES])
+    @pytest.mark.parametrize("n", [2, 3, 40, 181])
+    def test_pairs_at_decodes_the_packed_layout(self, rng, monkeypatch, n, budget):
+        # every position past a block's diagonal cosines, against the
+        # reference layout
+        monkeypatch.setattr(kernel, "BLOCK_COSINES", budget)
+        config = PointConfiguration(d=2, points=random_points(2, n, rng))
+        for lo, hi, s in _pair_cosines(kernel_model(2, 2), config):
+            i, j = _packed_pairs(n, lo, hi)
+            diagonal = n if lo == 0 else 0
+            if s.size == diagonal:
+                continue
+            rows, cols = _pairs_at(n, lo, hi, np.arange(s.size - diagonal))
+            assert np.array_equal(rows, i[diagonal:]) and np.array_equal(cols, j[diagonal:])
+            # any ascending subset
+            picked = np.sort(rng.permutation(s.size - diagonal)[: max(1, (s.size - diagonal) // 3)])
+            rows, cols = _pairs_at(n, lo, hi, picked)
+            assert np.array_equal(rows, i[diagonal:][picked]) and np.array_equal(cols, j[diagonal:][picked])
 
     @pytest.mark.parametrize("n", [1, 2, 181, 182, 400, 600])
     def test_one_pass_evaluates_each_pair_once(self, rng, monkeypatch, n):

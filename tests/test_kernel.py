@@ -260,9 +260,9 @@ class TestInputCosinesAreReadOnly:
         config = design.PointConfiguration(d=d, points=random_points(d, n, rng))
         expected = design._pair_pass(model, config)
         monkeypatch.setattr(design, "_pair_cosines", checked)
-        value, residuals, largest = design._pair_pass(model, config)
+        value, residuals, separation = design._pair_pass(model, config)
         assert value == expected[0] and np.array_equal(residuals, expected[1])
-        assert largest == expected[2]
+        assert separation == expected[2]
         assert blocks
         for s, before in blocks:
             assert s.tobytes() == before.tobytes()

@@ -241,6 +241,74 @@ class TestCircleValues:
             assert np.array_equal(got, h(rule.nodes))
 
 
+class TestInterpolationMatrix:
+    """`_interpolation_matrix` takes a trigonometric polynomial's values at
+    the samples psi_s = 2 pi s / samples to its values at phi_j = 2 pi j / run."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _angles(k, count):
+        # 2 pi k m / count, reduced in integers so that the inputs are exact
+        # to rounding at every k
+        return 2.0 * math.pi * (k * np.arange(count) % count) / count
+
+    @pytest.mark.parametrize("samples, run", [(3, 4), (5, 16), (7, 8), (13, 28), (27, 256), (41, 128)])
+    def test_reproduces_every_frequency_up_to_deg(self, samples, run):
+        # each entry sums deg cosines, so the error grows with deg: measured
+        # at most 1.6 (deg + 1) eps for deg <= 13 and every run <= 256
+        matrix = quadrature._interpolation_matrix(samples, run)
+        deg = (samples - 1) // 2
+        assert matrix.shape == (run, samples)
+        for k in range(deg + 1):
+            psi, phi = self._angles(k, samples), self._angles(k, run)
+            for wave in (np.cos, np.sin):
+                error = np.max(np.abs(matrix @ wave(psi) - wave(phi)))
+                assert error <= 4 * (deg + 1) * self.EPS
+
+    @pytest.mark.parametrize("run", [2, 3, 16, 256])
+    def test_degree_zero_is_exact_ones(self, run):
+        matrix = quadrature._interpolation_matrix(1, run)
+        assert matrix.shape == (run, 1) and np.all(matrix == 1.0)
+
+    def test_cached_read_only_and_shared(self):
+        matrix = quadrature._interpolation_matrix(7, 16)
+        assert quadrature._interpolation_matrix(7, 16) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+
+    @staticmethod
+    def _fft_reference(values, samples, run):
+        # the FFT pair the matrix replaced: rfft of each circle's samples,
+        # then a zero-padded irfft to its 2r nodes
+        values = values.reshape(-1, samples, *values.shape[1:])
+        coefficients = np.fft.rfft(values, axis=1, norm="forward")
+        at_nodes = np.fft.irfft(coefficients, n=run, axis=1, norm="forward")
+        return at_nodes.reshape(-1, *values.shape[2:])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1, 3, 8])
+    def test_circle_values_match_the_fft_pair(self, d, t):
+        rng = np.random.default_rng(10 * d + t)
+        poly = KernelPolynomial(kernel_model(d, t), random_points(d, 7, rng), rng.standard_normal(7))
+        for res in (t + 2, 2 * (t + 2), 24):
+            rule = build_quadrature(d, res)
+            for h, deg in ((poly, t), (poly.gradient, t + 1)):
+                sampled = []
+
+                def recorded(points):
+                    sampled.append(h(points))
+                    return sampled[-1]
+
+                got = quadrature._circle_values(rule, recorded, deg)
+                (values,) = sampled
+                expected = self._fft_reference(values, 2 * deg + 1, 2 * res)
+                assert got.shape == expected.shape == (len(rule.nodes), *values.shape[1:])
+                # measured at most 8.9 eps * max|values| over six seeds
+                assert np.max(np.abs(got - expected)) <= 16 * self.EPS * np.max(np.abs(values))
+
+
 class TestIntegrate:
     def test_constant(self):
         rule = build_quadrature(2, 5)
