@@ -115,6 +115,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=("value", "gradient"), default="value")
     p.add_argument("--mesh-constant", type=float, default=1.0)
+    p.add_argument(
+        "--max-resolution",
+        type=int,
+        default=128,
+        help="resolution at which integral refinement stops; at least t + 2",
+    )
     p.add_argument("--csv", default=None, help="write one row per trial here")
 
     p = sub.add_parser("constants", help="measured and configured constants")
@@ -273,7 +279,14 @@ def _cmd_flow_demo(args) -> int:
 
 def _cmd_mz_test(args) -> int:
     from .mz import reports_to_csv, run_trials
+    from .quadrature import default_resolution
 
+    start = default_resolution(args.t)
+    if start > args.max_resolution:
+        raise ValueError(
+            f"--t {args.t} starts the integrals at resolution {start}, "
+            f"above --max-resolution {args.max_resolution}; raise --max-resolution to at least {start}"
+        )
     reports = run_trials(
         args.d,
         args.t,
@@ -282,6 +295,7 @@ def _cmd_mz_test(args) -> int:
         seed=args.seed,
         kind=args.kind,
         mesh_constant=args.mesh_constant,
+        max_resolution=args.max_resolution,
     )
     _emit(reports_to_csv(reports), args.csv)
     inside = sum(r.within_bounds for r in reports)

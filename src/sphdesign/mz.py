@@ -15,15 +15,17 @@ partition's sphere), and `_ratio_report` is the one check for both kinds.
 
 The integrals come from `integrate_refined`, from resolution
 `default_resolution(m)` up to MAX_RESOLUTION unless a check is given its
-own cap.  Each level evaluates P (degree m) or grad P (each ambient
-component of degree <= m + 1) at 2 * deg + 1 points per circle of the
-product rule and interpolates to the nodes (`quadrature._circle_values`)
-before taking |.|.  A plain callable P must be a polynomial of its stated
-degree m, so that it is a trigonometric polynomial of degree <= m on every
-circle; a first level that its interpolant does not reproduce is refused.
-Each report's meta gives `integration_nodes`, the rule nodes summed over
-the levels, and `evaluated_points`, the points where P or grad P was
-evaluated.
+own cap.  On S^1..S^3 a check evaluates P (degree m) or grad P (each
+ambient component of degree <= m + 1) once, on a grid of 2 * deg + 2
+angles per axis, and every level interpolates that grid to its nodes
+(`quadrature._grid_interpolant`) before taking |.|; Monte Carlo levels
+(S^4 and up) evaluate at their nodes.  A plain callable P must be a
+polynomial of its stated degree m, so that it is a trigonometric
+polynomial of degree <= m in each angle; a first level that its
+interpolant does not reproduce is refused.  Each report's meta gives
+`integration_nodes`, the rule nodes summed over the levels, and
+`evaluated_points`, the points where P or grad P was evaluated: the grid,
+the same at every cap, plus a plain callable's first-level nodes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .kernel import _exact_level_sums, kernel_model
 from .quadrature import (
     KernelPolynomial,
-    _circle_values,
+    _grid_interpolant,
     _require_refinement,
     _row_norms,
     build_quadrature,
@@ -53,8 +55,8 @@ DEGENERATE_INTEGRAL = 1e-14
 VALUE_BOUNDS = (0.5, 1.5)
 
 # Largest difference, relative to max |P|, between a plain callable's
-# interpolated and direct values on the first level; circle interpolation
-# (`quadrature._interpolation_matrix`) of a polynomial of the stated degree
+# interpolated and direct values on the first level; grid interpolation
+# (`quadrature._grid_interpolant`) of a polynomial of the stated degree
 # stays many orders of magnitude below it.
 DEGREE_TOLERANCE = 1e-8
 
@@ -102,8 +104,8 @@ def _ratio_report(
 
     kind "value" takes h = P with |.| and VALUE_BOUNDS, kind "gradient"
     h = grad P with row norms and `gradient_bounds(d)`.  m is `degree`, or
-    P's model degree if None; h has degree deg = m or m + 1 on every circle,
-    which sets the circle sampling and the mesh threshold r / max(deg, 1).
+    P's model degree if None; h has degree deg = m or m + 1, which sets
+    the angle grid and the mesh threshold r / max(deg, 1).
     A plain callable is also evaluated at the first level's nodes: if the
     interpolant is off by more than DEGREE_TOLERANCE * max |P| there, P is
     not of degree m, and a ValueError says so.
@@ -132,9 +134,11 @@ def _ratio_report(
         work["evaluated_points"] += len(points)
         return h(points)
 
+    at_nodes = _grid_interpolant(d, evaluate, h_degree)
+
     def integrand(level):
         work["integration_nodes"] += len(level.nodes)
-        values = _circle_values(level, evaluate, h_degree)
+        values = at_nodes(level)
         if level.resolution == start and not isinstance(P, KernelPolynomial):
             direct = np.asarray(evaluate(level.nodes), dtype=float)
             if np.max(np.abs(values - direct)) > DEGREE_TOLERANCE * np.max(np.abs(direct)):

@@ -12,17 +12,19 @@ there would need 2 * resolution^d nodes.  Every rule `build_quadrature`
 returns holds at most `MAX_RULE_NODES` nodes; it refuses a larger one
 before allocating anything.
 
-Product-rule nodes lie in contiguous runs of 2 * resolution on circles:
-each run shares its leading d - 1 coordinates and a radius rho, and its
-last two coordinates are rho * (cos phi_j, sin phi_j), phi_j = 2 pi j /
-(2 * resolution), starting at (rho, 0).  A polynomial restricted to such a
-circle is a trigonometric polynomial of at most its own degree, so
-`_circle_values` evaluates it at 2 * deg + 1 angles per circle and
-interpolates to the nodes, the idea behind fast spherical Fourier methods
-(Gräf & Potts 2011).  Every circle of a level shares one cached real
-interpolation matrix (`_interpolation_matrix`), so a level is one matrix
-product: O(deg * r) per circle, which at the checks' degrees beats a small
-FFT pair per circle.
+Product-rule nodes are x(theta_1, ..., theta_(d-1), phi) in C order of the
+angles: x_0 = cos theta_1, x_1 = sin theta_1 cos theta_2, ..., with the
+Gauss colatitudes cos theta_a = x_i and, last, contiguous runs of
+2 * resolution circle angles phi_j = 2 pi j / (2 * resolution), starting at
+phi_0 = 0.  A polynomial of degree deg is a trigonometric polynomial of
+degree <= deg in each angle separately, so `_grid_interpolant` evaluates it
+once on a grid of 2 * deg + 2 equispaced angles per axis and reaches every
+resolution's nodes by per-axis interpolation, the separable idea behind
+fast spherical Fourier methods (Gräf & Potts 2011): one cached matrix per
+colatitude axis (`_colatitude_matrix`), then one per circle
+(`_interpolation_matrix`) applied to all circles as one matrix product.
+The evaluations do not grow with the resolution; only the matrix
+products do.
 
 Polynomials are always represented in the kernel-section frame: anchors
 v_1..v_M on the sphere and coefficients a_1..a_M encode
@@ -224,55 +226,126 @@ def integrate(rule: QuadratureRule, f) -> float:
 @lru_cache(maxsize=64)
 def _interpolation_matrix(samples: int, run: int) -> np.ndarray:
     """The (run, samples) matrix M, read-only, that takes the values of a
-    trigonometric polynomial of degree <= deg = (samples - 1) / 2 at
+    trigonometric polynomial of degree <= deg = (samples - 1) // 2 at
     psi_s = 2 pi s / samples to its values at phi_j = 2 pi j / run.
 
     M[j, s] = (1 + 2 sum_{k=1..deg} cos k (phi_j - psi_s)) / samples, the
     Dirichlet kernel at the angle difference, which is reduced in integers,
-    k (j * samples - s * run) mod (run * samples), before each cosine.  At
-    deg = 0, M is exactly a column of ones.
+    k (j * samples - s * run) mod (run * samples), and read from one table
+    of cos(2 pi m / (run * samples)).  An even sample count leaves out the
+    frequency samples / 2, which a polynomial of degree deg does not have.
+    The entry depends on the offset alone, so each distinct offset (a
+    multiple of gcd(run, samples)) is summed once, k by k.  At deg = 0,
+    M is exactly 1 / samples.
     """
     period = run * samples
+    step = math.gcd(run, samples)
     offsets = np.subtract.outer(np.arange(run) * samples, np.arange(samples) * run) % period
-    total = np.ones((run, samples))
+    table = np.cos((2.0 * math.pi / period) * np.arange(period))
+    distinct = np.arange(0, period, step)
+    total = np.ones(len(distinct))
     for k in range(1, (samples - 1) // 2 + 1):
-        total += 2.0 * np.cos((2.0 * math.pi / period) * (k * offsets % period))
-    matrix = total / samples
+        total += 2.0 * table[k * distinct % period]
+    matrix = (total / samples)[offsets // step]
     matrix.flags.writeable = False
     return matrix
 
 
-def _circle_values(rule: QuadratureRule, h, deg: int) -> np.ndarray:
-    """h(rule.nodes), for an h whose restriction to every circle of a
-    product rule is a trigonometric polynomial of degree <= deg.
+@lru_cache(maxsize=64)
+def _colatitude_matrix(d: int, resolution: int, samples: int) -> np.ndarray:
+    """The (resolution, samples) matrix, read-only, that takes the values of
+    a trigonometric polynomial of degree <= deg = (samples - 1) // 2 at
+    psi_s = 2 pi s / samples to its values at the colatitudes
+    theta_i = arccos x_i of `_gauss_rule(d, resolution)`, in its order.
 
-    h maps an (n, d+1) point array to n values or n rows.  It is evaluated
-    at the 2 * deg + 1 equispaced angles psi_s = 2 pi s / (2 * deg + 1) of
-    each circle, psi_0 = 0, and interpolated to the circle's 2r nodes,
-    phi_0 = 0, by one cached real matrix (`_interpolation_matrix`) applied
-    to all circles at once: values as (circles, samples) @ M.T, rows as
-    M @ (circles, samples, k).  The result equals h(rule.nodes) up to
-    rounding; for a KernelPolynomial, within a few tens of
-    eps * sum|a_m| * K(1) of direct evaluation.  Monte Carlo rules, and
-    rules with 2r <= 2 * deg + 1, where interpolation saves nothing,
-    return h(rule.nodes) itself.
+    The same Dirichlet kernel as `_interpolation_matrix`, at theta_i - psi_s,
+    summed as cos k theta_i cos k psi_s + sin k theta_i sin k psi_s: one
+    product of two small matrices.
     """
-    run = 2 * rule.resolution
-    samples = 2 * deg + 1
-    if rule.exactness_degree == 0 or run <= samples:
-        return h(rule.nodes)
-    starts = rule.nodes[::run]  # (leading coordinates, rho, 0.0) per circle
+    x, _ = _gauss_rule(d, resolution)
+    k = np.arange(1, (samples - 1) // 2 + 1)
+    theta = np.multiply.outer(np.arccos(x), k)
+    psi = (2.0 * math.pi / samples) * (np.multiply.outer(k, np.arange(samples)) % samples)
+    matrix = (1.0 + 2.0 * (np.cos(theta) @ np.cos(psi) + np.sin(theta) @ np.sin(psi))) / samples
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _half_grid(d: int, samples: int) -> np.ndarray:
+    """The points x(theta_1, ..., theta_(d-1), phi) of S^d at the angles
+    psi_s = 2 pi s / samples (samples even): colatitudes psi_0..psi_(samples/2),
+    in [0, pi], and every circle angle, as a (points, d+1) array in C order
+    of the angles.  x_0 = cos theta_1, x_1 = sin theta_1 cos theta_2, ...,
+    and the last two coordinates are rho (cos phi, sin phi), rho the
+    product of the sines, as in `_product_rule`.
+    """
     angles = 2.0 * math.pi * np.arange(samples) / samples
-    points = np.empty((len(starts), samples, rule.d + 1))
-    points[:, :, :-2] = starts[:, None, :-2]
-    points[:, :, -2] = np.multiply.outer(starts[:, -2], np.cos(angles))
-    points[:, :, -1] = np.multiply.outer(starts[:, -2], np.sin(angles))
-    values = np.asarray(h(points.reshape(-1, rule.d + 1)), dtype=float)
-    matrix = _interpolation_matrix(samples, run)
-    if values.ndim == 1:
-        return (values.reshape(len(starts), samples) @ matrix.T).reshape(-1)
-    at_nodes = np.matmul(matrix, values.reshape(len(starts), samples, -1))
-    return at_nodes.reshape(len(rule.nodes), *values.shape[1:])
+    cos, sin = np.cos(angles), np.sin(angles)
+    axes = [np.arange(samples // 2 + 1)] * (d - 1) + [np.arange(samples)]
+    *colatitudes, phi = np.meshgrid(*axes, indexing="ij")
+    rho = 1.0
+    coordinates = []
+    for s in colatitudes:
+        coordinates.append(rho * cos[s])
+        rho = rho * sin[s]
+    coordinates += [rho * cos[phi], rho * sin[phi]]
+    return np.stack(coordinates, axis=-1).reshape(-1, d + 1)
+
+
+def _full_grid(half: np.ndarray, d: int, samples: int) -> np.ndarray:
+    """Values on all samples**d angles, shape (components, samples, ...,
+    samples), from the (components, points) values at `_half_grid(d, samples)`.
+
+    Colatitude axes are filled from the last one out by the reflection
+    x(-theta_a, theta_(a+1) + pi) = x(theta_a, theta_(a+1)): index
+    s > samples / 2 reads samples - s, with the next axis turned by half.
+    """
+    half_count = samples // 2
+    grid = half.reshape((len(half),) + (half_count + 1,) * (d - 1) + (samples,))
+    for axis in reversed(range(1, d)):
+        mirrored = np.take(grid, np.arange(half_count - 1, 0, -1), axis=axis)
+        grid = np.concatenate([grid, np.roll(mirrored, half_count, axis=axis + 1)], axis=axis)
+    return grid
+
+
+def _grid_interpolant(d: int, h, deg: int):
+    """The function rule -> h(rule.nodes) for rules on S^d, where h is a
+    polynomial of degree <= deg in the ambient coordinates.
+
+    h maps an (n, d+1) point array to n values or n rows.  On S^1..S^3 the
+    product rule's points are x(theta_1, ..., theta_(d-1), phi) and h is a
+    trigonometric polynomial of degree <= deg in each angle separately.  So
+    h is evaluated once, at the first product rule asked for, on the
+    2 * deg + 2 angles psi_s = 2 pi s / (2 * deg + 2) per axis: at
+    `_half_grid`'s points, the rest filled by reflection (`_full_grid`).
+    Each rule is then reached by per-axis Dirichlet interpolation of each
+    value component: the cached `_colatitude_matrix` of each colatitude
+    axis, then `_interpolation_matrix(2 * deg + 2, 2r)` on all circles as
+    one matrix product, in `_product_rule`'s node order.  The result equals
+    h(rule.nodes) up to rounding; for a KernelPolynomial, within a few tens
+    of eps * sum|a_m| * K(1) of direct evaluation.  Rows come back as a
+    transposed view.  Monte Carlo rules return h(rule.nodes) itself.
+    """
+    samples = 2 * deg + 2
+    grid = shape = None
+
+    def at_nodes(rule: QuadratureRule) -> np.ndarray:
+        nonlocal grid, shape
+        if rule.exactness_degree == 0:
+            return h(rule.nodes)
+        if grid is None:
+            values = np.asarray(h(_half_grid(d, samples)), dtype=float)
+            shape = values.shape[1:]
+            grid = _full_grid(values.reshape(len(values), -1).T, d, samples)
+        r = rule.resolution
+        values = grid
+        for axis in range(1, d):
+            values = np.tensordot(_colatitude_matrix(d + 1 - axis, r, samples), values, axes=(1, axis))
+            values = np.moveaxis(values, 0, axis)
+        at = values.reshape(-1, samples) @ _interpolation_matrix(samples, 2 * r).T
+        return at.reshape(len(grid), -1).T.reshape(len(rule.nodes), *shape)
+
+    return at_nodes
 
 
 def _require_refinement(start_resolution: int, max_resolution) -> None:
@@ -299,8 +372,8 @@ def integrate_refined(
     """Integrate with resolution doubling until two estimates agree.
 
     f maps each level's QuadratureRule to its (m,) node values, so an
-    integrand can use the rule's circle layout (see `_circle_values`);
-    each level is summed by `integrate`.  Returns (value,
+    integrand can interpolate them from values it computed once (see
+    `_grid_interpolant`); each level is summed by `integrate`.  Returns (value,
     achieved_rel_change, resolution).  Absolute-value integrands converge
     only algebraically, so the loop stops at max_resolution if the target
     is not reached; the achieved agreement is reported so callers can

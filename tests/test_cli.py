@@ -296,7 +296,7 @@ class TestCliCommands:
         assert len(lines) == 4
 
     def test_mz_test_s3_gradient_csv(self, tmp_path):
-        # integrals at the default cap of 128, through the circle path
+        # integrals at the default cap of 128, through the angle grid
         out = tmp_path / "mz.csv"
         argv = ["mz-test", "--d", "3", "--t", "2", "--n", "50", "--kind", "gradient"]
         try:
@@ -308,6 +308,21 @@ class TestCliCommands:
         assert lines[0] == "d,m,n,mesh_norm,ratio,within_bounds"
         assert len(lines) == 3
         assert all(line.startswith("3,2,50,") and line.endswith(",true") for line in lines[1:])
+
+    def test_mz_test_max_resolution_sets_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "mz.csv"
+        argv = ["mz-test", "--d", "2", "--t", "3", "--n", "50", "--trials", "1"]
+        assert main(argv + ["--max-resolution", "16", "--csv", str(out)]) == 0
+        assert "within bounds: 1/1" in capsys.readouterr().out
+        assert out.read_text().startswith("d,m,n,mesh_norm,ratio,within_bounds\n2,3,50,")
+
+    def test_mz_test_refuses_a_start_above_the_cap(self, capsys):
+        # the integrals start at resolution t + 2 = 22
+        argv = ["mz-test", "--d", "2", "--t", "20", "--n", "50", "--trials", "1"]
+        assert main(argv + ["--max-resolution", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--t 20" in err and "--max-resolution 16" in err
+        assert "start_resolution" not in err
 
     def test_constants(self, capsys):
         code = main(["constants", "--d", "2", "--sweep", "10,100"])
@@ -416,7 +431,7 @@ class TestCliCommands:
         for name in ("mesh_constant", "step_count"):
             assert flow_demo[name] == parameter_default(FlowConfig.defaults, name), name
         mz_test = defaults("mz-test", "--d", "2", "--t", "2", "--n", "20")
-        for name in ("mesh_constant", "kind"):
+        for name in ("mesh_constant", "kind", "max_resolution"):
             assert mz_test[name] == parameter_default(run_trials, name), name
         constants = defaults("constants", "--d", "2")
         for function in (design_count_constant, mesh_threshold):

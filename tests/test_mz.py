@@ -177,8 +177,8 @@ class TestDiscreteAverage:
         assert gradient.discrete_average == math.fsum(norms) / partition.n
 
 
-class TestCirclePath:
-    """Kernel-polynomial integrals go through quadrature._circle_values."""
+class TestGridPath:
+    """Integrals on S^1..S^3 go through quadrature._grid_interpolant."""
 
     @pytest.mark.parametrize("d, t, n, cap", [(1, 3, 40, 64), (3, 2, 60, 16)])
     @pytest.mark.parametrize("check", [mz_check, mz_gradient_check])
@@ -193,31 +193,49 @@ class TestCirclePath:
             assert report.ratio == base.ratio
 
     def test_work_counts_on_s2(self):
-        # levels 7, 14, ..., 112: 2 r^2 nodes; the value check samples
-        # 2t + 1 = 11 points and the gradient check 13 on each of r circles
+        # levels 7, 14, ..., 112: 2 r^2 nodes; the value check evaluates
+        # P once on (t + 2) colatitudes times 2t + 2 circle angles, 7 * 12,
+        # and the gradient check on 8 * 14
         _, partition, rule, poly = _setup(2, 5, 200)
         levels = [7 * 2**k for k in range(5)]
         value = mz_check(partition, poly, max_resolution=128)
         gradient = mz_gradient_check(partition, poly, max_resolution=128)
-        for report, samples in ((value, 11), (gradient, 13)):
+        for report, grid in ((value, 84), (gradient, 112)):
             assert report.meta["integration_resolution"] == 112
             assert report.meta["integration_nodes"] == sum(2 * r * r for r in levels)
-            assert report.meta["evaluated_points"] == sum(samples * r for r in levels)
+            assert report.meta["evaluated_points"] == grid
 
-    def test_plain_callable_takes_the_circle_path(self):
-        # x_0^2 has degree 2, so each circle is sampled at 5 angles and the
-        # levels start at default_resolution(2) = 4
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluated_points_are_the_grid_at_every_cap(self, d):
+        # (deg + 2)^(d - 1) * (2 deg + 2) points, deg = t for values and
+        # t + 1 for gradients, whether refinement stops at the first level
+        # (4), at 32 or at 128
+        t = 2
+        _, partition, _, poly = _setup(d, t, 60)
+        try:
+            for check, deg in ((mz_check, t), (mz_gradient_check, t + 1)):
+                grid = (deg + 2) ** (d - 1) * (2 * deg + 2)
+                for cap in (4, 32, 128):
+                    report = check(partition, poly, max_resolution=cap)
+                    assert report.meta["integration_resolution"] == cap  # levels 4, 8, ..., cap
+                    assert report.meta["evaluated_points"] == grid, (check.__name__, cap)
+        finally:
+            quadrature._cached_rule.cache_clear()  # frees the 4M-node S^3 rule
+
+    def test_plain_callable_takes_the_grid_path(self):
+        # x_0^2 has degree 2, so it is evaluated on 4 colatitudes times 6
+        # circle angles, and the levels start at default_resolution(2) = 4
         partition = equal_area_partition(2, 50)
         report = mz_check(partition, lambda pts: pts[:, 0] ** 2, degree=2, max_resolution=24)
         # x_0^2 is integrated exactly, so refinement stops at resolution 8;
         # the degree check also evaluates it at the 32 first-level nodes
         assert report.meta["integration_resolution"] == 8
         assert report.meta["integration_nodes"] == 2 * (16 + 64)
-        assert report.meta["evaluated_points"] == 5 * 4 + 5 * 8 + 32
+        assert report.meta["evaluated_points"] == 4 * 6 + 32
 
     def test_plain_callable_must_have_its_stated_degree(self):
-        # x_1^6 stated as degree 2 aliases on the circles (its integral
-        # would read 0.171 against 1/7); stated as degree 6 it is exact
+        # x_1^6 stated as degree 2 aliases on the angle grid (its integral
+        # would read 0.179 against 1/7); stated as degree 6 it is exact
         partition = equal_area_partition(2, 200)
         sextic = lambda pts: pts[:, 1] ** 6
         with pytest.raises(ValueError, match="degree <= 2"):

@@ -112,8 +112,8 @@ class TestProductRule:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nodes_run_in_circles(self, d):
-        # the layout quadrature._circle_values reads: contiguous runs of 2r
-        # nodes sharing their leading d-1 coordinates, whose last two are
+        # the layout quadrature._grid_interpolant writes: contiguous runs of
+        # 2r nodes sharing their leading d-1 coordinates, whose last two are
         # rho * (cos phi_j, sin phi_j) from phi_0 = 0, first node (rho, 0.0)
         for res in self.RESOLUTIONS:
             rule = build_quadrature(d, res)
@@ -179,8 +179,8 @@ class TestGaussRules:
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
-class TestCircleValues:
-    """`_circle_values` against direct evaluation at every node."""
+class TestGridInterpolant:
+    """`_grid_interpolant` against direct evaluation at every node."""
 
     EPS = np.finfo(float).eps
 
@@ -197,48 +197,84 @@ class TestCircleValues:
 
         return call
 
+    @staticmethod
+    def _full_grid_points(d, samples):
+        # x(theta_1, ..., theta_(d-1), phi) at every angle 2 pi s / samples
+        angles = 2.0 * math.pi * np.arange(samples) / samples
+        index = np.meshgrid(*[np.arange(samples)] * d, indexing="ij")
+        rho, coordinates = 1.0, []
+        for s in index[:-1]:
+            coordinates.append(rho * np.cos(angles[s]))
+            rho = rho * np.sin(angles[s])
+        coordinates += [rho * np.cos(angles[index[-1]]), rho * np.sin(angles[index[-1]])]
+        return np.stack(coordinates, axis=-1).reshape(-1, d + 1)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8, 12])
     def test_matches_direct_evaluation(self, d, t):
-        # measured over six seeds: values within 15.5 and gradient
-        # components within 2.4 of the scales below; integrals within 5e-15
+        # measured over six seeds: values within 17.9 and gradient
+        # components within 3.1 of the scales below; integrals within 3.2e-15
         poly = self._poly(d, t, 100 * d + t)
         mass = np.abs(poly.coefficients).sum()
         one = np.array([1.0])
         value_scale = self.EPS * mass * float(kernel_value(poly.model, one)[0])
         gradient_scale = self.EPS * mass * float(kernel_derivative(poly.model, one)[0])
+        value_at = quadrature._grid_interpolant(d, poly, t)
+        gradient_at = quadrature._grid_interpolant(d, poly.gradient, t + 1)
         for res in (t + 1, t + 2, 2 * (t + 2), 8 * (t + 2)):
             if d == 3 and res > 40:
                 continue
             rule = build_quadrature(d, res)
-            values = quadrature._circle_values(rule, poly, t)
+            values = value_at(rule)
             assert np.max(np.abs(values - poly(rule.nodes))) <= 32 * value_scale
-            grad = quadrature._circle_values(rule, poly.gradient, t + 1)
+            grad = gradient_at(rule)
+            assert grad.shape == (len(rule.nodes), d + 1)
             assert np.max(np.abs(grad - poly.gradient(rule.nodes))) <= 32 * gradient_scale
             direct = integrate(rule, lambda x: np.abs(poly(x)))
             assert integrate(rule, lambda _: np.abs(values)) == pytest.approx(direct, rel=1e-14)
             direct = integrate(rule, poly.gradient_norm)
-            circled = integrate(rule, lambda _: quadrature._row_norms(grad))
-            assert circled == pytest.approx(direct, rel=1e-14)
+            interpolated = integrate(rule, lambda _: quadrature._row_norms(grad))
+            assert interpolated == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_evaluates_2_deg_plus_1_points_per_circle(self, d):
+    def test_evaluates_the_grid_once(self, d):
+        # 2 deg + 2 circle angles and deg + 2 colatitudes in [0, pi] per
+        # colatitude axis, whatever the resolutions asked for
         poly = self._poly(d, 3, d)
-        rule = build_quadrature(d, 8)
         calls = []
-        quadrature._circle_values(rule, self._counted(poly, calls), 3)
-        assert calls == [7 * len(rule.nodes) // 16]
+        at_nodes = quadrature._grid_interpolant(d, self._counted(poly, calls), 3)
+        for res in (2, 5, 8, 16):
+            assert at_nodes(build_quadrature(d, res)).shape == (2 * res**d,)
+        assert calls == [5 ** (d - 1) * 8]
 
-    @pytest.mark.parametrize("d, res, deg", [(1, 3, 3), (2, 5, 5), (2, 3, 5), (3, 4, 4), (4, 8, 2), (5, 3, 1)])
-    def test_direct_where_interpolation_saves_nothing(self, d, res, deg):
-        # Monte Carlo rules, and circles of 2r <= 2 deg + 1 nodes
+    @pytest.mark.parametrize("d, res, deg", [(4, 8, 2), (5, 3, 1)])
+    def test_direct_on_monte_carlo_rules(self, d, res, deg):
         poly = self._poly(d, max(deg, 1), d)
         rule = build_quadrature(d, res)
         for h in (poly, poly.gradient):
             calls = []
-            got = quadrature._circle_values(rule, self._counted(h, calls), deg)
+            got = quadrature._grid_interpolant(d, self._counted(h, calls), deg)(rule)
             assert calls == [len(rule.nodes)]
             assert np.array_equal(got, h(rule.nodes))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("deg", [0, 1, 4, 9])
+    def test_reflection_fills_the_grid(self, d, deg):
+        # the grid's reflected half against direct evaluation at its angles:
+        # measured within 6.9 eps * sum|a_m| * K(1) (or K'(1)) over six
+        # seeds, the rounding of the angles' sines and cosines
+        poly = self._poly(d, max(deg, 1), 10 * d + deg)
+        samples = 2 * deg + 2
+        points = self._full_grid_points(d, samples)
+        scale = self.EPS * np.abs(poly.coefficients).sum()
+        for h, k in ((poly, kernel_value), (poly.gradient, kernel_derivative)):
+            half = np.asarray(h(quadrature._half_grid(d, samples)))
+            grid = quadrature._full_grid(half.reshape(len(half), -1).T, d, samples)
+            direct = np.asarray(h(points))
+            assert grid.shape == (direct.size // len(points),) + (samples,) * d
+            filled = grid.reshape(len(grid), -1).T.reshape(direct.shape)
+            bound = 16 * scale * float(k(poly.model, np.array([1.0]))[0])
+            assert np.max(np.abs(filled - direct)) <= bound
 
 
 class TestInterpolationMatrix:
@@ -253,7 +289,10 @@ class TestInterpolationMatrix:
         # to rounding at every k
         return 2.0 * math.pi * (k * np.arange(count) % count) / count
 
-    @pytest.mark.parametrize("samples, run", [(3, 4), (5, 16), (7, 8), (13, 28), (27, 256), (41, 128)])
+    @pytest.mark.parametrize(
+        "samples, run",
+        [(3, 4), (5, 16), (7, 8), (13, 28), (27, 256), (41, 128), (2, 8), (8, 6), (12, 224), (28, 256)],
+    )
     def test_reproduces_every_frequency_up_to_deg(self, samples, run):
         # each entry sums deg cosines, so the error grows with deg: measured
         # at most 1.6 (deg + 1) eps for deg <= 13 and every run <= 256
@@ -270,6 +309,7 @@ class TestInterpolationMatrix:
     def test_degree_zero_is_exact_ones(self, run):
         matrix = quadrature._interpolation_matrix(1, run)
         assert matrix.shape == (run, 1) and np.all(matrix == 1.0)
+        assert np.all(quadrature._interpolation_matrix(2, run) == 0.5)
 
     def test_cached_read_only_and_shared(self):
         matrix = quadrature._interpolation_matrix(7, 16)
@@ -279,34 +319,63 @@ class TestInterpolationMatrix:
             matrix[0, 0] = 0.0
 
     @staticmethod
-    def _fft_reference(values, samples, run):
-        # the FFT pair the matrix replaced: rfft of each circle's samples,
-        # then a zero-padded irfft to its 2r nodes
-        values = values.reshape(-1, samples, *values.shape[1:])
-        coefficients = np.fft.rfft(values, axis=1, norm="forward")
-        at_nodes = np.fft.irfft(coefficients, n=run, axis=1, norm="forward")
-        return at_nodes.reshape(-1, *values.shape[2:])
+    def _per_k_reference(samples, run):
+        # the build the cosine table replaced: deg cosines per entry
+        period = run * samples
+        offsets = np.subtract.outer(np.arange(run) * samples, np.arange(samples) * run) % period
+        total = np.ones((run, samples))
+        for k in range(1, (samples - 1) // 2 + 1):
+            total += 2.0 * np.cos((2.0 * math.pi / period) * (k * offsets % period))
+        return total / samples
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("t", [1, 3, 8])
-    def test_circle_values_match_the_fft_pair(self, d, t):
-        rng = np.random.default_rng(10 * d + t)
-        poly = KernelPolynomial(kernel_model(d, t), random_points(d, 7, rng), rng.standard_normal(7))
-        for res in (t + 2, 2 * (t + 2), 24):
-            rule = build_quadrature(d, res)
-            for h, deg in ((poly, t), (poly.gradient, t + 1)):
-                sampled = []
+    @pytest.mark.parametrize(
+        "samples, run", [(1, 4), (3, 4), (7, 16), (13, 28), (41, 128), (12, 14), (14, 224), (204, 204), (61, 512)]
+    )
+    def test_bit_equal_to_a_cosine_per_entry_and_frequency(self, samples, run):
+        expected = self._per_k_reference(samples, run)
+        assert np.array_equal(quadrature._interpolation_matrix(samples, run), expected)
 
-                def recorded(points):
-                    sampled.append(h(points))
-                    return sampled[-1]
+    @pytest.mark.parametrize("samples, run", [(3, 8), (7, 16), (41, 128), (4, 8), (12, 224), (14, 28)])
+    def test_matches_the_fft_pair(self, samples, run):
+        # rfft of arbitrary samples, the frequency samples / 2 of an even
+        # count dropped, then a zero-padded irfft to the run: the
+        # trigonometric interpolant of degree (samples - 1) // 2; measured
+        # within 5.1 eps * max|values| over six seeds
+        values = np.random.default_rng(samples * run).standard_normal((samples, 5))
+        coefficients = np.fft.rfft(values, axis=0, norm="forward")
+        coefficients[(samples - 1) // 2 + 1 :] = 0.0
+        expected = np.fft.irfft(coefficients, n=run, axis=0, norm="forward")
+        got = quadrature._interpolation_matrix(samples, run) @ values
+        assert np.max(np.abs(got - expected)) <= 16 * self.EPS * np.max(np.abs(values))
 
-                got = quadrature._circle_values(rule, recorded, deg)
-                (values,) = sampled
-                expected = self._fft_reference(values, 2 * deg + 1, 2 * res)
-                assert got.shape == expected.shape == (len(rule.nodes), *values.shape[1:])
-                # measured at most 8.9 eps * max|values| over six seeds
-                assert np.max(np.abs(got - expected)) <= 16 * self.EPS * np.max(np.abs(values))
+
+class TestColatitudeMatrix:
+    """`_colatitude_matrix` takes a trigonometric polynomial's values at
+    psi_s = 2 pi s / samples to its values at the Gauss colatitudes."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("deg", [0, 1, 2, 5, 8, 13, 40])
+    def test_reproduces_every_frequency_up_to_deg(self, d, deg):
+        # measured at most 2.9 (deg + 1) eps for deg <= 40 and every
+        # resolution <= 256
+        samples = 2 * deg + 2
+        for res in (1, 2, deg + 1, deg + 2, 16, 128):
+            matrix = quadrature._colatitude_matrix(d, res, samples)
+            assert matrix.shape == (res, samples)
+            theta = np.arccos(quadrature._gauss_rule(d, res)[0])
+            for k in range(deg + 1):
+                psi = TestInterpolationMatrix._angles(k, samples)
+                for wave in (np.cos, np.sin):
+                    error = np.max(np.abs(matrix @ wave(psi) - wave(k * theta)))
+                    assert error <= 4 * (deg + 1) * self.EPS
+
+    def test_degree_zero_is_exact_halves_and_read_only(self):
+        matrix = quadrature._colatitude_matrix(2, 8, 2)
+        assert np.all(matrix == 0.5)
+        assert quadrature._colatitude_matrix(2, 8, 2) is matrix
+        assert not matrix.flags.writeable
 
 
 class TestIntegrate:
