@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = _HANDLERS[args.command](args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if code == EXIT_OK:

@@ -231,7 +231,7 @@ def run_trials(
         raise ValueError(f"unknown check kind {kind!r}; expected 'value' or 'gradient'")
     check = checks[kind]
     model = kernel_model(d, t)
-    _require_refinement(default_resolution(t), max_resolution)  # before sampling at that rule
+    _require_refinement(d, default_resolution(t), max_resolution)  # before sampling at that rule
     partition = equal_area_partition(d, n)
     rule = build_quadrature(d, default_resolution(t))
     reports = []

@@ -9,21 +9,22 @@ kernel's recurrence (`kernel._degree_scan`), with the derivative from
 S^2 and Gauss-Chebyshev of the second kind on S^3.  Higher dimensions use
 Monte Carlo with seed 0 and exactness degree 0, since the product rule
 there would need 2 * resolution^d nodes.  Every rule `build_quadrature`
-returns holds at most `MAX_RULE_NODES` nodes; it refuses a larger one
-before allocating anything.
+returns stores at most `MAX_RULE_FLOATS` floats, coordinates and weights;
+it refuses a larger one before allocating anything.
 
 Product-rule nodes are x(theta_1, ..., theta_(d-1), phi) in C order of the
 angles: x_0 = cos theta_1, x_1 = sin theta_1 cos theta_2, ..., with the
 Gauss colatitudes cos theta_a = x_i and, last, contiguous runs of
 2 * resolution circle angles phi_j = 2 pi j / (2 * resolution), starting at
-phi_0 = 0.  A polynomial of degree deg is a trigonometric polynomial of
-degree <= deg in each angle separately, so `_grid_interpolant` evaluates it
-once on a grid of 2 * deg + 2 equispaced angles per axis and reaches every
-resolution's nodes by per-axis interpolation, the separable idea behind
-fast spherical Fourier methods (Gräf & Potts 2011): one cached matrix per
-colatitude axis (`_colatitude_matrix`), then one per circle
-(`_interpolation_matrix`) applied to all circles as one matrix product.
-The evaluations do not grow with the resolution; only the matrix
+phi_0 = 0.  One point map, `_angle_points`, builds them from per-axis
+cosines and sines, for the rules and for the equispaced grid alike.  A
+polynomial of degree deg is a trigonometric polynomial of degree <= deg in
+each angle separately, so `_grid_interpolant` evaluates it once on a grid
+of 2 * deg + 2 equispaced angles per axis and reaches every resolution's
+nodes by per-axis interpolation, the separable idea behind fast spherical
+Fourier methods (Gräf & Potts 2011): one cached Dirichlet matrix per axis
+(`_axis_matrix`), the circle's applied to all circles as one matrix
+product.  The evaluations do not grow with the resolution; only the matrix
 products do.
 
 Polynomials are always represented in the kernel-section frame: anchors
@@ -64,10 +65,11 @@ from .sphere_geometry import frozen_copy, random_points
 from .sphere_geometry import require_count, require_supported_dimension
 
 
-# Most nodes of any rule `build_quadrature` returns: the S^3 rule at
-# resolution 256 (2 * 256**3 nodes, 1 GiB of coordinates and 256 MiB of
-# weights) is the largest that fits.
-MAX_RULE_NODES = 2**26
+# Most floats, coordinates and weights together, that a rule
+# `build_quadrature` returns may store: the S^3 rule at resolution 256
+# (2 * 256**3 nodes of 4 coordinates and a weight, 1.25 GiB) is the
+# largest S^3 rule admitted.
+MAX_RULE_FLOATS = 5 * 2**25
 
 
 def _exact_unit_weights(weights: np.ndarray) -> np.ndarray:
@@ -142,6 +144,22 @@ def _gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights / weights.sum()
 
 
+def _angle_points(axes) -> np.ndarray:
+    """The points x(theta_1, ..., theta_(d-1), phi) of S^d, one per angle
+    tuple in C order, from the per-axis arrays (cos, sin) of each angle,
+    colatitudes first and the circle last: x_0 = cos theta_1 and
+    x_1..x_d = sin theta_1 times the points of the remaining axes on S^(d-1).
+    """
+    (cos, sin), *rest = axes
+    if not rest:
+        return np.stack([cos, sin], axis=1)
+    sub = _angle_points(rest)
+    points = np.empty((len(cos) * len(sub), len(axes) + 1))
+    points[:, 0] = np.repeat(cos, len(sub))
+    points[:, 1:] = np.repeat(sin, len(sub))[:, None] * np.tile(sub, (len(cos), 1))
+    return points
+
+
 def _product_rule(d: int, resolution: int):
     """Nodes and weights exact through degree 2 * resolution - 1 on S^d.
 
@@ -149,19 +167,15 @@ def _product_rule(d: int, resolution: int):
     Gauss-Jacobi rule in x = x_0, weight (1 - x^2)^((d-2)/2) (`_gauss_rule`),
     times the rule on S^(d-1) scaled by sqrt(1 - x^2).
     """
-    if d == 1:
-        m = 2 * resolution
-        phis = 2.0 * math.pi * np.arange(m) / m
-        return np.stack([np.cos(phis), np.sin(phis)], axis=1), np.full(m, 1.0 / m)
-    x, w = _gauss_rule(d, resolution)
-    sub_nodes, sub_weights = _product_rule(d - 1, resolution)
-    n_sub = len(sub_weights)
-    nodes = np.empty((resolution * n_sub, d + 1))
-    nodes[:, 0] = np.repeat(x, n_sub)
-    st = np.repeat(np.sqrt(1.0 - x**2), n_sub)
-    nodes[:, 1:] = st[:, None] * np.tile(sub_nodes, (resolution, 1))
-    weights = np.repeat(w, n_sub) * np.tile(sub_weights, resolution)
-    return nodes, weights
+    m = 2 * resolution
+    phis = 2.0 * math.pi * np.arange(m) / m
+    axes = [(np.cos(phis), np.sin(phis))]
+    weights = np.full(m, 1.0 / m)
+    for k in range(2, d + 1):
+        x, w = _gauss_rule(k, resolution)
+        axes.insert(0, (x, np.sqrt(1.0 - x**2)))
+        weights = np.outer(w, weights).ravel()
+    return _angle_points(axes), weights
 
 
 def _rule_size(d: int, resolution: int) -> int:
@@ -170,12 +184,13 @@ def _rule_size(d: int, resolution: int) -> int:
 
 
 def _require_rule_budget(d: int, resolution: int) -> None:
-    """Raise ValueError if build_quadrature(d, resolution) would exceed MAX_RULE_NODES nodes."""
+    """Raise ValueError if build_quadrature(d, resolution) would store more
+    than MAX_RULE_FLOATS floats: d + 1 coordinates and a weight per node."""
     nodes = _rule_size(d, resolution)
-    if nodes > MAX_RULE_NODES:
+    if nodes * (d + 2) > MAX_RULE_FLOATS:
         raise ValueError(
-            f"a resolution-{resolution} rule on S^{d} has {nodes} nodes, "
-            f"over the budget of {MAX_RULE_NODES}"
+            f"a resolution-{resolution} rule on S^{d} has {nodes} nodes of "
+            f"{d + 2} floats, over the budget of {MAX_RULE_FLOATS} floats"
         )
 
 
@@ -201,7 +216,7 @@ def _cached_rule(d: int, resolution: int) -> QuadratureRule:
 
 def build_quadrature(d: int, resolution: int) -> QuadratureRule:
     """Quadrature rule on S^d; product rules for d <= 3, Monte Carlo (seed 0)
-    beyond.  A rule over `MAX_RULE_NODES` nodes is refused before it is built."""
+    beyond.  A rule over `MAX_RULE_FLOATS` floats is refused before it is built."""
     require_supported_dimension(d)
     require_count("resolution", resolution)
     _require_rule_budget(d, resolution)
@@ -223,48 +238,29 @@ def integrate(rule: QuadratureRule, f) -> float:
     return math.fsum(_exact_level_sums(rule.weights * values))
 
 
-@lru_cache(maxsize=64)
-def _interpolation_matrix(samples: int, run: int) -> np.ndarray:
-    """The (run, samples) matrix M, read-only, that takes the values of a
-    trigonometric polynomial of degree <= deg = (samples - 1) // 2 at
-    psi_s = 2 pi s / samples to its values at phi_j = 2 pi j / run.
+@lru_cache(maxsize=128)
+def _axis_matrix(d: int, resolution: int, samples: int) -> np.ndarray:
+    """The matrix M, read-only, that takes the values of a trigonometric
+    polynomial of degree <= deg = (samples - 1) // 2 at psi_s = 2 pi s / samples
+    to its values at one axis of the resolution's product rule on S^d: the
+    2 * resolution circle angles phi_j = 2 pi j / (2 * resolution) for d = 1,
+    else the colatitudes theta_i = arccos x_i of `_gauss_rule(d, resolution)`,
+    in its order.
 
-    M[j, s] = (1 + 2 sum_{k=1..deg} cos k (phi_j - psi_s)) / samples, the
-    Dirichlet kernel at the angle difference, which is reduced in integers,
-    k (j * samples - s * run) mod (run * samples), and read from one table
-    of cos(2 pi m / (run * samples)).  An even sample count leaves out the
-    frequency samples / 2, which a polynomial of degree deg does not have.
-    The entry depends on the offset alone, so each distinct offset (a
-    multiple of gcd(run, samples)) is summed once, k by k.  At deg = 0,
-    M is exactly 1 / samples.
+    M[i, s] = (1 + 2 sum_{k=1..deg} cos k (theta_i - psi_s)) / samples, the
+    Dirichlet kernel at the angle difference, summed as
+    cos k theta_i cos k psi_s + sin k theta_i sin k psi_s: one product of two
+    small matrices, with k j and k s reduced in integers on the equispaced
+    angles.  An even sample count leaves out the frequency samples / 2,
+    which a polynomial of degree deg does not have.  At deg = 0, M is
+    exactly 1 / samples.
     """
-    period = run * samples
-    step = math.gcd(run, samples)
-    offsets = np.subtract.outer(np.arange(run) * samples, np.arange(samples) * run) % period
-    table = np.cos((2.0 * math.pi / period) * np.arange(period))
-    distinct = np.arange(0, period, step)
-    total = np.ones(len(distinct))
-    for k in range(1, (samples - 1) // 2 + 1):
-        total += 2.0 * table[k * distinct % period]
-    matrix = (total / samples)[offsets // step]
-    matrix.flags.writeable = False
-    return matrix
-
-
-@lru_cache(maxsize=64)
-def _colatitude_matrix(d: int, resolution: int, samples: int) -> np.ndarray:
-    """The (resolution, samples) matrix, read-only, that takes the values of
-    a trigonometric polynomial of degree <= deg = (samples - 1) // 2 at
-    psi_s = 2 pi s / samples to its values at the colatitudes
-    theta_i = arccos x_i of `_gauss_rule(d, resolution)`, in its order.
-
-    The same Dirichlet kernel as `_interpolation_matrix`, at theta_i - psi_s,
-    summed as cos k theta_i cos k psi_s + sin k theta_i sin k psi_s: one
-    product of two small matrices.
-    """
-    x, _ = _gauss_rule(d, resolution)
     k = np.arange(1, (samples - 1) // 2 + 1)
-    theta = np.multiply.outer(np.arccos(x), k)
+    if d == 1:
+        m = 2 * resolution
+        theta = (2.0 * math.pi / m) * (np.multiply.outer(np.arange(m), k) % m)
+    else:
+        theta = np.multiply.outer(np.arccos(_gauss_rule(d, resolution)[0]), k)
     psi = (2.0 * math.pi / samples) * (np.multiply.outer(k, np.arange(samples)) % samples)
     matrix = (1.0 + 2.0 * (np.cos(theta) @ np.cos(psi) + np.sin(theta) @ np.sin(psi))) / samples
     matrix.flags.writeable = False
@@ -272,24 +268,12 @@ def _colatitude_matrix(d: int, resolution: int, samples: int) -> np.ndarray:
 
 
 def _half_grid(d: int, samples: int) -> np.ndarray:
-    """The points x(theta_1, ..., theta_(d-1), phi) of S^d at the angles
-    psi_s = 2 pi s / samples (samples even): colatitudes psi_0..psi_(samples/2),
-    in [0, pi], and every circle angle, as a (points, d+1) array in C order
-    of the angles.  x_0 = cos theta_1, x_1 = sin theta_1 cos theta_2, ...,
-    and the last two coordinates are rho (cos phi, sin phi), rho the
-    product of the sines, as in `_product_rule`.
-    """
+    """`_angle_points` at the angles psi_s = 2 pi s / samples (samples even):
+    colatitudes psi_0..psi_(samples/2), in [0, pi], and every circle angle."""
     angles = 2.0 * math.pi * np.arange(samples) / samples
     cos, sin = np.cos(angles), np.sin(angles)
-    axes = [np.arange(samples // 2 + 1)] * (d - 1) + [np.arange(samples)]
-    *colatitudes, phi = np.meshgrid(*axes, indexing="ij")
-    rho = 1.0
-    coordinates = []
-    for s in colatitudes:
-        coordinates.append(rho * cos[s])
-        rho = rho * sin[s]
-    coordinates += [rho * cos[phi], rho * sin[phi]]
-    return np.stack(coordinates, axis=-1).reshape(-1, d + 1)
+    half = samples // 2 + 1
+    return _angle_points([(cos[:half], sin[:half])] * (d - 1) + [(cos, sin)])
 
 
 def _full_grid(half: np.ndarray, d: int, samples: int) -> np.ndarray:
@@ -319,11 +303,11 @@ def _grid_interpolant(d: int, h, deg: int):
     2 * deg + 2 angles psi_s = 2 pi s / (2 * deg + 2) per axis: at
     `_half_grid`'s points, the rest filled by reflection (`_full_grid`).
     Each rule is then reached by per-axis Dirichlet interpolation of each
-    value component: the cached `_colatitude_matrix` of each colatitude
-    axis, then `_interpolation_matrix(2 * deg + 2, 2r)` on all circles as
-    one matrix product, in `_product_rule`'s node order.  The result equals
-    h(rule.nodes) up to rounding; for a KernelPolynomial, within a few tens
-    of eps * sum|a_m| * K(1) of direct evaluation.  Rows come back as a
+    value component: the cached `_axis_matrix` of each colatitude axis,
+    then the circle's on all circles as one matrix product, in
+    `_product_rule`'s node order.  The result equals h(rule.nodes) up to
+    rounding; for a KernelPolynomial, within a few tens of
+    eps * sum|a_m| * K(1) of direct evaluation.  Rows come back as a
     transposed view.  Monte Carlo rules return h(rule.nodes) itself.
     """
     samples = 2 * deg + 2
@@ -340,18 +324,19 @@ def _grid_interpolant(d: int, h, deg: int):
         r = rule.resolution
         values = grid
         for axis in range(1, d):
-            values = np.tensordot(_colatitude_matrix(d + 1 - axis, r, samples), values, axes=(1, axis))
+            values = np.tensordot(_axis_matrix(d + 1 - axis, r, samples), values, axes=(1, axis))
             values = np.moveaxis(values, 0, axis)
-        at = values.reshape(-1, samples) @ _interpolation_matrix(samples, 2 * r).T
+        at = values.reshape(-1, samples) @ _axis_matrix(1, r, samples).T
         return at.reshape(len(grid), -1).T.reshape(len(rule.nodes), *shape)
 
     return at_nodes
 
 
-def _require_refinement(start_resolution: int, max_resolution) -> None:
-    """Raise ValueError unless `integrate_refined` can refine from
-    start_resolution to max_resolution: a count, and a finite cap not
-    below it."""
+def _require_refinement(d: int, start_resolution: int, max_resolution) -> int:
+    """The last level `integrate_refined` on S^d builds from start_resolution
+    under max_resolution.  Raises ValueError unless the start is a count,
+    the cap is finite and not below it, and that level is within
+    `build_quadrature`'s budget."""
     if not math.isfinite(max_resolution):
         raise ValueError(f"max_resolution must be finite, got {max_resolution!r}")
     require_count("start_resolution", start_resolution)
@@ -359,6 +344,11 @@ def _require_refinement(start_resolution: int, max_resolution) -> None:
         raise ValueError(
             f"start_resolution {start_resolution} is above max_resolution {max_resolution}"
         )
+    top = start_resolution
+    while 2 * top <= max_resolution:
+        top *= 2
+    _require_rule_budget(d, top)
+    return top
 
 
 def integrate_refined(
@@ -379,14 +369,10 @@ def integrate_refined(
     is not reached; the achieved agreement is reported so callers can
     decide.  max_resolution must be finite, or that stop never comes, and
     not below start_resolution, and the last rule it allows must be within
-    `build_quadrature`'s budget of `MAX_RULE_NODES` nodes; all are checked
+    `build_quadrature`'s budget of `MAX_RULE_FLOATS` floats; all are checked
     before any rule is built.
     """
-    _require_refinement(start_resolution, max_resolution)
-    top = start_resolution
-    while 2 * top <= max_resolution:
-        top *= 2
-    _require_rule_budget(d, top)
+    top = _require_refinement(d, start_resolution, max_resolution)
     res = start_resolution
     prev = None
     change = math.inf

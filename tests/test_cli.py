@@ -337,6 +337,13 @@ class TestCliCommands:
         assert main(argv) == 1
         assert "error: mesh constant must be positive and finite" in capsys.readouterr().err
 
+    def test_constants_overflow_exits_one(self, capsys):
+        # (54 d B / r)^d overflows a float at d = 8 and r = 1e-40
+        argv = ["constants", "--d", "8", "--sweep", "10,100", "--mesh-constant", "1e-40"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("mesh_constant", ["0", "-1", "nan"])
     def test_mz_test_rejects_bad_mesh_constant(self, capsys, mesh_constant):
         argv = ["mz-test", "--d", "2", "--t", "2", "--n", "20", "--trials", "2"]

@@ -1,6 +1,7 @@
 """Inputs outside the contracts of `sphere_geometry` (integer dimensions and
-counts, positive finite constants) and over the rule-node budget are
-refused with a ValueError that names them; none builds a product rule."""
+counts, positive finite constants) and over the rule budget are
+refused with a ValueError that names them; none builds a rule or samples
+a polynomial."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from sphdesign.sphere_geometry import PointConfiguration, equal_area_partition
 
 def refuse_product_rule(d, resolution):
     raise AssertionError(f"built a product rule on S^{d} at resolution {resolution}")
+
+
+def refuse_random_points(d, count, rng):
+    raise AssertionError(f"drew {count} random points on S^{d}")
 
 
 @pytest.mark.parametrize(
@@ -103,6 +108,13 @@ def refuse_product_rule(d, resolution):
         pytest.param(
             lambda rule: run_trials(2, 2, 20, trials=1.5, seed=0), "trials", id="mz-trials"
         ),
+        # the last S^4 level, resolution 4 * 2**14, holds 2**26 nodes of 6
+        # floats; refused before the trials sample P at the first level
+        pytest.param(
+            lambda rule: run_trials(4, 2, 30, 1, 0, max_resolution=100000),
+            r"resolution-65536 rule on S\^4 .* over the budget",
+            id="mz-trials-over-budget",
+        ),
         pytest.param(
             lambda rule: mz_check(equal_area_partition(2, 20), lambda x: x[:, 0], degree=1.5),
             "degree",
@@ -117,7 +129,9 @@ def refuse_product_rule(d, resolution):
 )
 def test_rejects_naming_the_input(monkeypatch, call, name):
     rule = build_quadrature(2, 4)
-    # no case may reach a product-rule build, the budget case least of all
+    # no case may build a rule or sample a polynomial, the budget cases
+    # least of all
     monkeypatch.setattr(quadrature, "_product_rule", refuse_product_rule)
+    monkeypatch.setattr(quadrature, "random_points", refuse_random_points)
     with pytest.raises(ValueError, match=name):
         call(rule)
