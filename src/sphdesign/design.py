@@ -13,8 +13,14 @@ rho_1..rho_t with defect = sum_k rho_k.
 Verification (`defect`, `degree_residuals`, `verify_design`) takes every
 kernel value from the two-term form 1 + K = C(t+d, t) P_t + C(t+d-1, t-1)
 P_{t-1} on S^(d+2) (`kernel._value`), the form the finder and the flow use
-too; only the residuals scan the degrees on S^d one by one, so the sum of
-the residuals matches the defect up to rounding.
+too.  The residuals come from the same scan on S^(d+2): with A_k the
+rounded product C(k+d, k) P_k, A_0 = 1 and A_(-1) = 0, the degree-k term
+of the kernel is Z(d, k) P_k = A_k - A_(k-2) on S^d (the contiguous relation
+of `kernel`), so rho_k sums A_k - A_(k-2) over the pairs, exactly.  The
+residuals then telescope, exactly, to the pair sum of A_t + A_(t-1) - 1,
+which the kernel value rounds twice per pair: their sum is within a few
+eps * K(1) of the defect whatever the accuracy of the scan, which loses up
+to k/2 eps near s = 1, where every diagonal cosine |x_i|^2 lies.
 
 The pair matrices are symmetric, so each unordered pair is evaluated once:
 one pass forms the N diagonal cosines and the N(N-1)/2 above the diagonal,
@@ -193,16 +199,21 @@ def _average_section(model: KernelModel, points: np.ndarray) -> KernelPolynomial
 def _pair_pass(model: KernelModel, config: PointConfiguration):
     """`defect`, `degree_residuals` and the minimum separation (None for one
     point) from one pair pass, bit for bit: the levels of `_kernel_blocks`,
-    and per degree those of the weighted P_k, a new array, as
-    `_exact_level_sums` overwrites its input and the scan on S^d still
-    needs P_k for two more degrees.
+    and per degree those of the weighted A_k = C(k+d, k) P_k on S^(d+2)
+    (module docstring), a new array, as `_exact_level_sums` overwrites its
+    input and the scan still needs P_k for two more degrees.  Doubling
+    commutes with rounding, so the off-diagonal entries take 2 C(k+d, k)
+    in one product.
 
     The separation is the smallest angle 2 asin(|x_i - x_j| / 2) over the
     pairs i < j whose cosine is the largest off the diagonal; the chord
     keeps the angle of close points, whose cosine rounds to 1.  A max is
     exact and the chord symmetric in i and j, so the separation does not
     depend on point order either."""
-    kernel_levels, degree_levels = [], [[] for _ in range(model.t)]
+    d, n_sq = model.d, config.n**2
+    # at k + 1 the levels of A_k: A_(-1) = 0, A_0 = 1 (pair sum N^2), A_1..A_t
+    product_levels = [[], [float(n_sq)]] + [[] for _ in range(model.t)]
+    kernel_levels = []
     largest, closest = None, []
     for lo, hi, s, diagonal, levels in _kernel_blocks(model, config):
         kernel_levels += levels
@@ -213,10 +224,17 @@ def _pair_pass(model: KernelModel, config: PointConfiguration):
                 largest, closest = block_max, []
             if block_max == largest:
                 closest.append((lo, hi, np.flatnonzero(off == block_max)))
-        for k, p in _degree_scan(model.d, model.t, s):
-            degree_levels[k - 1] += _exact_level_sums(_pair_weighted(p, diagonal))
-    n_sq = config.n**2
-    residuals = np.array([z * math.fsum(r) / n_sq for z, r in zip(model.dims, degree_levels)])
+        for k, p in _degree_scan(d + 2, model.t, s):
+            scale = math.comb(k + d, k)
+            weighted = p * (2.0 * scale)
+            np.multiply(p[:diagonal], scale, out=weighted[:diagonal])
+            product_levels[k + 1] += _exact_level_sums(weighted)
+    residuals = np.array(
+        [
+            math.fsum(above + [-q for q in below]) / n_sq
+            for below, above in zip(product_levels, product_levels[2:])
+        ]
+    )
     separation = None
     if closest:
         pairs = [_pairs_at(config.n, lo, hi, at) for lo, hi, at in closest]

@@ -10,8 +10,10 @@ Gegenbauer polynomial normalized to P_k(1) = 1, the kernel is
 
 The constant term k = 0 is excluded, so every kernel section has zero
 mean.  The sum is never formed degree by degree: every kernel value comes
-from the two-term form below (`_one_plus_kernel`), and a scan on S^d
-itself serves only verification's per-degree residuals.
+from the two-term form below (`_one_plus_kernel`), and verification's
+per-degree residuals from the same scan on S^(d+2) (`design._pair_pass`),
+as the contiguous relation below gives each term Z(d, k) P_k as
+C(k + d, k) P_k - C(k + d - 2, k - 2) P_(k-2) there.
 
 All polynomial evaluation goes through a single forward three-term
 recurrence that is valid for every d >= 1 (`_degree_scan`); for d = 1 it

@@ -23,7 +23,6 @@ from sphdesign.design import (
 )
 from sphdesign.harmonics import basis_size, basis_values, mean_residuals
 from sphdesign.kernel import (
-    gegenbauer_normalized,
     kernel_derivative,
     kernel_model,
     kernel_value,
@@ -343,12 +342,19 @@ def _fsum_reference(model, cfg):
     the correctly rounded total of all N^2 entries.
 
     The kernel matrix is `kernel_value`, the two-term form of the kernel
-    that verification sums too."""
+    that verification sums too.  The degree-k residual matrix is
+    A_k - A_(k-2), with A_k the rounded C(k+d, k) P_k of S^(d+2), A_0 = 1
+    and A_(-1) = 0, the terms whose pair sums verification takes."""
+    d = model.d
     s = np.clip(np.einsum("ik,jk->ij", cfg.points, cfg.points), -1.0, 1.0)
     n_sq = cfg.n**2
-    degrees = [gegenbauer_normalized(model, k, s) for k in range(1, model.t + 1)]
+    products = [np.zeros_like(s), np.ones_like(s)]  # A_(-1), A_0
+    products += [math.comb(k + d, k) * p for k, p in kernel._degree_scan(d + 2, model.t, s)]
     total = math.fsum(kernel_value(model, s).ravel()) / n_sq
-    residuals = [z * math.fsum(p.ravel()) / n_sq for z, p in zip(model.dims, degrees)]
+    residuals = [
+        math.fsum(np.concatenate([above.ravel(), -below.ravel()])) / n_sq
+        for below, above in zip(products, products[2:])
+    ]
     return total, np.array(residuals)
 
 
