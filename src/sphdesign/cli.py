@@ -309,12 +309,12 @@ def _cmd_constants(args) -> int:
 
     sweep = tuple(int(s) for s in args.sweep.split(","))
     measured = measure_diameter_constant(args.d, sweep)
+    cd = design_count_constant(args.d, measured["constant"], args.mesh_constant)
     print(f"d = {args.d}")
     for n, product in measured["products"].items():
         print(f"  mesh_norm * n^(1/d) at n={n}: {product:.6f}")
     print(f"measured diameter constant: {measured['constant']:.6f}")
     print(f"configured mesh constant:   {args.mesh_constant}")
-    cd = design_count_constant(args.d, measured["constant"], args.mesh_constant)
     print(f"design-count coefficient >  {cd:.6e}")
     print(
         "mesh threshold at t=1..5:   "

@@ -67,12 +67,23 @@ def design_count_constant(d: int, diameter_constant: float, mesh_constant: float
     """Lower limit (54 d B / r)^d on the coefficient c with N >= c t^d admissible.
 
     B is the measured partition diameter constant and r the configured mesh
-    constant; no sharpness is claimed.
+    constant; no sharpness is claimed.  Raises ValueError when the value is
+    not a finite float.
     """
     require_supported_dimension(d)
     require_positive_finite("diameter constant", diameter_constant)
     require_positive_finite("mesh constant", mesh_constant)
-    return (54.0 * d * diameter_constant / mesh_constant) ** d
+    base = 54.0 * d * diameter_constant / mesh_constant
+    try:
+        value = base**d
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"design-count coefficient (54*d*B/r)^d = ({base:.6g})^{d} overflows a float "
+            f"at d = {d}, B = {diameter_constant!r}, r = {mesh_constant!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)

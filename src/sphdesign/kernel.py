@@ -42,7 +42,12 @@ Z(d, k) * k (k + d - 1) / d = (d + 1) * Z(d + 2, k - 1), so
     K'_{d,t}(s) = (d + 1) * (1 + K_{d+2,t-1}(s)),
 
 where K_{d+2,0} = 0.  `kernel_derivative` evaluates it by the two-term
-form on S^(d+2), from a scan on S^(d+4).
+form on S^(d+2), from a scan on S^(d+4).  Applied once more,
+
+    K''_{d,t}(s) = (d + 1) * (d + 3) * (1 + K_{d+4,t-2}(s)),
+
+which is 0 at t = 1; `kernel_second_derivative` evaluates it from a scan on
+S^(d+6).
 """
 
 from __future__ import annotations
@@ -287,6 +292,15 @@ def _derivative(model: KernelModel, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _second_derivative(model: KernelModel, s: np.ndarray) -> np.ndarray:
+    """K''_{d,t}(s) = (d + 1) * (d + 3) * (1 + K_{d+4,t-2}(s)); 0 at t = 1."""
+    if model.t == 1:
+        return np.zeros_like(s)
+    out = _one_plus_kernel(model.d + 4, model.t - 2, s)
+    out *= (model.d + 1) * (model.d + 3)
+    return out
+
+
 def _as_input_shape(values: np.ndarray):
     """A float for the value at one cosine, else the array: values has the
     shape of the cosines given."""
@@ -317,6 +331,11 @@ def kernel_value(model: KernelModel, s):
 def kernel_derivative(model: KernelModel, s):
     """Derivative d/ds of `kernel_value`, as a kernel on S^(d+2)."""
     return _as_input_shape(_derivative(model, clamp_cosine(s)))
+
+
+def kernel_second_derivative(model: KernelModel, s):
+    """Second derivative d^2/ds^2 of `kernel_value`, as a kernel on S^(d+4)."""
+    return _as_input_shape(_second_derivative(model, clamp_cosine(s)))
 
 
 def kernel_value_and_derivative(model: KernelModel, s):

@@ -341,8 +341,18 @@ class TestCliCommands:
         # (54 d B / r)^d overflows a float at d = 8 and r = 1e-40
         argv = ["constants", "--d", "8", "--sweep", "10,100", "--mesh-constant", "1e-40"]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        # the message names the formula and its inputs, and nothing was printed before it
+        for part in ("(54*d*B/r)^d", "d = 8", "B = ", "r = 1e-40"):
+            assert part in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mesh_constant", [1e-40, 5e-324])
+    def test_design_count_constant_overflow_names_inputs(self, mesh_constant):
+        # the power overflows at 1e-40; at 5e-324 the base itself is inf
+        with pytest.raises(ValueError, match=r"\(54\*d\*B/r\)\^d .* d = 8, B = 1.5, r = "):
+            design_count_constant(8, 1.5, mesh_constant)
 
     @pytest.mark.parametrize("mesh_constant", ["0", "-1", "nan"])
     def test_mz_test_rejects_bad_mesh_constant(self, capsys, mesh_constant):

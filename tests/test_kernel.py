@@ -22,6 +22,7 @@ from sphdesign.kernel import (
     harmonic_dim,
     kernel_derivative,
     kernel_model,
+    kernel_second_derivative,
     kernel_value,
     kernel_value_and_derivative,
 )
@@ -215,6 +216,7 @@ class TestInputCosinesAreReadOnly:
             outputs = [
                 kernel_value(model, s),
                 kernel_derivative(model, s),
+                kernel_second_derivative(model, s),
                 *kernel_value_and_derivative(model, s),
                 *(gegenbauer_normalized(model, k, s) for k in range(degree + 1)),
             ]
@@ -352,34 +354,40 @@ PIN_DEGREES = (1, 2, 3, 5, 8, 16, 40, 100, 200)
 
 @functools.lru_cache(maxsize=None)
 def _companion_reference(d: int, s: float) -> dict:
-    """K(s), K'(s) and K''(s) at every degree in PIN_DEGREES, to 40 digits.
+    """K(s), K'(s), K''(s) and K'''(s) at every degree in PIN_DEGREES, to 40
+    digits.
 
-    Runs the P_k recurrence and its first and second derivatives (the
-    companion recurrences) and adds Z(d, k) P_k, Z(d, k) P_k' and
-    Z(d, k) P_k'' up to each degree.
+    Runs the P_k recurrence and its first three derivatives (the companion
+    recurrences) and adds Z(d, k) P_k, Z(d, k) P_k', Z(d, k) P_k'' and
+    Z(d, k) P_k''' up to each degree.
     """
     with mpmath.workdps(40):
         x = mpmath.mpf(s)
         p_prev, p = mpmath.mpf(1), x
         dp_prev, dp = mpmath.mpf(0), mpmath.mpf(1)
         ddp_prev, ddp = mpmath.mpf(0), mpmath.mpf(0)
+        dddp_prev, dddp = mpmath.mpf(0), mpmath.mpf(0)
         value, first, second = harmonic_dim(d, 1) * p, harmonic_dim(d, 1) * dp, mpmath.mpf(0)
-        out = {1: (float(value), float(first), float(second))}
+        third = mpmath.mpf(0)
+        out = {1: (float(value), float(first), float(second), float(third))}
         for k in range(2, max(PIN_DEGREES) + 1):
             a, b, c = 2 * k + d - 3, k - 1, k + d - 2
-            p, p_prev, dp, dp_prev, ddp, ddp_prev = (
+            p, p_prev, dp, dp_prev, ddp, ddp_prev, dddp, dddp_prev = (
                 (a * x * p - b * p_prev) / c,
                 p,
                 (a * (p + x * dp) - b * dp_prev) / c,
                 dp,
                 (a * (2 * dp + x * ddp) - b * ddp_prev) / c,
                 ddp,
+                (a * (3 * ddp + x * dddp) - b * dddp_prev) / c,
+                dddp,
             )
             value += harmonic_dim(d, k) * p
             first += harmonic_dim(d, k) * dp
             second += harmonic_dim(d, k) * ddp
+            third += harmonic_dim(d, k) * dddp
             if k in PIN_DEGREES:
-                out[k] = (float(value), float(first), float(second))
+                out[k] = (float(value), float(first), float(second), float(third))
     return out
 
 
@@ -399,7 +407,8 @@ def _pin_points(d: int) -> np.ndarray:
 
 
 def _reference_cases(d):
-    """(model, s, exact K, K' and K'' at s, exact values at 1) per pinned degree."""
+    """(model, s, exact K, K', K'' and K''' at s, exact values at 1) per
+    pinned degree."""
     s = _pin_points(d)
     reference = [_companion_reference(d, float(x)) for x in s]
     at_one = _companion_reference(d, 1.0)
@@ -419,16 +428,16 @@ class TestValueAgainstReference:
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_value_within_four_eps(self, d):
         eps = np.finfo(float).eps
-        for model, s, (value, first, _), at_one in _reference_cases(d):
+        for model, s, (value, first, _, _), at_one in _reference_cases(d):
             bound = 4 * eps * (at_one[0] + np.abs(s * first))
             fused = kernel_value_and_derivative(model, s)[0]
             for got in (kernel_value(model, s), fused):
                 assert np.all(np.abs(got - value) <= bound), (d, model.t)
             assert kernel_value(model, 1.0) == at_one[0] == model.space_dim
 
-    @pytest.mark.parametrize("d", range(1, 13))
+    @pytest.mark.parametrize("d", range(1, 15))
     def test_scan_endpoints_exact(self, d):
-        # up to S^12: the derivative of a kernel on S^8 scans S^(8+4)
+        # up to S^14: the second derivative of a kernel on S^8 scans S^(8+6)
         s = np.array([1.0, -1.0])
         for k, p in _degree_scan(d, MAX_DEGREE, s):
             assert p[0] == 1.0 and p[1] == (-1.0) ** k, (d, k)
@@ -446,12 +455,50 @@ class TestDerivativeAgainstReference:
     @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
     def test_derivative_within_four_eps(self, d):
         eps = np.finfo(float).eps
-        for model, s, (_, first, second), at_one in _reference_cases(d):
+        for model, s, (_, first, second, _), at_one in _reference_cases(d):
             bound = 4 * eps * (at_one[1] + np.abs(s * second))
             fused = kernel_value_and_derivative(model, s)[1]
             for got in (kernel_derivative(model, s), fused):
                 assert np.all(np.abs(got - first) <= bound), (d, model.t)
             assert kernel_derivative(model, 1.0) == at_one[1]
+
+
+class TestSecondDerivative:
+    """K'' = (d + 1)(d + 3)(1 + K_{d+4,t-2}), 0 at t = 1.
+
+    Against the 40-digit companion recurrence, with the bound
+    4 eps (K''(1) + |s K'''(s)|) by the reasoning given for K' above, and
+    against a central difference of `kernel_derivative`.
+    """
+
+    DEGREES = (1, 2, 3, 5, 8)
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_within_four_eps(self, d):
+        eps = np.finfo(float).eps
+        for model, s, (_, _, second, third), at_one in _reference_cases(d):
+            if model.t in self.DEGREES:
+                bound = 4 * eps * (at_one[2] + np.abs(s * third))
+                got = kernel_second_derivative(model, s)
+                assert np.all(np.abs(got - second) <= bound), (d, model.t)
+                assert kernel_second_derivative(model, 1.0) == at_one[2]
+
+    @pytest.mark.parametrize("d", SUPPORTED_DIMENSIONS)
+    def test_matches_central_difference(self, rng, d):
+        h = 1e-6
+        s = rng.uniform(-0.99, 0.99, size=50)
+        for t in self.DEGREES:
+            model = kernel_model(d, t)
+            fd = (kernel_derivative(model, s + h) - kernel_derivative(model, s - h)) / (2 * h)
+            exact = kernel_second_derivative(model, s)
+            rel = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
+            assert rel.max() < 1e-6, (d, t)
+
+    def test_low_degrees(self):
+        s = np.array([-1.0, 0.25, 1.0])
+        assert np.array_equal(kernel_second_derivative(kernel_model(3, 1), s), np.zeros(3))
+        # d^2/ds^2 [3s + 5(3s^2 - 1)/2] = 15
+        assert kernel_second_derivative(kernel_model(2, 2), 0.3) == 15.0
 
 
 class TestModelValidation:

@@ -6,14 +6,19 @@ import pytest
 
 import sphdesign.optimizer as optimizer
 import sphdesign.quadrature as quadrature
-from sphdesign.design import catalog_design, defect, verify_design
+from sphdesign.design import _section_defect, catalog_design, defect, verify_design
 from sphdesign.kernel import (
     kernel_derivative,
     kernel_model,
     kernel_value,
     kernel_value_and_derivative,
 )
-from sphdesign.optimizer import FinderConfig, find_design, seed_points
+from sphdesign.optimizer import FinderConfig, find_design, seed_points, step_kind
+from sphdesign.sphere_geometry import unit_rows
+
+# sizes on each side of the path rule: Gauss-Newton, then L-BFGS
+GAUSS_NEWTON_CFG = FinderConfig(d=2, t=3, n=8, seed=42)
+LBFGS_CFG = FinderConfig(d=4, t=3, n=30, seed=42)
 
 
 class TestSeedPoints:
@@ -74,8 +79,8 @@ class TestFindDesign:
         norms = np.linalg.norm(config.points, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
-    def test_deterministic_bit_for_bit(self):
-        cfg = FinderConfig(d=2, t=3, n=8, seed=42)
+    @pytest.mark.parametrize("cfg", [GAUSS_NEWTON_CFG, LBFGS_CFG], ids=["gauss-newton", "lbfgs"])
+    def test_deterministic_bit_for_bit(self, cfg):
         config_a, report_a = find_design(cfg)
         config_b, report_b = find_design(cfg)
         assert np.array_equal(config_a.points, config_b.points)
@@ -86,12 +91,17 @@ class TestFindDesign:
     @pytest.mark.parametrize(
         "cfg",
         [
-            FinderConfig(d=2, t=3, n=8, seed=42),
+            GAUSS_NEWTON_CFG,
             FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
+            FinderConfig(d=2, t=5, n=12),
+            LBFGS_CFG,
+            FinderConfig(d=4, t=3, n=30, max_iterations=1, restarts=0, seed=3),
         ],
-        ids=["2-3-8", "2-2-4-stalled"],
+        ids=["2-3-8", "2-2-4-stalled", "2-5-12-restart", "4-3-30", "4-3-30-stalled"],
     )
     def test_line_search_counts_repeat(self, cfg):
+        # on the Gauss-Newton path a trial is one solved step and a
+        # backtrack one rejected step
         _, first = find_design(cfg)
         _, second = find_design(cfg)
         keys = ("line_search_trials", "backtracks", "iterations")
@@ -101,10 +111,11 @@ class TestFindDesign:
         # every trial is accepted (one iteration) or backtracked
         assert trials == first.meta["iterations"] + first.meta["backtracks"]
 
-    @pytest.mark.parametrize("d,t,n", [(2, 3, 8), (3, 3, 16)])
+    @pytest.mark.parametrize("d,t,n", [(2, 3, 8), (3, 3, 16), (4, 3, 30)])
     def test_one_kernel_pass_per_evaluation(self, monkeypatch, d, t, n):
         # each objective evaluation (the start and every line-search trial)
-        # takes value and gradient from one fused pass over one row block
+        # takes value and gradient from one fused pass over one row block;
+        # the Gauss-Newton matrix takes K' and K'' from the kernel itself
         calls = Counter()
 
         def counting(original):
@@ -121,12 +132,20 @@ class TestFindDesign:
         evaluations = 1 + report.meta["line_search_trials"]
         assert calls == {"kernel_value_and_derivative": evaluations}
 
-    def test_restart_rescues_stalled_seed(self):
-        # the first three perturbed starts stall in local minima at this
-        # size; the fourth reaches a true design
+    @pytest.mark.parametrize(
+        "step,reasons",
+        [("gauss_newton", ["stalled"] * 2 + ["target"]), ("lbfgs", ["line_search"] * 3 + ["target"])],
+        ids=["gauss-newton", "lbfgs"],
+    )
+    def test_restart_rescues_stalled_seed(self, monkeypatch, step, reasons):
+        # the first perturbed starts stall in local minima at this size, the
+        # last reaches a true design: within three attempts by Gauss-Newton,
+        # the path this size takes, and in four by L-BFGS
+        monkeypatch.setattr(optimizer, "step_kind", lambda d, t, n: step)
         config, report = find_design(FinderConfig(d=2, t=5, n=12, seed=0))
         assert report.verdict
-        assert report.meta["stop_reasons"] == ["line_search"] * 3 + ["target"]
+        assert report.meta["step"] == step
+        assert report.meta["stop_reasons"] == reasons
 
     @pytest.mark.parametrize(
         "d,t,n", [(2, 4, 16), (2, 4, 20), (2, 4, 25), (2, 3, 8), (3, 2, 6), (2, 6, 40)]
@@ -176,11 +195,12 @@ class TestFindDesign:
     @pytest.mark.parametrize(
         "cfg",
         [
-            FinderConfig(d=2, t=5, n=12),  # converges after three restarts
+            FinderConfig(d=2, t=5, n=12),  # converges after two restarts
             FinderConfig(d=2, t=4, n=25, seed=0),
             FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
+            LBFGS_CFG,
         ],
-        ids=["2-5-12-restart", "2-4-25", "2-2-4-stalled"],
+        ids=["2-5-12-restart", "2-4-25", "2-2-4-stalled", "4-3-30"],
     )
     def test_bookkeeping_agrees_with_verification(self, cfg):
         # the finder descends on a plain-sum objective; verification is exact
@@ -203,6 +223,71 @@ class TestFindDesign:
         _, report = find_design(FinderConfig(d=1, t=2, n=3, seed=9))
         assert report.meta["seed"] == 9
         assert report.meta["runtime_seconds"] >= 0.0
+
+
+class TestStepPath:
+    def test_each_side_of_the_rule(self):
+        # d^3 N <= 400 t takes Gauss-Newton: 8 * 12 <= 2000, 64 * 30 > 1200
+        _, report = find_design(FinderConfig(d=2, t=5, n=12))
+        assert report.meta["step"] == "gauss_newton"
+        _, report = find_design(FinderConfig(d=4, t=3, n=30))
+        assert report.meta["step"] == "lbfgs"
+
+    def test_float_budget(self):
+        # within the cost rule (8 * 1100 <= 400 * 40), but the (dN)^2 system
+        # of 4.84e6 floats is over the budget of 2^22
+        assert 2**3 * 1100 <= optimizer.GN_COST_RATIO * 40
+        assert step_kind(2, 40, 1100) == "lbfgs"
+        assert step_kind(2, 40, 1024) == "gauss_newton"  # (dN)^2 = 2^22
+
+    def test_stalled_attempt_is_a_local_minimum(self):
+        # an attempt ends on "stalled" after its one slow step
+        cfg = FinderConfig(d=2, t=5, n=12, restarts=0, seed=0)
+        _, report = find_design(cfg)
+        trace = report.meta["defect_trace"]
+        assert report.meta["stop_reason"] == "stalled"
+        assert trace[-2] - trace[-1] < optimizer.STALL * trace[-2]
+        assert all(a - b >= optimizer.STALL * a for a, b in zip(trace[:-2], trace[1:-1]))
+
+
+class TestGaussNewtonMatrix:
+    @pytest.mark.parametrize("d,n", [(1, 5), (2, 12), (4, 30)])
+    def test_tangent_bases(self, rng, d, n):
+        x = unit_rows(rng.standard_normal((n, d + 1)))
+        x[0] = np.eye(d + 1)[0]  # on the reflector's axis, both signs
+        x[1] = -np.eye(d + 1)[0]
+        bases = optimizer._tangent_bases(x)
+        assert bases.shape == (n, d + 1, d)
+        eye = np.broadcast_to(np.eye(d), (n, d, d))
+        assert np.abs(np.einsum("iac,iae->ice", bases, bases) - eye).max() < 4e-16
+        assert np.abs(np.einsum("iac,ia->ic", bases, x)).max() < 4e-16
+
+    @pytest.mark.parametrize("name,t", [("icosahedron", 5), ("24-cell", 5)])
+    def test_half_the_hessian_at_a_design(self, name, t):
+        # at a design P_X = 0, so the Gauss-Newton matrix is half the
+        # Hessian of the objective: central differences of step 1e-4 in
+        # tangent coordinates
+        config = catalog_design(name)
+        model = kernel_model(config.d, t)
+        x = config.points
+        bases = optimizer._tangent_bases(x)
+        system = optimizer._gauss_newton_matrix(model, x, bases)
+        size = system.shape[0]
+
+        def objective(z):  # the section objective in tangent coordinates
+            return _section_defect(model, unit_rows(x + np.einsum("iac,ic->ia", bases, z)))[0]
+
+        h = 1e-4
+        steps = h * np.eye(size).reshape(size, len(x), config.d)
+        hessian = np.empty((size, size))
+        for a in range(size):
+            for b in range(a, size):
+                plus, minus = steps[a] + steps[b], steps[a] - steps[b]
+                value = objective(plus) - objective(minus) - objective(-minus) + objective(-plus)
+                hessian[a, b] = hessian[b, a] = value / (4 * h * h)
+        # measured 8.6e-8 of the largest entry for both; dropping the K''
+        # term gives 0.25
+        assert np.abs(system - hessian / 2).max() <= 1e-6 * np.abs(system).max()
 
 
 class TestFinderConfigValidation:
