@@ -224,7 +224,8 @@ def _cmd_find(args) -> int:
         rows = "\n".join(f"{i},{v:.17g}" for i, v in enumerate(trace))
         _emit("iteration,defect\n" + rows + "\n", args.trace)
     print(
-        f"defect {report.defect:.3e} after {report.meta['attempts']} attempt(s), "
+        f"defect {report.defect:.3e} after {report.meta['attempts']} attempt(s) "
+        f"({report.meta['step']} solve, {report.meta['cg_iterations']} CG iterations), "
         f"stopped on {report.meta['stop_reason']}; "
         f"verdict {'design' if report.verdict else 'NOT a design at target'}"
     )

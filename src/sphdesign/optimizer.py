@@ -17,17 +17,18 @@ the per-iteration defects in `meta["defect_trace"]` (and in CLI
 the exact verified defect.  They agree to a few eps * K(1).
 
 A design is a zero of P_X, so finding one is a zero-residual least-squares
-problem, and two descents solve it (`step_kind` picks one by size and
-`meta["step"]` names it):
-- "gauss_newton": Levenberg-Marquardt steps in tangent coordinates, one
-  dense (dN)^2 solve each (`np.linalg.solve`); they converge
-  quadratically near a design, in 5-7 steps from a perturbed seed.
-- "lbfgs": L-BFGS over unnormalised coordinates whose unit rows are the
-  points, with a halving line search; linear convergence, 25-125
-  iterations, each cheap.
-Both take only numpy: scipy's solvers find the same designs, but importing
-`scipy.optimize` costs each process that runs the finder about 0.5 s and
-50 MB.
+problem.  One descent solves it at every size: Levenberg-Marquardt
+(damped Gauss-Newton) steps in tangent coordinates, which converge
+quadratically near a design, in 5-7 steps from a perturbed seed.  Each
+step solves (H + mu h I) z = -g/2 for the Gauss-Newton matrix H in one of
+two forms (`step_kind` picks one by size and `meta["step"]` names it):
+- "dense": `np.linalg.solve` on the (dN)^2 matrix, about (dN)^3 flops;
+- "cg": conjugate gradients through matrix-free products H z, each about
+  5 N^2 (d + 1) flops, to a relative residual of CG_TOLERANCE.
+The dense form runs while d^2 N <= DENSE_COST_RATIO * t and its matrix
+fits the float budget, CG elsewhere.  Both take only numpy: scipy's
+solvers find the same designs, but importing `scipy.optimize` costs each
+process that runs the finder about 0.5 s and 50 MB.
 
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
@@ -35,23 +36,17 @@ bit-for-bit at a fixed thread count.
 
 from __future__ import annotations
 
-import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .design import DesignReport, _section_defect, lower_bound, verify_design
-from .kernel import kernel_derivative, kernel_model, kernel_second_derivative
-from .sphere_geometry import PointConfiguration, equal_area_partition, norm_column, unit_rows
+from .kernel import kernel_derivative, kernel_model, kernel_second_derivative, row_blocks
+from .sphere_geometry import PointConfiguration, equal_area_partition, unit_rows
 from .sphere_geometry import require_count, require_positive_finite
 
-# L-BFGS: the (step, gradient change) pairs kept, the Armijo slope and the
-# halvings of a trial step; then the seed noise scale of every attempt.
-MEMORY = 10
-ARMIJO_SLOPE = 1e-4
-MAX_BACKTRACKS = 60
+# The seed noise scale of every attempt.
 PERTURBATION = 0.3
 
 # Levenberg-Marquardt damping, in units of the diagonal of the Gauss-Newton
@@ -67,25 +62,32 @@ MIN_DAMPING = 1e-12
 MAX_DAMPING = 1e8
 STALL = 1e-4
 
-# The Gauss-Newton path: one dense (dN)^2 solve per step, about (dN)^3
-# flops, against L-BFGS iterations of about N^2 t each; it takes 4-6 steps
-# where L-BFGS takes 21-97 iterations.  Measured at one BLAS thread on S^2
-# to S^5, it is faster at every size with d^3 N <= 360 t (by 1.1-3x) and
-# slower from 424 t on, but for two sizes under 3 ms, so it runs while
-# d^3 N <= GN_COST_RATIO * t.  Its system and temporaries raise the peak
+# The solve of each step.  The dense form costs about (dN)^3 flops; CG
+# takes 10-20 products of about 5 N^2 (d + 1) flops a solve on sizes that
+# converge, but 25-100 near a local minimum that is not a design.
+# Measured at one BLAS thread, CG is 2.5-3.5x faster than the dense form on
+# converging sizes just past d^2 N = 200 t, such as (3,5,120) and (4,5,70),
+# and 2-8x slower on sizes of small dN that stall: (2,10,60) and (2,11,70)
+# take 1.0-2.2 s against 0.21-0.27 s.  So the dense form runs while
+# d^2 N <= DENSE_COST_RATIO * t.  Its system and temporaries raise the peak
 # memory by about four (dN)^2 float arrays (127 MB at dN = 1922), so it
-# also needs (dN)^2 <= MAX_SYSTEM_FLOATS.
-GN_COST_RATIO = 400
+# also needs (dN)^2 <= MAX_SYSTEM_FLOATS.  The CG products keep their 2 N^2
+# kernel weights for the step while these fit in that same peak, and
+# recompute them per product above it (N > 2896), which costs two kernel
+# scans a product: at (2,20,1500), 2.5 s kept against 13.1 s recomputed.
+# CG stops at a relative residual of CG_TOLERANCE, or after dN iterations.
+DENSE_COST_RATIO = 200
 MAX_SYSTEM_FLOATS = 2**22
+CG_TOLERANCE = 1e-2
 
 
 def step_kind(d: int, t: int, n: int) -> str:
-    """The descent the finder runs for an n-point t-design on S^d:
-    "gauss_newton" where the cost rule and the float budget above admit it,
-    else "lbfgs"."""
-    if d**3 * n <= GN_COST_RATIO * t and (d * n) ** 2 <= MAX_SYSTEM_FLOATS:
-        return "gauss_newton"
-    return "lbfgs"
+    """The linear solve of the finder's steps for an n-point t-design on
+    S^d: "dense" where the cost rule and the float budget above admit it,
+    else "cg"."""
+    if d * d * n <= DENSE_COST_RATIO * t and (d * n) ** 2 <= MAX_SYSTEM_FLOATS:
+        return "dense"
+    return "cg"
 
 
 @dataclass(frozen=True)
@@ -113,28 +115,6 @@ def seed_points(d: int, n: int) -> PointConfiguration:
     return PointConfiguration(d=d, points=partition.representatives)
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
-    """-H grad for the L-BFGS inverse-Hessian estimate H of the kept
-    (step, gradient change, 1 / curvature) pairs.
-
-    Two-loop recursion (Nocedal & Wright, Algorithm 7.4).  With no pairs
-    H = I / |grad|, so the first trial step has unit length.
-    """
-    q = grad.copy()
-    alphas = []
-    for step, change, rho in reversed(pairs):
-        alphas.append(rho * np.vdot(step, q))
-        q -= alphas[-1] * change
-    if pairs:
-        step, change, _ = pairs[-1]
-        q *= np.vdot(step, change) / np.vdot(change, change)
-    else:
-        q /= math.sqrt(np.vdot(q, q))
-    for (step, change, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * np.vdot(change, q)) * step
-    return -q
-
-
 def _tangent_bases(x: np.ndarray) -> np.ndarray:
     """(n, d + 1, d) array whose slice i has orthonormal columns spanning the
     tangent space at the unit point x_i: the last d columns of the
@@ -144,6 +124,14 @@ def _tangent_bases(x: np.ndarray) -> np.ndarray:
     bases = (-2.0 / np.einsum("ij,ij->i", v, v))[:, None, None] * v[:, :, None] * v[:, None, 1:]
     bases[:, 1:, :] += np.eye(x.shape[1] - 1)
     return bases
+
+
+def _weights(model, rows: np.ndarray, x: np.ndarray):
+    """K'(S) / N^2 and K''(S) / N^2 at the cosines S = rows X^T: the kernel
+    weights of the Gauss-Newton matrix in the block of the given rows."""
+    n = len(x)
+    s = rows @ x.T
+    return kernel_derivative(model, s) / n**2, kernel_second_derivative(model, s) / n**2
 
 
 def _gauss_newton_matrix(model, x: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -159,36 +147,108 @@ def _gauss_newton_matrix(model, x: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """
     n, m = x.shape
     d = m - 1
-    s = x @ x.T
+    first, second = _weights(model, x, x)
     rows = bases.transpose(0, 2, 1).reshape(n * d, m)  # row (i, c) is column c of U_i
     system = rows @ rows.T
-    system.reshape(n, d, n, d)[...] *= (kernel_derivative(model, s) / n**2)[:, None, :, None]
+    system.reshape(n, d, n, d)[...] *= first[:, None, :, None]
     cross = (rows @ x.T).reshape(n, d, n)  # cross[i, c, j] = (U_i^T x_j)_c
-    weighted = cross * (kernel_second_derivative(model, s) / n**2)[:, None, :]
+    weighted = cross * second[:, None, :]
     system.reshape(n, d, n, d)[...] += weighted[:, :, :, None] * cross.transpose(2, 0, 1)[:, None]
     return system
 
 
-def _gauss_newton(model, cfg: FinderConfig, x: np.ndarray):
-    """Levenberg-Marquardt (damped Gauss-Newton) steps on unit points.
+def _gauss_newton_product(model, x: np.ndarray, bases: np.ndarray):
+    """The map z -> H z for the H of `_gauss_newton_matrix`, with z and H z
+    as (n, d) arrays of tangent coordinates, without forming H.
 
-    Each step solves (H + mu h I) z = -g/2, with H from
-    `_gauss_newton_matrix`, h = K'(1) / N^2 its diagonal, g the gradient of
-    `design._section_defect` in the tangent coordinates U_i, and moves x_i
-    to unit_rows(x_i + U_i z_i).  A step is accepted only if it lowers the
-    objective by more than eps * K(1), the objective's own rounding; then
-    mu is divided by DAMPING_FACTOR, and H and g are formed at the new
-    points.  A rejected step multiplies mu by it and solves again.
-
-    Returns what `_lbfgs` does.  The reason is "target", "line_search" (mu
-    passed MAX_DAMPING: no damped step decreased the objective),
-    "stalled", "iterations" or "zero_gradient"; `line_search_trials`
-    counts the solved steps and `backtracks` the rejected ones.
+    With w_i = U_i z_i the rows of W, (H z)_i = (1/N^2) U_i^T [(K'(S) W)_i +
+    ((K''(S) o X W^T) X)_i], three N x N x (d + 1) products.  The weights
+    come in `row_blocks`, kept for every product while 2 N^2 <=
+    4 MAX_SYSTEM_FLOATS and recomputed by each product above it.
     """
-    n, m = x.shape
+    n = len(x)
+
+    def weights():
+        return ((lo, hi, *_weights(model, x[lo:hi], x)) for lo, hi in row_blocks(n, n))
+
+    kept = list(weights()) if 2 * n * n <= 4 * MAX_SYSTEM_FLOATS else None
+
+    def product(z):
+        w = np.einsum("iac,ic->ia", bases, z)
+        moved = np.empty_like(x)
+        for lo, hi, first, second in weights() if kept is None else kept:
+            moved[lo:hi] = first @ w + (second * (x[lo:hi] @ w.T)) @ x
+        return np.einsum("iac,ia->ic", bases, moved)
+
+    return product
+
+
+def _conjugate_gradients(apply, rhs: np.ndarray):
+    """Conjugate gradients for apply(z) = rhs, apply symmetric positive
+    definite, from z = 0 until the residual is at most CG_TOLERANCE |rhs|,
+    after rhs.size iterations, or on a direction of no positive curvature
+    (rounding at the rotations' floor).  Returns z and the iterations."""
+    z = np.zeros_like(rhs)
+    residual = rhs.copy()
+    direction = residual.copy()
+    norm = np.vdot(residual, residual)
+    target = CG_TOLERANCE**2 * norm
+    iterations = 0
+    while norm > target and iterations < rhs.size:
+        image = apply(direction)
+        curvature = np.vdot(direction, image)
+        if curvature <= 0.0:
+            break
+        length = norm / curvature
+        z += length * direction
+        residual -= length * image
+        previous, norm = norm, np.vdot(residual, residual)
+        direction = residual + (norm / previous) * direction
+        iterations += 1
+    return z, iterations
+
+
+def _damped_solver(model, x: np.ndarray, bases: np.ndarray, rhs: np.ndarray, kind: str):
+    """The solve of one step at the points x, in the form `kind` names: a
+    function of the shift mu h that returns z with (H + mu h I) z = rhs and
+    the CG iterations it took (0 for the dense form)."""
+    if kind == "dense":
+        system = _gauss_newton_matrix(model, x, bases)
+        diagonal = system.diagonal().copy()
+
+        def solve(shift):
+            np.fill_diagonal(system, diagonal + shift)
+            return np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape), 0
+
+        return solve
+    product = _gauss_newton_product(model, x, bases)
+    return lambda shift: _conjugate_gradients(lambda z: product(z) + shift * z, rhs)
+
+
+def _minimize(model, cfg: FinderConfig, x: np.ndarray):
+    """Levenberg-Marquardt (damped Gauss-Newton) steps from the unit points x.
+
+    Each step solves (H + mu h I) z = -g/2, with H the Gauss-Newton matrix
+    (`_gauss_newton_matrix`), h = K'(1) / N^2 its diagonal, g the gradient
+    of `design._section_defect` in the tangent coordinates U_i, in the form
+    `step_kind` picks, and moves x_i to unit_rows(x_i + U_i z_i).  A step is
+    accepted only if it lowers the objective by more than eps * K(1), the
+    objective's own rounding; then mu is divided by DAMPING_FACTOR, and H
+    and g are formed at the new points.  A rejected step multiplies mu by
+    it and solves again.
+
+    Returns (points, objective, trace, stop reason, counts).  The reason is
+    "target", "line_search" (mu passed MAX_DAMPING: no damped step
+    decreased the objective), "stalled", "iterations" or "zero_gradient".
+    The counts are the solved steps (`line_search_trials`, one objective
+    evaluation each), the rejected ones (`backtracks`) and the CG
+    iterations of all solves (`cg_iterations`).
+    """
+    n = len(x)
+    kind = step_kind(cfg.d, cfg.t, cfg.n)
     value, grad = _section_defect(model, x)
     trace = [value]
-    counts = {"line_search_trials": 0, "backtracks": 0}
+    counts = {"line_search_trials": 0, "backtracks": 0, "cg_iterations": 0}
     if value <= cfg.defect_target:
         return x, value, trace, "target", counts
     unit = kernel_derivative(model, 1.0) / n**2
@@ -200,12 +260,11 @@ def _gauss_newton(model, cfg: FinderConfig, x: np.ndarray):
             reason = "zero_gradient"
             break
         bases = _tangent_bases(x)
-        system = _gauss_newton_matrix(model, x, bases)
-        diagonal = system.diagonal().copy()
-        rhs = -0.5 * np.einsum("iac,ia->ic", bases, grad).ravel()
+        rhs = -0.5 * np.einsum("iac,ia->ic", bases, grad)
+        solve = _damped_solver(model, x, bases, rhs, kind)
         while damping <= MAX_DAMPING:
-            np.fill_diagonal(system, diagonal + damping * unit)
-            step = np.linalg.solve(system, rhs).reshape(n, m - 1)
+            step, iterations = solve(damping * unit)
+            counts["cg_iterations"] += iterations
             candidate = unit_rows(x + np.einsum("iac,ic->ia", bases, step))
             candidate_value, candidate_grad = _section_defect(model, candidate)
             counts["line_search_trials"] += 1
@@ -229,76 +288,6 @@ def _gauss_newton(model, cfg: FinderConfig, x: np.ndarray):
     return x, value, trace, reason, counts
 
 
-def _lbfgs(model, cfg: FinderConfig, x: np.ndarray):
-    """L-BFGS on unnormalised coordinates Y whose unit rows are the points.
-
-    The objective f(Y) = ||P_X||^2 with X = unit_rows(Y) does not change
-    when a row of Y is rescaled, so L-BFGS runs in flat coordinates with no
-    retraction or vector transport: the gradient in Y is the spherical
-    defect gradient at X divided row by row by |y_i|.  Each iteration first
-    tries the full L-BFGS step and halves it until the Armijo condition
-    holds with a strict decrease.  Every evaluation, the trials included,
-    takes the objective and its gradient from one kernel pass
-    (`design._section_defect`), so an accepted trial's gradient is already
-    in hand.
-
-    Returns (points, objective, trace, stop reason, line-search counts); the
-    reason is "target", "line_search" (no trial step decreased the
-    objective), "iterations" or "zero_gradient".  The counts are the trial
-    points the line search evaluated (`line_search_trials`, one objective
-    evaluation each) and the trials it rejected (`backtracks`).
-    """
-
-    def evaluate(y):
-        norms = norm_column(y)
-        value, grad = _section_defect(model, y / norms)  # at unit_rows(y)
-        return value, grad / norms
-
-    y = x
-    value, grad = evaluate(y)
-    trace = [value]
-    counts = {"line_search_trials": 0, "backtracks": 0}
-    if value <= cfg.defect_target:
-        return unit_rows(y), value, trace, "target", counts
-    pairs = deque(maxlen=MEMORY)
-    reason = "iterations"
-    for _ in range(cfg.max_iterations):
-        if not grad.any():
-            reason = "zero_gradient"
-            break
-        direction = _lbfgs_direction(grad, pairs)
-        slope = np.vdot(grad, direction)
-        alpha = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            candidate = y + alpha * direction
-            candidate_value, candidate_grad = evaluate(candidate)
-            counts["line_search_trials"] += 1
-            if candidate_value < value and candidate_value <= value + ARMIJO_SLOPE * alpha * slope:
-                break
-            counts["backtracks"] += 1
-            alpha *= 0.5
-        else:
-            reason = "line_search"  # local minimum at this precision
-            break
-        step, change = candidate - y, candidate_grad - grad
-        curvature = np.vdot(step, change)
-        if curvature > 0.0:  # keeps H positive definite
-            pairs.append((step, change, 1.0 / curvature))
-        y, value, grad = candidate, candidate_value, candidate_grad
-        trace.append(value)
-        if value <= cfg.defect_target:
-            reason = "target"
-            break
-    return unit_rows(y), value, trace, reason, counts
-
-
-def _minimize(model, cfg: FinderConfig, x: np.ndarray):
-    """The descent that `step_kind` picks, from the unit points x."""
-    if step_kind(cfg.d, cfg.t, cfg.n) == "gauss_newton":
-        return _gauss_newton(model, cfg, x)
-    return _lbfgs(model, cfg, x)
-
-
 def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     """Search for an N-point t-design on S^d; honest about failure.
 
@@ -307,10 +296,11 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     is verified at once by `verify_design`, whose verdict (not the
     optimizer's own bookkeeping) is what the report states; the search ends
     on the first passing verdict.  If none passes, the best attempt is
-    verified and reported.  The report's meta records the descent
-    (`step`), why each attempt stopped (`stop_reasons`), why the reported
-    one did (`stop_reason`), and how many trial points the reported
-    attempt evaluated and rejected (`line_search_trials`, `backtracks`).
+    verified and reported.  The report's meta records the solve of the
+    steps (`step`), why each attempt stopped (`stop_reasons`), why the
+    reported one did (`stop_reason`), and how many steps the reported
+    attempt solved and rejected and how many CG iterations its solves took
+    (`line_search_trials`, `backtracks`, `cg_iterations`).
     """
     started = time.perf_counter()
     model = kernel_model(cfg.d, cfg.t)

@@ -249,7 +249,8 @@ class TestCliCommands:
             ]
         )
         assert code == 0
-        assert "stopped on target; verdict design" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "(dense solve, 0 CG iterations), stopped on target; verdict design" in out
         found = read_points(str(pts))
         assert found.n == 4
         payload = json.loads(report.read_text())

@@ -16,9 +16,9 @@ from sphdesign.kernel import (
 from sphdesign.optimizer import FinderConfig, find_design, seed_points, step_kind
 from sphdesign.sphere_geometry import unit_rows
 
-# sizes on each side of the path rule: Gauss-Newton, then L-BFGS
-GAUSS_NEWTON_CFG = FinderConfig(d=2, t=3, n=8, seed=42)
-LBFGS_CFG = FinderConfig(d=4, t=3, n=30, seed=42)
+# sizes on each side of the solve rule: dense, then conjugate gradients
+DENSE_CFG = FinderConfig(d=2, t=3, n=8, seed=42)
+CG_CFG = FinderConfig(d=4, t=3, n=50, seed=42)
 
 
 class TestSeedPoints:
@@ -79,7 +79,7 @@ class TestFindDesign:
         norms = np.linalg.norm(config.points, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
-    @pytest.mark.parametrize("cfg", [GAUSS_NEWTON_CFG, LBFGS_CFG], ids=["gauss-newton", "lbfgs"])
+    @pytest.mark.parametrize("cfg", [DENSE_CFG, CG_CFG], ids=["dense", "cg"])
     def test_deterministic_bit_for_bit(self, cfg):
         config_a, report_a = find_design(cfg)
         config_b, report_b = find_design(cfg)
@@ -91,31 +91,33 @@ class TestFindDesign:
     @pytest.mark.parametrize(
         "cfg",
         [
-            GAUSS_NEWTON_CFG,
+            DENSE_CFG,
             FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
             FinderConfig(d=2, t=5, n=12),
-            LBFGS_CFG,
-            FinderConfig(d=4, t=3, n=30, max_iterations=1, restarts=0, seed=3),
+            CG_CFG,
+            FinderConfig(d=4, t=3, n=50, max_iterations=1, restarts=0, seed=3),
         ],
-        ids=["2-3-8", "2-2-4-stalled", "2-5-12-restart", "4-3-30", "4-3-30-stalled"],
+        ids=["2-3-8", "2-2-4-stalled", "2-5-12-restart", "4-3-50", "4-3-50-stalled"],
     )
     def test_line_search_counts_repeat(self, cfg):
-        # on the Gauss-Newton path a trial is one solved step and a
-        # backtrack one rejected step
+        # a trial is one solved step and a backtrack one rejected step
         _, first = find_design(cfg)
         _, second = find_design(cfg)
-        keys = ("line_search_trials", "backtracks", "iterations")
+        keys = ("line_search_trials", "backtracks", "iterations", "cg_iterations")
         assert [first.meta[k] for k in keys] == [second.meta[k] for k in keys]
         trials = first.meta["line_search_trials"]
         assert trials >= first.meta["iterations"]
         # every trial is accepted (one iteration) or backtracked
         assert trials == first.meta["iterations"] + first.meta["backtracks"]
+        # every CG solve takes at least one iteration; a dense one none
+        cg = first.meta["cg_iterations"]
+        assert cg >= trials if first.meta["step"] == "cg" else cg == 0
 
-    @pytest.mark.parametrize("d,t,n", [(2, 3, 8), (3, 3, 16), (4, 3, 30)])
+    @pytest.mark.parametrize("d,t,n", [(2, 3, 8), (3, 3, 16), (4, 3, 30), (4, 3, 50)])
     def test_one_kernel_pass_per_evaluation(self, monkeypatch, d, t, n):
         # each objective evaluation (the start and every line-search trial)
         # takes value and gradient from one fused pass over one row block;
-        # the Gauss-Newton matrix takes K' and K'' from the kernel itself
+        # both solves take K' and K'' from the kernel itself
         calls = Counter()
 
         def counting(original):
@@ -134,13 +136,13 @@ class TestFindDesign:
 
     @pytest.mark.parametrize(
         "step,reasons",
-        [("gauss_newton", ["stalled"] * 2 + ["target"]), ("lbfgs", ["line_search"] * 3 + ["target"])],
-        ids=["gauss-newton", "lbfgs"],
+        [("dense", ["stalled"] * 2 + ["target"]), ("cg", ["stalled"] * 2 + ["target"])],
+        ids=["dense", "cg"],
     )
     def test_restart_rescues_stalled_seed(self, monkeypatch, step, reasons):
         # the first perturbed starts stall in local minima at this size, the
-        # last reaches a true design: within three attempts by Gauss-Newton,
-        # the path this size takes, and in four by L-BFGS
+        # last reaches a true design: within three attempts by either solve
+        # (the dense one is the one this size takes)
         monkeypatch.setattr(optimizer, "step_kind", lambda d, t, n: step)
         config, report = find_design(FinderConfig(d=2, t=5, n=12, seed=0))
         assert report.verdict
@@ -198,9 +200,9 @@ class TestFindDesign:
             FinderConfig(d=2, t=5, n=12),  # converges after two restarts
             FinderConfig(d=2, t=4, n=25, seed=0),
             FinderConfig(d=2, t=2, n=4, max_iterations=1, restarts=0, seed=3),
-            LBFGS_CFG,
+            CG_CFG,
         ],
-        ids=["2-5-12-restart", "2-4-25", "2-2-4-stalled", "4-3-30"],
+        ids=["2-5-12-restart", "2-4-25", "2-2-4-stalled", "4-3-50"],
     )
     def test_bookkeeping_agrees_with_verification(self, cfg):
         # the finder descends on a plain-sum objective; verification is exact
@@ -227,24 +229,47 @@ class TestFindDesign:
 
 class TestStepPath:
     def test_each_side_of_the_rule(self):
-        # d^3 N <= 400 t takes Gauss-Newton: 8 * 12 <= 2000, 64 * 30 > 1200
+        # d^2 N <= 200 t takes the dense solve: 4 * 12 <= 1000 and
+        # 16 * 30 <= 600, but 16 * 50 > 600
         _, report = find_design(FinderConfig(d=2, t=5, n=12))
-        assert report.meta["step"] == "gauss_newton"
+        assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
         _, report = find_design(FinderConfig(d=4, t=3, n=30))
-        assert report.meta["step"] == "lbfgs"
+        assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
+        _, report = find_design(FinderConfig(d=4, t=3, n=50))
+        assert report.meta["step"] == "cg"
+        assert report.meta["cg_iterations"] > 0
 
     def test_float_budget(self):
-        # within the cost rule (8 * 1100 <= 400 * 40), but the (dN)^2 system
+        # within the cost rule (4 * 1100 <= 200 * 40), but the (dN)^2 system
         # of 4.84e6 floats is over the budget of 2^22
-        assert 2**3 * 1100 <= optimizer.GN_COST_RATIO * 40
-        assert step_kind(2, 40, 1100) == "lbfgs"
-        assert step_kind(2, 40, 1024) == "gauss_newton"  # (dN)^2 = 2^22
+        assert 2**2 * 1100 <= optimizer.DENSE_COST_RATIO * 40
+        assert step_kind(2, 40, 1100) == "cg"
+        assert step_kind(2, 40, 1024) == "dense"  # (dN)^2 = 2^22
 
-    def test_stalled_attempt_is_a_local_minimum(self):
-        # an attempt ends on "stalled" after its one slow step
-        cfg = FinderConfig(d=2, t=5, n=12, restarts=0, seed=0)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_dense_rule_contains_the_cubic_one(self, d):
+        # for d >= 2, d^2 N <= 200 t holds wherever d^3 N <= 400 t does, so
+        # the sizes whose outputs are pinned bit for bit on the dense solve,
+        # the benchmark's S^2 and S^3 finds among them, keep it
+        for t in range(1, 25):
+            for n in range(1, 400 * t // d**3 + 1):
+                if (d * n) ** 2 <= optimizer.MAX_SYSTEM_FLOATS:
+                    assert step_kind(d, t, n) == "dense", (d, t, n)
+
+    @pytest.mark.parametrize(
+        "cfg,step",
+        [
+            (FinderConfig(d=2, t=5, n=12, restarts=0, seed=0), "dense"),
+            (FinderConfig(d=5, t=5, n=45, restarts=0, seed=1), "cg"),
+        ],
+        ids=["dense", "cg"],
+    )
+    def test_stalled_attempt_is_a_local_minimum(self, cfg, step):
+        # an attempt ends on "stalled" after its one slow step, whichever
+        # solve it takes
         _, report = find_design(cfg)
         trace = report.meta["defect_trace"]
+        assert report.meta["step"] == step
         assert report.meta["stop_reason"] == "stalled"
         assert trace[-2] - trace[-1] < optimizer.STALL * trace[-2]
         assert all(a - b >= optimizer.STALL * a for a, b in zip(trace[:-2], trace[1:-1]))
@@ -288,6 +313,77 @@ class TestGaussNewtonMatrix:
         # measured 8.6e-8 of the largest entry for both; dropping the K''
         # term gives 0.25
         assert np.abs(system - hessian / 2).max() <= 1e-6 * np.abs(system).max()
+
+
+class TestGaussNewtonProduct:
+    @staticmethod
+    def _setup(x, t):
+        model = kernel_model(x.shape[1] - 1, t)
+        bases = optimizer._tangent_bases(x)
+        return model, bases
+
+    @staticmethod
+    def _points(rng, d, n):
+        return unit_rows(rng.standard_normal((n, d + 1)))
+
+    @pytest.mark.parametrize("damped", [False, True], ids=["undamped", "damped"])
+    @pytest.mark.parametrize(
+        "case",
+        [("icosahedron", 5), ("24-cell", 5), (1, 4, 9), (2, 5, 30), (3, 4, 40), (4, 3, 50)],
+        ids=["icosahedron", "24-cell", "S1", "S2", "S3", "S4"],
+    )
+    def test_matches_the_matrix(self, rng, case, damped):
+        # measured at most 0.48 eps |H| |z| on these inputs
+        if isinstance(case[0], str):
+            x, t = catalog_design(case[0]).points, case[1]
+        else:
+            x, t = self._points(rng, case[0], case[2]), case[1]
+        model, bases = self._setup(x, t)
+        n, d = bases.shape[0], bases.shape[2]
+        system = optimizer._gauss_newton_matrix(model, x, bases)
+        shift = 0.1 * kernel_derivative(model, 1.0) / n**2 if damped else 0.0
+        z = rng.standard_normal((n, d))
+        product = optimizer._gauss_newton_product(model, x, bases)(z) + shift * z
+        reference = (system + shift * np.eye(n * d)) @ z.ravel()
+        bound = 4 * np.finfo(float).eps * np.linalg.norm(system, 2) * np.linalg.norm(z)
+        assert np.abs(product.ravel() - reference).max() <= bound
+
+    def test_recomputed_weights_match_kept_ones(self, rng, monkeypatch):
+        # N = 200 spans two row blocks; a budget of 2 N^2 / 4 floats or less
+        # recomputes the weights of both on every product, to the same bits
+        x = self._points(rng, 2, 200)
+        model, bases = self._setup(x, 6)
+        z = rng.standard_normal((200, 2))
+        calls = Counter()
+        real = optimizer._weights
+
+        def counting(*args):
+            calls["weights"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_weights", counting)
+        product = optimizer._gauss_newton_product(model, x, bases)
+        kept = [product(z), product(z)]
+        assert calls["weights"] == 2
+        monkeypatch.setattr(optimizer, "MAX_SYSTEM_FLOATS", 2 * 200**2 // 4 - 1)
+        product = optimizer._gauss_newton_product(model, x, bases)
+        recomputed = [product(z), product(z)]
+        assert calls["weights"] == 6
+        for a, b in zip(kept, recomputed):
+            assert np.array_equal(a, b)
+
+    def test_cg_solve_reaches_its_tolerance(self, rng):
+        # one damped step's solve from perturbed points on S^3
+        x = self._points(rng, 3, 40)
+        model, bases = self._setup(x, 4)
+        rhs = -0.5 * np.einsum("iac,ia->ic", bases, _section_defect(model, x)[1])
+        shift = optimizer.INITIAL_DAMPING * kernel_derivative(model, 1.0) / 40**2
+        product = optimizer._gauss_newton_product(model, x, bases)
+        z, iterations = optimizer._conjugate_gradients(lambda v: product(v) + shift * v, rhs)
+        system = optimizer._gauss_newton_matrix(model, x, bases) + shift * np.eye(z.size)
+        assert 0 < iterations < z.size
+        residual = np.linalg.norm(system @ z.ravel() - rhs.ravel())
+        assert residual <= optimizer.CG_TOLERANCE * np.linalg.norm(rhs)
 
 
 class TestFinderConfigValidation:
