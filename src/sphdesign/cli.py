@@ -225,7 +225,8 @@ def _cmd_find(args) -> int:
         _emit("iteration,defect\n" + rows + "\n", args.trace)
     print(
         f"defect {report.defect:.3e} after {report.meta['attempts']} attempt(s) "
-        f"({report.meta['step']} solve, {report.meta['cg_iterations']} CG iterations), "
+        f"({report.meta['step']} solve, {report.meta['cg_iterations']} CG iterations, "
+        f"{report.meta['capped_solves']} capped CG solves), "
         f"stopped on {report.meta['stop_reason']}; "
         f"verdict {'design' if report.verdict else 'NOT a design at target'}"
     )

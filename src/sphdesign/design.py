@@ -47,9 +47,10 @@ P_X = (1/N) sum_j K(<x_j, .>), a `KernelPolynomial` (BLAS inner products,
 plain sums): deterministic at a fixed thread count and within a few
 eps * K(1) of `defect`, but not exactly permutation-invariant.
 `_section_defect` gives it that norm and the gradient (2/N) grad P_X from
-one kernel pass; `defect_gradient` is the same gradient for a
-configuration.  Every finder result is re-verified with the exact
-`verify_design`.
+one kernel pass, and can keep that pass's cosines and K' blocks, which the
+finder's Gauss-Newton weights start from; `defect_gradient` is the same
+gradient for a configuration.  Every finder result is re-verified with the
+exact `verify_design`.
 """
 
 from __future__ import annotations
@@ -250,11 +251,14 @@ def degree_residuals(model: KernelModel, config: PointConfiguration) -> np.ndarr
     return _pair_pass(model, config)[1]
 
 
-def _section_defect(model: KernelModel, points: np.ndarray) -> tuple[float, np.ndarray]:
-    """The finder's objective ||P_X||^2 and its gradient (2/N) grad P_X,
-    one tangent row per point, from one kernel pass over the section."""
-    value, grad = _average_section(model, points).squared_norm_and_gradient()
-    return value, (2.0 / points.shape[0]) * grad
+def _section_defect(model: KernelModel, points: np.ndarray, keep: bool = False):
+    """The finder's objective ||P_X||^2, its gradient (2/N) grad P_X, one
+    tangent row per point, and with `keep` the pass's row blocks (S, K'(S))
+    (`KernelPolynomial.squared_norm_and_gradient`), else None, from one
+    kernel pass over the section."""
+    kept = [] if keep else None
+    value, grad = _average_section(model, points).squared_norm_and_gradient(kept)
+    return value, (2.0 / points.shape[0]) * grad, kept
 
 
 def defect_gradient(model: KernelModel, config: PointConfiguration) -> np.ndarray:

@@ -21,14 +21,20 @@ problem.  One descent solves it at every size: Levenberg-Marquardt
 (damped Gauss-Newton) steps in tangent coordinates, which converge
 quadratically near a design, in 5-7 steps from a perturbed seed.  Each
 step solves (H + mu h I) z = -g/2 for the Gauss-Newton matrix H in one of
-two forms (`step_kind` picks one by size and `meta["step"]` names it):
+two forms (`meta["step"]` names the one the reported attempt ended on):
 - "dense": `np.linalg.solve` on the (dN)^2 matrix, about (dN)^3 flops;
 - "cg": conjugate gradients through matrix-free products H z, each about
   5 N^2 (d + 1) flops, to a relative residual of CG_TOLERANCE.
-The dense form runs while d^2 N <= DENSE_COST_RATIO * t and its matrix
-fits the float budget, CG elsewhere.  Both take only numpy: scipy's
-solvers find the same designs, but importing `scipy.optimize` costs each
-process that runs the finder about 0.5 s and 50 MB.
+Both forms take their kernel weights from the section pass that evaluated
+the point, and add one K'' scan per accepted point.  An attempt starts on
+the dense form while d^3 N <= DENSE_COST_RATIO (`step_kind`), and on CG
+elsewhere.  A CG solve that reaches CG_CAP iterations, as near a local
+minimum that is not a design, is solved again by the dense form, which
+the attempt keeps from then on, wherever its matrix fits the float
+budget; `meta["capped_solves"]` counts those solves.  Both forms take only
+numpy: scipy's solvers find the same designs, but importing
+`scipy.optimize` costs each process that runs the finder about 0.5 s and
+50 MB.
 
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
@@ -62,32 +68,37 @@ MIN_DAMPING = 1e-12
 MAX_DAMPING = 1e8
 STALL = 1e-4
 
-# The solve of each step.  The dense form costs about (dN)^3 flops; CG
-# takes 10-20 products of about 5 N^2 (d + 1) flops a solve on sizes that
-# converge, but 25-100 near a local minimum that is not a design.
-# Measured at one BLAS thread, CG is 2.5-3.5x faster than the dense form on
-# converging sizes just past d^2 N = 200 t, such as (3,5,120) and (4,5,70),
-# and 2-8x slower on sizes of small dN that stall: (2,10,60) and (2,11,70)
-# take 1.0-2.2 s against 0.21-0.27 s.  So the dense form runs while
-# d^2 N <= DENSE_COST_RATIO * t.  Its system and temporaries raise the peak
-# memory by about four (dN)^2 float arrays (127 MB at dN = 1922), so it
-# also needs (dN)^2 <= MAX_SYSTEM_FLOATS.  The CG products keep their 2 N^2
-# kernel weights for the step while these fit in that same peak, and
-# recompute them per product above it (N > 2896), which costs two kernel
-# scans a product: at (2,20,1500), 2.5 s kept against 13.1 s recomputed.
-# CG stops at a relative residual of CG_TOLERANCE, or after dN iterations.
-DENSE_COST_RATIO = 200
+# The solve of each step.  A dense solve costs about (dN)^3 flops and a CG
+# product about 5 N^2 (d + 1), so their ratio grows as d^3 N; both forms
+# pay the same kernel scans, so t does not enter.  CG takes 8-24 products a
+# solve on sizes that converge, and 30-100 near a local minimum that is not
+# a design.  Measured at one BLAS thread, finder seeds 0-2, the sum of the
+# three finds' fastest of seven runs, dense against CG: (2,7,64) at
+# d^3 N = 512 12.4 ms against 13.4 ms, (2,8,81) at 648 17.5 against 16.0,
+# (3,4,30) at 810 5.5 against 7.2, (4,3,30) at 1920 9.2 against 8.6, and
+# (4,5,100) at 6400 91 against 24.  So an attempt starts dense while
+# d^3 N <= DENSE_COST_RATIO; that keeps dN <= 600, well inside the float
+# budget.  A CG solve that reaches CG_CAP iterations is finished, and the
+# attempt's later steps solved, by the dense form, while its system fits:
+# that and its temporaries raise the peak memory by about four (dN)^2 float
+# arrays (127 MB at dN = 1922), so (dN)^2 <= MAX_SYSTEM_FLOATS.  A cap of 25
+# already stops the first solves of some sizes that converge, such as
+# (2,16,289) and (3,9,150); 40 does not, and it keeps the stalling S^4 and
+# S^5 sizes (4,7,90) and (5,5,45) no slower than uncapped CG.  The section
+# pass keeps its cosines and K' blocks, 2 N^2 floats, while they fit in
+# 4 MAX_SYSTEM_FLOATS (N <= 2896); above that each CG product forms them
+# again with two kernel scans: at (2,20,1500), 2.5 s kept against 13.1 s
+# formed again.
+DENSE_COST_RATIO = 600
 MAX_SYSTEM_FLOATS = 2**22
 CG_TOLERANCE = 1e-2
+CG_CAP = 40
 
 
 def step_kind(d: int, t: int, n: int) -> str:
-    """The linear solve of the finder's steps for an n-point t-design on
-    S^d: "dense" where the cost rule and the float budget above admit it,
-    else "cg"."""
-    if d * d * n <= DENSE_COST_RATIO * t and (d * n) ** 2 <= MAX_SYSTEM_FLOATS:
-        return "dense"
-    return "cg"
+    """The linear solve an attempt at an n-point t-design on S^d starts
+    on: "dense" where d^3 n <= DENSE_COST_RATIO, whatever t, else "cg"."""
+    return "dense" if d**3 * n <= DENSE_COST_RATIO else "cg"
 
 
 @dataclass(frozen=True)
@@ -126,17 +137,26 @@ def _tangent_bases(x: np.ndarray) -> np.ndarray:
     return bases
 
 
-def _weights(model, rows: np.ndarray, x: np.ndarray):
-    """K'(S) / N^2 and K''(S) / N^2 at the cosines S = rows X^T: the kernel
-    weights of the Gauss-Newton matrix in the block of the given rows."""
+def _pair_weights(model, x: np.ndarray, blocks=None):
+    """Yield (lo, hi, K'(S) / N^2, K''(S) / N^2) for the row blocks lo..hi
+    of `kernel.row_blocks`, S the cosines of those rows with all points:
+    the kernel weights of the Gauss-Newton matrix.  S and K'(S) come from
+    `blocks`, the (S, K'(S)) that `design._section_defect` kept at x, or
+    are formed again, block by block, when blocks is None.  Each K'(S) is
+    scaled in place, so the weights take no more memory than the blocks."""
     n = len(x)
-    s = rows @ x.T
-    return kernel_derivative(model, s) / n**2, kernel_second_derivative(model, s) / n**2
+    if blocks is None:
+        cosines = (x[lo:hi] @ x.T for lo, hi in row_blocks(n, n))
+        blocks = ((s, kernel_derivative(model, s)) for s in cosines)
+    for (lo, hi), (s, derivative) in zip(row_blocks(n, n), blocks):
+        derivative /= n**2
+        yield lo, hi, derivative, kernel_second_derivative(model, s) / n**2
 
 
-def _gauss_newton_matrix(model, x: np.ndarray, bases: np.ndarray) -> np.ndarray:
+def _gauss_newton_matrix(model, x: np.ndarray, bases: np.ndarray, weights=None) -> np.ndarray:
     """The (nd, nd) Gauss-Newton matrix H of the section in the tangent
-    coordinates of `_tangent_bases`, row and column (i, c) for column c of U_i.
+    coordinates of `_tangent_bases`, row and column (i, c) for column c of U_i,
+    from the `_pair_weights` given, else from fresh ones.
 
     Moving x_i by U_i z_i moves P_X by (1/N) K'(<x_i, .>) <U_i z_i, .>, and
     by the reproducing property these moves have the Gram matrix with
@@ -147,36 +167,32 @@ def _gauss_newton_matrix(model, x: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """
     n, m = x.shape
     d = m - 1
-    first, second = _weights(model, x, x)
     rows = bases.transpose(0, 2, 1).reshape(n * d, m)  # row (i, c) is column c of U_i
     system = rows @ rows.T
-    system.reshape(n, d, n, d)[...] *= first[:, None, :, None]
     cross = (rows @ x.T).reshape(n, d, n)  # cross[i, c, j] = (U_i^T x_j)_c
-    weighted = cross * second[:, None, :]
-    system.reshape(n, d, n, d)[...] += weighted[:, :, :, None] * cross.transpose(2, 0, 1)[:, None]
+    mirrored = cross.transpose(2, 0, 1)  # mirrored[i, j] = U_j^T x_i
+    blocks = system.reshape(n, d, n, d)
+    for lo, hi, first, second in _pair_weights(model, x) if weights is None else weights:
+        blocks[lo:hi] *= first[:, None, :, None]
+        weighted = cross[lo:hi] * second[:, None, :]
+        blocks[lo:hi] += weighted[:, :, :, None] * mirrored[lo:hi, None]
     return system
 
 
-def _gauss_newton_product(model, x: np.ndarray, bases: np.ndarray):
+def _gauss_newton_product(model, x: np.ndarray, bases: np.ndarray, weights=None):
     """The map z -> H z for the H of `_gauss_newton_matrix`, with z and H z
     as (n, d) arrays of tangent coordinates, without forming H.
 
     With w_i = U_i z_i the rows of W, (H z)_i = (1/N^2) U_i^T [(K'(S) W)_i +
-    ((K''(S) o X W^T) X)_i], three N x N x (d + 1) products.  The weights
-    come in `row_blocks`, kept for every product while 2 N^2 <=
-    4 MAX_SYSTEM_FLOATS and recomputed by each product above it.
+    ((K''(S) o X W^T) X)_i], three N x N x (d + 1) products, block by block
+    over the `_pair_weights` given, or over fresh ones formed by each
+    product when weights is None.
     """
-    n = len(x)
-
-    def weights():
-        return ((lo, hi, *_weights(model, x[lo:hi], x)) for lo, hi in row_blocks(n, n))
-
-    kept = list(weights()) if 2 * n * n <= 4 * MAX_SYSTEM_FLOATS else None
 
     def product(z):
         w = np.einsum("iac,ic->ia", bases, z)
         moved = np.empty_like(x)
-        for lo, hi, first, second in weights() if kept is None else kept:
+        for lo, hi, first, second in _pair_weights(model, x) if weights is None else weights:
             moved[lo:hi] = first @ w + (second * (x[lo:hi] @ w.T)) @ x
         return np.einsum("iac,ia->ic", bases, moved)
 
@@ -186,7 +202,7 @@ def _gauss_newton_product(model, x: np.ndarray, bases: np.ndarray):
 def _conjugate_gradients(apply, rhs: np.ndarray):
     """Conjugate gradients for apply(z) = rhs, apply symmetric positive
     definite, from z = 0 until the residual is at most CG_TOLERANCE |rhs|,
-    after rhs.size iterations, or on a direction of no positive curvature
+    after CG_CAP iterations, or on a direction of no positive curvature
     (rounding at the rotations' floor).  Returns z and the iterations."""
     z = np.zeros_like(rhs)
     residual = rhs.copy()
@@ -194,7 +210,7 @@ def _conjugate_gradients(apply, rhs: np.ndarray):
     norm = np.vdot(residual, residual)
     target = CG_TOLERANCE**2 * norm
     iterations = 0
-    while norm > target and iterations < rhs.size:
+    while norm > target and iterations < CG_CAP:
         image = apply(direction)
         curvature = np.vdot(direction, image)
         if curvature <= 0.0:
@@ -208,12 +224,13 @@ def _conjugate_gradients(apply, rhs: np.ndarray):
     return z, iterations
 
 
-def _damped_solver(model, x: np.ndarray, bases: np.ndarray, rhs: np.ndarray, kind: str):
-    """The solve of one step at the points x, in the form `kind` names: a
+def _damped_solver(model, x: np.ndarray, bases: np.ndarray, rhs: np.ndarray, weights, kind: str):
+    """The solve of one step at the points x, in the form `kind` names,
+    with the `_pair_weights` of x (None: each CG product forms its own): a
     function of the shift mu h that returns z with (H + mu h I) z = rhs and
     the CG iterations it took (0 for the dense form)."""
     if kind == "dense":
-        system = _gauss_newton_matrix(model, x, bases)
+        system = _gauss_newton_matrix(model, x, bases, weights)
         diagonal = system.diagonal().copy()
 
         def solve(shift):
@@ -221,7 +238,7 @@ def _damped_solver(model, x: np.ndarray, bases: np.ndarray, rhs: np.ndarray, kin
             return np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape), 0
 
         return solve
-    product = _gauss_newton_product(model, x, bases)
+    product = _gauss_newton_product(model, x, bases, weights)
     return lambda shift: _conjugate_gradients(lambda z: product(z) + shift * z, rhs)
 
 
@@ -235,22 +252,37 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     accepted only if it lowers the objective by more than eps * K(1), the
     objective's own rounding; then mu is divided by DAMPING_FACTOR, and H
     and g are formed at the new points.  A rejected step multiplies mu by
-    it and solves again.
+    it and solves again.  The section pass that evaluates a point keeps its
+    cosines and K' blocks while 2 N^2 <= 4 MAX_SYSTEM_FLOATS, so a step at
+    an accepted point adds one K'' scan (`_pair_weights`); the weights of
+    the point and the blocks of one trial, about 4 N^2 floats, are then
+    the largest arrays a step holds.  A CG solve that reaches CG_CAP
+    iterations is solved again by the dense form, which the attempt then
+    keeps, wherever (dN)^2 <= MAX_SYSTEM_FLOATS.
 
-    Returns (points, objective, trace, stop reason, counts).  The reason is
+    Returns (points, objective, trace, stop reason, stats).  The reason is
     "target", "line_search" (mu passed MAX_DAMPING: no damped step
     decreased the objective), "stalled", "iterations" or "zero_gradient".
-    The counts are the solved steps (`line_search_trials`, one objective
-    evaluation each), the rejected ones (`backtracks`) and the CG
-    iterations of all solves (`cg_iterations`).
+    The stats are the form of the last solve (`step`), the solved steps
+    (`line_search_trials`, one objective evaluation each, a capped CG solve
+    and its dense finish together), the rejected ones (`backtracks`), the
+    CG iterations of all solves (`cg_iterations`) and the CG solves that
+    reached the cap (`capped_solves`).
     """
     n = len(x)
-    kind = step_kind(cfg.d, cfg.t, cfg.n)
-    value, grad = _section_defect(model, x)
+    keep = 2 * n * n <= 4 * MAX_SYSTEM_FLOATS
+    dense_fits = (cfg.d * n) ** 2 <= MAX_SYSTEM_FLOATS
+    value, grad, blocks = _section_defect(model, x, keep)
     trace = [value]
-    counts = {"line_search_trials": 0, "backtracks": 0, "cg_iterations": 0}
+    stats = {
+        "step": step_kind(cfg.d, cfg.t, cfg.n),
+        "line_search_trials": 0,
+        "backtracks": 0,
+        "cg_iterations": 0,
+        "capped_solves": 0,
+    }
     if value <= cfg.defect_target:
-        return x, value, trace, "target", counts
+        return x, value, trace, "target", stats
     unit = kernel_derivative(model, 1.0) / n**2
     rounding = np.finfo(float).eps * model.space_dim
     damping = INITIAL_DAMPING
@@ -261,23 +293,34 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
             break
         bases = _tangent_bases(x)
         rhs = -0.5 * np.einsum("iac,ia->ic", bases, grad)
-        solve = _damped_solver(model, x, bases, rhs, kind)
+        weights = None if blocks is None else list(_pair_weights(model, x, blocks))
+        blocks = None  # the weights hold all of the blocks the step needs
+        solve = _damped_solver(model, x, bases, rhs, weights, stats["step"])
         while damping <= MAX_DAMPING:
             step, iterations = solve(damping * unit)
-            counts["cg_iterations"] += iterations
+            stats["cg_iterations"] += iterations
+            if iterations == CG_CAP:  # as near a local minimum that is not a design
+                stats["capped_solves"] += 1
+                if dense_fits:
+                    stats["step"] = "dense"
+                    solve = _damped_solver(model, x, bases, rhs, weights, "dense")
+                    step, _ = solve(damping * unit)
             candidate = unit_rows(x + np.einsum("iac,ic->ia", bases, step))
-            candidate_value, candidate_grad = _section_defect(model, candidate)
-            counts["line_search_trials"] += 1
+            candidate_value, candidate_grad, candidate_blocks = _section_defect(
+                model, candidate, keep
+            )
+            stats["line_search_trials"] += 1
             if candidate_value < value - rounding:
                 break
-            counts["backtracks"] += 1
+            stats["backtracks"] += 1
+            candidate_blocks = None  # free before the next trial forms its own
             damping *= DAMPING_FACTOR
         else:
             reason = "line_search"  # local minimum at this precision
             break
         damping = max(damping / DAMPING_FACTOR, MIN_DAMPING)
         stalled = value - candidate_value < STALL * value
-        x, value, grad = candidate, candidate_value, candidate_grad
+        x, value, grad, blocks = candidate, candidate_value, candidate_grad, candidate_blocks
         trace.append(value)
         if value <= cfg.defect_target:
             reason = "target"
@@ -285,7 +328,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         if stalled:  # linear convergence to a local minimum that is not a design
             reason = "stalled"
             break
-    return x, value, trace, reason, counts
+    return x, value, trace, reason, stats
 
 
 def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
@@ -296,11 +339,12 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     is verified at once by `verify_design`, whose verdict (not the
     optimizer's own bookkeeping) is what the report states; the search ends
     on the first passing verdict.  If none passes, the best attempt is
-    verified and reported.  The report's meta records the solve of the
-    steps (`step`), why each attempt stopped (`stop_reasons`), why the
-    reported one did (`stop_reason`), and how many steps the reported
-    attempt solved and rejected and how many CG iterations its solves took
-    (`line_search_trials`, `backtracks`, `cg_iterations`).
+    verified and reported.  The report's meta records why each attempt
+    stopped (`stop_reasons`), and for the reported one why it did
+    (`stop_reason`), the solve it ended on (`step`), how many steps it
+    solved and rejected, how many CG iterations its solves took and how
+    many of them reached the cap (`line_search_trials`, `backtracks`,
+    `cg_iterations`, `capped_solves`).
     """
     started = time.perf_counter()
     model = kernel_model(cfg.d, cfg.t)
@@ -314,7 +358,7 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
     rng = np.random.default_rng(cfg.seed)
     attempts = []  # what _minimize returned for each attempt so far
 
-    def verified(x, value, trace, reason, counts):
+    def verified(x, value, trace, reason, stats):
         config = PointConfiguration(d=cfg.d, points=x)
         return config, verify_design(
             model,
@@ -327,10 +371,9 @@ def find_design(cfg: FinderConfig) -> tuple[PointConfiguration, DesignReport]:
                 "converged": bool(value <= cfg.defect_target),
                 "best_defect": value,
                 "defect_trace": trace,
-                "step": step_kind(cfg.d, cfg.t, cfg.n),
                 "stop_reason": reason,
                 "stop_reasons": [attempt[3] for attempt in attempts],
-                **counts,
+                **stats,
                 "runtime_seconds": time.perf_counter() - started,
             },
         )

@@ -481,16 +481,24 @@ class KernelPolynomial:
             return float(np.linalg.norm(grad))
         return _row_norms(grad)
 
-    def squared_norm_and_gradient(self) -> tuple[float, np.ndarray]:
+    def squared_norm_and_gradient(self, kept: list | None = None) -> tuple[float, np.ndarray]:
         """(P, P) = sum_m a_m P(v_m), by the reproducing property, and the
         gradient rows at the anchors, from one kernel pass.
 
         Bit for bit `coefficients @ self(anchors)` and `gradient(anchors)`.
+        A list given as `kept` receives the pass's row blocks in order, as
+        (S, K'(S)): the cosines as formed, before clamping, and the kernel
+        derivatives at them.  No later step of the pass writes to either.
         """
+
+        def rows(block, cosines_and_kernel):
+            s, (values, derivatives) = cosines_and_kernel
+            if kept is not None:
+                kept.append((s, derivatives))
+            return values @ self.coefficients, self._tangent(block, derivatives)
+
         values, grad = self._walk(
-            self.anchors,
-            kernel_value_and_derivative,
-            lambda block, kdk: (kdk[0] @ self.coefficients, self._tangent(block, kdk[1])),
+            self.anchors, lambda model, s: (s, kernel_value_and_derivative(model, s)), rows
         )
         return float(self.coefficients @ values), grad
 

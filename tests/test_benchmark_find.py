@@ -7,6 +7,7 @@ second of pytest, not in a full benchmark run.
 
 from sphdesign.design import verify_design
 from sphdesign.kernel import kernel_model
+from sphdesign.optimizer import step_kind
 
 SEED = 1
 
@@ -21,3 +22,12 @@ def test_benchmark_find_ops_reverify(workloads):
         assert fresh.verdict, f"{op.name}: re-verified defect {fresh.defect:.3e}"
         attempts += report.meta["attempts"]
     assert attempts == len(ops) == 13
+
+
+def test_benchmark_finds_never_switch(workloads):
+    # no benchmark find caps a CG solve: each ends on the solve it starts on,
+    # dense for the 40-point S^2 finds and CG for the others (d^3 N > 600)
+    for op in workloads.build_find(SEED, "full").ops:
+        _, report = op.run(0)
+        expected = step_kind(report.d, report.t, report.n)
+        assert (report.meta["step"], report.meta["capped_solves"]) == (expected, 0), op.name

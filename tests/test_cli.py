@@ -250,7 +250,7 @@ class TestCliCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "(dense solve, 0 CG iterations), stopped on target; verdict design" in out
+        assert "(dense solve, 0 CG iterations, 0 capped CG solves), stopped on target" in out
         found = read_points(str(pts))
         assert found.n == 4
         payload = json.loads(report.read_text())
@@ -259,6 +259,18 @@ class TestCliCommands:
         assert trace.read_text().startswith("iteration,defect")
         # the written set re-verifies through the file interface
         assert main(["verify", "--t", "3", "--in", str(pts)]) == 0
+
+    def test_find_reports_a_capped_solve(self, tmp_path, capsys):
+        # (4,5,32) starts on CG, caps one solve near a local minimum and
+        # ends on the dense form; stdout and the report both say so
+        report = tmp_path / "report.json"
+        args = ["find", "--d", "4", "--t", "5", "--n", "32", "--restarts", "0"]
+        assert main(args + ["--report", str(report)]) == 2
+        out = capsys.readouterr().out
+        assert "(dense solve, " in out
+        assert " CG iterations, 1 capped CG solves), stopped on stalled" in out
+        meta = json.loads(report.read_text())["meta"]
+        assert (meta["step"], meta["capped_solves"]) == ("dense", 1)
 
     def test_find_rejects_nan_target(self, capsys):
         code = main(["find", "--d", "2", "--t", "2", "--n", "4", "--defect-target", "nan"])

@@ -21,6 +21,24 @@ DENSE_CFG = FinderConfig(d=2, t=3, n=8, seed=42)
 CG_CFG = FinderConfig(d=4, t=3, n=50, seed=42)
 
 
+def _count_array_scans(monkeypatch) -> Counter:
+    """Count the optimizer's kernel scans over arrays of cosines (not the
+    scalar K'(1) of the damping unit), by function name."""
+    scans = Counter()
+
+    def counting(original):
+        def wrapped(model, s):
+            if np.ndim(s):
+                scans[original.__name__] += 1
+            return original(model, s)
+
+        return wrapped
+
+    for name in ("kernel_derivative", "kernel_second_derivative"):
+        monkeypatch.setattr(optimizer, name, counting(getattr(optimizer, name)))
+    return scans
+
+
 class TestSeedPoints:
     def test_two_cells_give_poles(self):
         seeds = seed_points(2, 2)
@@ -117,7 +135,8 @@ class TestFindDesign:
     def test_one_kernel_pass_per_evaluation(self, monkeypatch, d, t, n):
         # each objective evaluation (the start and every line-search trial)
         # takes value and gradient from one fused pass over one row block;
-        # both solves take K' and K'' from the kernel itself
+        # the solves take K' from that pass and K'' from the optimizer's
+        # own scan, which the next test counts
         calls = Counter()
 
         def counting(original):
@@ -133,6 +152,26 @@ class TestFindDesign:
         assert report.meta["line_search_trials"] > 0
         evaluations = 1 + report.meta["line_search_trials"]
         assert calls == {"kernel_value_and_derivative": evaluations}
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FinderConfig(d=2, t=3, n=8, restarts=0),
+            FinderConfig(d=2, t=9, n=100, restarts=0),
+            FinderConfig(d=4, t=3, n=50, restarts=0),
+            FinderConfig(d=4, t=5, n=32, restarts=0),
+            FinderConfig(d=2, t=2, n=4, restarts=0, seed=3, max_iterations=1),
+        ],
+        ids=["dense", "cg", "cg-4-3-50", "capped-cg", "iterations"],
+    )
+    def test_one_second_derivative_scan_per_point(self, monkeypatch, cfg):
+        # K' comes from the section pass that evaluated the point, so the
+        # steps scan K'' once per point they solve at, whichever form the
+        # solve takes, and K' never
+        scans = _count_array_scans(monkeypatch)
+        _, report = find_design(cfg)
+        points = report.meta["iterations"] + (report.meta["stop_reason"] == "line_search")
+        assert scans == {"kernel_second_derivative": points}
 
     @pytest.mark.parametrize(
         "step,reasons",
@@ -229,50 +268,102 @@ class TestFindDesign:
 
 class TestStepPath:
     def test_each_side_of_the_rule(self):
-        # d^2 N <= 200 t takes the dense solve: 4 * 12 <= 1000 and
-        # 16 * 30 <= 600, but 16 * 50 > 600
+        # d^3 N <= 600 takes the dense solve, whatever t: 8 * 12 = 96 and
+        # 8 * 75 = 600, but 8 * 76 = 608 and 64 * 30 = 1920 take CG
+        assert optimizer.DENSE_COST_RATIO == 600
+        assert [step_kind(2, 5, 12), step_kind(2, 1, 75), step_kind(2, 30, 76)] == [
+            "dense",
+            "dense",
+            "cg",
+        ]
         _, report = find_design(FinderConfig(d=2, t=5, n=12))
         assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
         _, report = find_design(FinderConfig(d=4, t=3, n=30))
-        assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
-        _, report = find_design(FinderConfig(d=4, t=3, n=50))
-        assert report.meta["step"] == "cg"
+        assert (report.meta["step"], report.meta["capped_solves"]) == ("cg", 0)
         assert report.meta["cg_iterations"] > 0
 
-    def test_float_budget(self):
-        # within the cost rule (4 * 1100 <= 200 * 40), but the (dN)^2 system
-        # of 4.84e6 floats is over the budget of 2^22
-        assert 2**2 * 1100 <= optimizer.DENSE_COST_RATIO * 40
-        assert step_kind(2, 40, 1100) == "cg"
-        assert step_kind(2, 40, 1024) == "dense"  # (dN)^2 = 2^22
+    def test_float_budget(self, monkeypatch):
+        # the rule admits dN <= 600 only, inside the float budget of 2^22;
+        # the budget bounds the dense finish of a capped CG solve: with
+        # (dN)^2 = 128^2 just over it, (4,5,32), which switches within it
+        # (TestSolveSwitch), stays on capped CG solves
+        ratio = optimizer.DENSE_COST_RATIO
+        assert all((d * (ratio // d**3)) ** 2 <= optimizer.MAX_SYSTEM_FLOATS for d in range(1, 9))
+        monkeypatch.setattr(optimizer, "MAX_SYSTEM_FLOATS", 128**2 - 1)
+        _, capped = find_design(FinderConfig(d=4, t=5, n=32, restarts=0, seed=0))
+        assert capped.meta["step"] == "cg"
+        assert capped.meta["capped_solves"] > 1
+        assert capped.meta["cg_iterations"] >= optimizer.CG_CAP * capped.meta["capped_solves"]
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_dense_rule_contains_the_cubic_one(self, d):
-        # for d >= 2, d^2 N <= 200 t holds wherever d^3 N <= 400 t does, so
-        # the sizes whose outputs are pinned bit for bit on the dense solve,
-        # the benchmark's S^2 and S^3 finds among them, keep it
-        for t in range(1, 25):
-            for n in range(1, 400 * t // d**3 + 1):
-                if (d * n) ** 2 <= optimizer.MAX_SYSTEM_FLOATS:
-                    assert step_kind(d, t, n) == "dense", (d, t, n)
+        # the dense solve runs exactly where d^3 N <= DENSE_COST_RATIO, for
+        # every t: both forms pay the same kernel scans, so only the
+        # dense solve's (dN)^3 against a product's N^2 d flops is weighed
+        for t in (1, 5, 24):
+            for n in range(1, 2 * optimizer.DENSE_COST_RATIO // d**3 + 2):
+                expected = "dense" if d**3 * n <= optimizer.DENSE_COST_RATIO else "cg"
+                assert step_kind(d, t, n) == expected, (d, t, n)
 
     @pytest.mark.parametrize(
         "cfg,step",
         [
             (FinderConfig(d=2, t=5, n=12, restarts=0, seed=0), "dense"),
-            (FinderConfig(d=5, t=5, n=45, restarts=0, seed=1), "cg"),
+            (FinderConfig(d=5, t=5, n=45, restarts=0, seed=1), "dense"),
         ],
         ids=["dense", "cg"],
     )
     def test_stalled_attempt_is_a_local_minimum(self, cfg, step):
         # an attempt ends on "stalled" after its one slow step, whichever
-        # solve it takes
+        # solve it starts on; (5,5,45) starts on CG and ends on the dense
+        # finish of its capped solve
         _, report = find_design(cfg)
         trace = report.meta["defect_trace"]
         assert report.meta["step"] == step
         assert report.meta["stop_reason"] == "stalled"
         assert trace[-2] - trace[-1] < optimizer.STALL * trace[-2]
         assert all(a - b >= optimizer.STALL * a for a, b in zip(trace[:-2], trace[1:-1]))
+
+
+class TestSolveSwitch:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FinderConfig(d=4, t=5, n=32, restarts=0, seed=0),
+            FinderConfig(d=5, t=5, n=45, restarts=0, seed=1),
+        ],
+        ids=["4-5-32", "5-5-45"],
+    )
+    def test_capped_solve_switches_once(self, monkeypatch, cfg):
+        # near a local minimum that is not a design CG reaches its cap; the
+        # dense form finishes that solve and takes every later one, and the
+        # finish is part of the same trial
+        assert step_kind(cfg.d, cfg.t, cfg.n) == "cg"
+        forms = []
+        real = optimizer._damped_solver
+
+        def recording(*args):
+            forms.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_damped_solver", recording)
+        _, report = find_design(cfg)
+        meta = report.meta
+        assert (meta["step"], meta["capped_solves"], meta["stop_reason"]) == ("dense", 1, "stalled")
+        switch = forms.index("dense")
+        assert set(forms[:switch]) == {"cg"} and set(forms[switch:]) == {"dense"}
+        assert meta["cg_iterations"] >= optimizer.CG_CAP
+        assert meta["line_search_trials"] == meta["iterations"] + meta["backtracks"]
+
+    @pytest.mark.parametrize(
+        "d,t,n,seed",
+        [(4, 3, 50, 0), (4, 3, 50, 42), (3, 5, 60, 0), (4, 5, 100, 0), (2, 9, 100, 0)],
+    )
+    def test_converging_cg_finds_never_switch(self, d, t, n, seed):
+        _, report = find_design(FinderConfig(d=d, t=t, n=n, seed=seed))
+        assert report.verdict
+        assert (report.meta["step"], report.meta["capped_solves"]) == ("cg", 0)
+        assert 0 < report.meta["cg_iterations"] < optimizer.CG_CAP * report.meta["line_search_trials"]
 
 
 class TestGaussNewtonMatrix:
@@ -314,6 +405,17 @@ class TestGaussNewtonMatrix:
         # term gives 0.25
         assert np.abs(system - hessian / 2).max() <= 1e-6 * np.abs(system).max()
 
+    @pytest.mark.parametrize("d,t,n", [(2, 6, 100), (4, 3, 50), (2, 9, 181)])
+    def test_kept_blocks_match_fresh_weights(self, rng, d, t, n):
+        # up to 181 points the section pass is one block, the same SYRK
+        # product as fresh cosines, so H is the same to the bit
+        x = unit_rows(rng.standard_normal((n, d + 1)))
+        model = kernel_model(d, t)
+        bases = optimizer._tangent_bases(x)
+        weights = list(optimizer._pair_weights(model, x, _section_defect(model, x, keep=True)[2]))
+        kept = optimizer._gauss_newton_matrix(model, x, bases, weights)
+        assert np.array_equal(kept, optimizer._gauss_newton_matrix(model, x, bases))
+
 
 class TestGaussNewtonProduct:
     @staticmethod
@@ -348,27 +450,29 @@ class TestGaussNewtonProduct:
         bound = 4 * np.finfo(float).eps * np.linalg.norm(system, 2) * np.linalg.norm(z)
         assert np.abs(product.ravel() - reference).max() <= bound
 
-    def test_recomputed_weights_match_kept_ones(self, rng, monkeypatch):
-        # N = 200 spans two row blocks; a budget of 2 N^2 / 4 floats or less
-        # recomputes the weights of both on every product, to the same bits
-        x = self._points(rng, 2, 200)
+    @pytest.mark.parametrize("n", [100, 200], ids=["one-block", "two-blocks"])
+    def test_recomputed_weights_match_kept_ones(self, rng, monkeypatch, n):
+        # the weights from the section pass's kept blocks and those each
+        # product forms again, block by block, give the same bits; the kept
+        # ones cost one K'' scan a block and no K' scan, the others both
+        # scans a block on every product
+        x = self._points(rng, 2, n)
         model, bases = self._setup(x, 6)
-        z = rng.standard_normal((200, 2))
-        calls = Counter()
-        real = optimizer._weights
-
-        def counting(*args):
-            calls["weights"] += 1
-            return real(*args)
-
-        monkeypatch.setattr(optimizer, "_weights", counting)
-        product = optimizer._gauss_newton_product(model, x, bases)
+        z = rng.standard_normal((n, 2))
+        scans = _count_array_scans(monkeypatch)
+        blocks = _section_defect(model, x, keep=True)[2]
+        weights = list(optimizer._pair_weights(model, x, blocks))
+        assert len(weights) == len(blocks) == {100: 1, 200: 2}[n]
+        assert scans == {"kernel_second_derivative": len(blocks)}
+        product = optimizer._gauss_newton_product(model, x, bases, weights)
         kept = [product(z), product(z)]
-        assert calls["weights"] == 2
-        monkeypatch.setattr(optimizer, "MAX_SYSTEM_FLOATS", 2 * 200**2 // 4 - 1)
+        assert scans == {"kernel_second_derivative": len(blocks)}
         product = optimizer._gauss_newton_product(model, x, bases)
         recomputed = [product(z), product(z)]
-        assert calls["weights"] == 6
+        assert scans == {
+            "kernel_derivative": 2 * len(blocks),
+            "kernel_second_derivative": 3 * len(blocks),
+        }
         for a, b in zip(kept, recomputed):
             assert np.array_equal(a, b)
 
