@@ -27,14 +27,13 @@ two forms (`meta["step"]` names the one the reported attempt ended on):
   5 N^2 (d + 1) flops, to a relative residual of CG_TOLERANCE.
 Both forms take their kernel weights from the section pass that evaluated
 the point, and add one K'' scan per accepted point.  An attempt starts on
-the dense form while d^3 N <= DENSE_COST_RATIO (`step_kind`), and on CG
-elsewhere.  A CG solve that reaches CG_CAP iterations, as near a local
-minimum that is not a design, is solved again by the dense form, which
-the attempt keeps from then on, wherever its matrix fits the float
-budget; `meta["capped_solves"]` counts those solves.  Both forms take only
-numpy: scipy's solvers find the same designs, but importing
-`scipy.optimize` costs each process that runs the finder about 0.5 s and
-50 MB.
+the dense form while dN <= DENSE_SIZE (`step_kind`), and on CG elsewhere.
+A CG solve that reaches CG_CAP iterations, as near a local minimum that
+is not a design, is solved again by the dense form, which the attempt
+keeps from then on, wherever its matrix fits the float budget;
+`meta["capped_solves"]` counts those solves.  Both forms take only numpy:
+scipy's solvers find the same designs, but importing `scipy.optimize`
+costs each process that runs the finder about 0.5 s and 50 MB.
 
 Deterministic: a fixed config (including seed) reproduces the output
 bit-for-bit at a fixed thread count.
@@ -68,37 +67,43 @@ MIN_DAMPING = 1e-12
 MAX_DAMPING = 1e8
 STALL = 1e-4
 
-# The solve of each step.  A dense solve costs about (dN)^3 flops and a CG
-# product about 5 N^2 (d + 1), so their ratio grows as d^3 N; both forms
-# pay the same kernel scans, so t does not enter.  CG takes 8-24 products a
-# solve on sizes that converge, and 30-100 near a local minimum that is not
-# a design.  Measured at one BLAS thread, finder seeds 0-2, the sum of the
-# three finds' fastest of seven runs, dense against CG: (2,7,64) at
-# d^3 N = 512 12.4 ms against 13.4 ms, (2,8,81) at 648 17.5 against 16.0,
-# (3,4,30) at 810 5.5 against 7.2, (4,3,30) at 1920 9.2 against 8.6, and
-# (4,5,100) at 6400 91 against 24.  So an attempt starts dense while
-# d^3 N <= DENSE_COST_RATIO; that keeps dN <= 600, well inside the float
-# budget.  A CG solve that reaches CG_CAP iterations is finished, and the
-# attempt's later steps solved, by the dense form, while its system fits:
-# that and its temporaries raise the peak memory by about four (dN)^2 float
-# arrays (127 MB at dN = 1922), so (dN)^2 <= MAX_SYSTEM_FLOATS.  A cap of 25
-# already stops the first solves of some sizes that converge, such as
-# (2,16,289) and (3,9,150); 40 does not, and it keeps the stalling S^4 and
-# S^5 sizes (4,7,90) and (5,5,45) no slower than uncapped CG.  The section
-# pass keeps its cosines and K' blocks, 2 N^2 floats, while they fit in
-# 4 MAX_SYSTEM_FLOATS (N <= 2896); above that each CG product forms them
-# again with two kernel scans: at (2,20,1500), 2.5 s kept against 13.1 s
-# formed again.
-DENSE_COST_RATIO = 600
+# The solve of each step.  Both forms pay the same kernel scans, so t does
+# not enter; what the dense form's (dN)^3 flops buy against CG's products
+# depends on the size of the system, dN, and not on d^3 N alone.  Measured
+# at one BLAS thread, finder seeds 0-2, the sum of the three finds' fastest
+# of five to seven runs, dense against CG, in ms: dN = 80 (2,6,40) 6.7
+# against 8.8, 90 (3,4,30) 5.5 against 7.2, 128 (2,7,64) 12.8 against
+# 13.0, 135 (3,4,45) 7.2 against 7.1, 144 (2,7,72) 18.7 against 14.8, 150
+# (3,5,50) 11.0 against 10.9, 160 (4,3,40) 9.1 against 5.2 and (4,4,40)
+# 11.8 against 10.9, 162 (2,8,81) 18.2 against 16.6, 400 (4,5,100) 91
+# against 24.  So sizes that converge cross over near dN = 128-150, but
+# gain at most 4 ms a find from CG up to dN = 160, while sizes that stall
+# there lose far more on it, as CG's solves take 20-39 iterations each
+# near a local minimum before one caps: (2,11,70), dN = 140, 748 against
+# 813, (2,11,72) 947 against 1313, and (4,5,40), dN = 160, 122 against
+# 140.  So an attempt starts dense while dN <= DENSE_SIZE, well inside the
+# float budget.  A CG solve that reaches CG_CAP iterations is finished, and
+# the attempt's later steps solved, by the dense form, while its system
+# fits: that and its temporaries raise the peak memory by at most about
+# four (dN)^2 float arrays (127 MB at dN = 1922; 70 MB measured at
+# (2,30,960)), so (dN)^2 <= MAX_SYSTEM_FLOATS.  A cap of 25 already stops
+# the first solves of some sizes that converge, such as (2,16,289) and
+# (3,9,150); 40 does not, and on the stalling (4,7,90) and (5,5,45) it was
+# the best or near best of 25, 30, 40 and 50 over seeds 0-2.  The section pass keeps its
+# cosines and K' blocks, 2 N^2 floats, while they fit in 4 MAX_SYSTEM_FLOATS
+# (N <= 2896); above that each CG product forms them again with two kernel
+# scans: at (2,20,1500), 2.5 s kept against 13.1 s formed again.
+DENSE_SIZE = 160
 MAX_SYSTEM_FLOATS = 2**22
 CG_TOLERANCE = 1e-2
 CG_CAP = 40
 
 
-def step_kind(d: int, t: int, n: int) -> str:
-    """The linear solve an attempt at an n-point t-design on S^d starts
-    on: "dense" where d^3 n <= DENSE_COST_RATIO, whatever t, else "cg"."""
-    return "dense" if d**3 * n <= DENSE_COST_RATIO else "cg"
+def step_kind(d: int, n: int) -> str:
+    """The linear solve an attempt at n points on S^d starts on: "dense"
+    where its system has dn <= DENSE_SIZE rows, whatever the degree, else
+    "cg"."""
+    return "dense" if d * n <= DENSE_SIZE else "cg"
 
 
 @dataclass(frozen=True)
@@ -202,40 +207,42 @@ def _gauss_newton_product(model, x: np.ndarray, bases: np.ndarray, weights=None)
 def _conjugate_gradients(apply, rhs: np.ndarray):
     """Conjugate gradients for apply(z) = rhs, apply symmetric positive
     definite, from z = 0 until the residual is at most CG_TOLERANCE |rhs|,
-    after CG_CAP iterations, or on a direction of no positive curvature
-    (rounding at the rotations' floor).  Returns z and the iterations."""
+    on a direction of no positive curvature (rounding at the rotations'
+    floor), or after min(CG_CAP, rhs.size) iterations, where the solve is
+    capped.  Returns z, the iterations and whether the solve was capped."""
     z = np.zeros_like(rhs)
     residual = rhs.copy()
     direction = residual.copy()
     norm = np.vdot(residual, residual)
     target = CG_TOLERANCE**2 * norm
-    iterations = 0
-    while norm > target and iterations < CG_CAP:
+    for iterations in range(min(CG_CAP, rhs.size)):
+        if norm <= target:
+            return z, iterations, False
         image = apply(direction)
         curvature = np.vdot(direction, image)
         if curvature <= 0.0:
-            break
+            return z, iterations, False
         length = norm / curvature
         z += length * direction
         residual -= length * image
         previous, norm = norm, np.vdot(residual, residual)
         direction = residual + (norm / previous) * direction
-        iterations += 1
-    return z, iterations
+    return z, min(CG_CAP, rhs.size), norm > target
 
 
 def _damped_solver(model, x: np.ndarray, bases: np.ndarray, rhs: np.ndarray, weights, kind: str):
     """The solve of one step at the points x, in the form `kind` names,
     with the `_pair_weights` of x (None: each CG product forms its own): a
-    function of the shift mu h that returns z with (H + mu h I) z = rhs and
-    the CG iterations it took (0 for the dense form)."""
+    function of the shift mu h that returns z with (H + mu h I) z = rhs,
+    the CG iterations it took and whether CG was capped (0 and False for
+    the dense form, whose matrix holds all it needs of the weights)."""
     if kind == "dense":
         system = _gauss_newton_matrix(model, x, bases, weights)
         diagonal = system.diagonal().copy()
 
         def solve(shift):
             np.fill_diagonal(system, diagonal + shift)
-            return np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape), 0
+            return np.linalg.solve(system, rhs.ravel()).reshape(rhs.shape), 0, False
 
         return solve
     product = _gauss_newton_product(model, x, bases, weights)
@@ -254,11 +261,11 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     and g are formed at the new points.  A rejected step multiplies mu by
     it and solves again.  The section pass that evaluates a point keeps its
     cosines and K' blocks while 2 N^2 <= 4 MAX_SYSTEM_FLOATS, so a step at
-    an accepted point adds one K'' scan (`_pair_weights`); the weights of
-    the point and the blocks of one trial, about 4 N^2 floats, are then
-    the largest arrays a step holds.  A CG solve that reaches CG_CAP
-    iterations is solved again by the dense form, which the attempt then
-    keeps, wherever (dN)^2 <= MAX_SYSTEM_FLOATS.
+    an accepted point adds one K'' scan (`_pair_weights`).  A CG step holds
+    the weights of the point and the blocks of one trial, about 4 N^2
+    floats; a dense step drops the weights once its matrix is built.  A CG
+    solve capped at CG_CAP iterations is solved again by the dense form,
+    which the attempt then keeps, wherever (dN)^2 <= MAX_SYSTEM_FLOATS.
 
     Returns (points, objective, trace, stop reason, stats).  The reason is
     "target", "line_search" (mu passed MAX_DAMPING: no damped step
@@ -275,7 +282,7 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
     value, grad, blocks = _section_defect(model, x, keep)
     trace = [value]
     stats = {
-        "step": step_kind(cfg.d, cfg.t, cfg.n),
+        "step": step_kind(cfg.d, cfg.n),
         "line_search_trials": 0,
         "backtracks": 0,
         "cg_iterations": 0,
@@ -296,15 +303,18 @@ def _minimize(model, cfg: FinderConfig, x: np.ndarray):
         weights = None if blocks is None else list(_pair_weights(model, x, blocks))
         blocks = None  # the weights hold all of the blocks the step needs
         solve = _damped_solver(model, x, bases, rhs, weights, stats["step"])
+        if stats["step"] == "dense":
+            weights = None
         while damping <= MAX_DAMPING:
-            step, iterations = solve(damping * unit)
+            step, iterations, capped = solve(damping * unit)
             stats["cg_iterations"] += iterations
-            if iterations == CG_CAP:  # as near a local minimum that is not a design
+            if capped:  # as near a local minimum that is not a design
                 stats["capped_solves"] += 1
                 if dense_fits:
                     stats["step"] = "dense"
                     solve = _damped_solver(model, x, bases, rhs, weights, "dense")
-                    step, _ = solve(damping * unit)
+                    weights = None
+                    step, _, _ = solve(damping * unit)
             candidate = unit_rows(x + np.einsum("iac,ic->ia", bases, step))
             candidate_value, candidate_grad, candidate_blocks = _section_defect(
                 model, candidate, keep

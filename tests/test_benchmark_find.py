@@ -26,8 +26,8 @@ def test_benchmark_find_ops_reverify(workloads):
 
 def test_benchmark_finds_never_switch(workloads):
     # no benchmark find caps a CG solve: each ends on the solve it starts on,
-    # dense for the 40-point S^2 finds and CG for the others (d^3 N > 600)
+    # dense for the 40-point S^2 finds and CG for the others (dN > 160)
     for op in workloads.build_find(SEED, "full").ops:
         _, report = op.run(0)
-        expected = step_kind(report.d, report.t, report.n)
+        expected = step_kind(report.d, report.n)
         assert (report.meta["step"], report.meta["capped_solves"]) == (expected, 0), op.name

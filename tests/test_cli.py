@@ -250,7 +250,10 @@ class TestCliCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "(dense solve, 0 CG iterations, 0 capped CG solves), stopped on target" in out
+        assert (
+            "(dense solve, 0 CG iterations, 0 capped CG solves), stopped on target; verdict design"
+            in out
+        )
         found = read_points(str(pts))
         assert found.n == 4
         payload = json.loads(report.read_text())
@@ -261,14 +264,17 @@ class TestCliCommands:
         assert main(["verify", "--t", "3", "--in", str(pts)]) == 0
 
     def test_find_reports_a_capped_solve(self, tmp_path, capsys):
-        # (4,5,32) starts on CG, caps one solve near a local minimum and
+        # (4,5,41) starts on CG, caps one solve near a local minimum and
         # ends on the dense form; stdout and the report both say so
         report = tmp_path / "report.json"
-        args = ["find", "--d", "4", "--t", "5", "--n", "32", "--restarts", "0"]
+        args = ["find", "--d", "4", "--t", "5", "--n", "41", "--restarts", "0"]
         assert main(args + ["--report", str(report)]) == 2
         out = capsys.readouterr().out
         assert "(dense solve, " in out
-        assert " CG iterations, 1 capped CG solves), stopped on stalled" in out
+        assert (
+            " CG iterations, 1 capped CG solves), stopped on stalled; verdict NOT a design at target"
+            in out
+        )
         meta = json.loads(report.read_text())["meta"]
         assert (meta["step"], meta["capped_solves"]) == ("dense", 1)
 

@@ -159,7 +159,7 @@ class TestFindDesign:
             FinderConfig(d=2, t=3, n=8, restarts=0),
             FinderConfig(d=2, t=9, n=100, restarts=0),
             FinderConfig(d=4, t=3, n=50, restarts=0),
-            FinderConfig(d=4, t=5, n=32, restarts=0),
+            FinderConfig(d=4, t=5, n=41, restarts=0),
             FinderConfig(d=2, t=2, n=4, restarts=0, seed=3, max_iterations=1),
         ],
         ids=["dense", "cg", "cg-4-3-50", "capped-cg", "iterations"],
@@ -182,7 +182,7 @@ class TestFindDesign:
         # the first perturbed starts stall in local minima at this size, the
         # last reaches a true design: within three attempts by either solve
         # (the dense one is the one this size takes)
-        monkeypatch.setattr(optimizer, "step_kind", lambda d, t, n: step)
+        monkeypatch.setattr(optimizer, "step_kind", lambda d, n: step)
         config, report = find_design(FinderConfig(d=2, t=5, n=12, seed=0))
         assert report.verdict
         assert report.meta["step"] == step
@@ -268,42 +268,38 @@ class TestFindDesign:
 
 class TestStepPath:
     def test_each_side_of_the_rule(self):
-        # d^3 N <= 600 takes the dense solve, whatever t: 8 * 12 = 96 and
-        # 8 * 75 = 600, but 8 * 76 = 608 and 64 * 30 = 1920 take CG
-        assert optimizer.DENSE_COST_RATIO == 600
-        assert [step_kind(2, 5, 12), step_kind(2, 1, 75), step_kind(2, 30, 76)] == [
-            "dense",
-            "dense",
-            "cg",
-        ]
+        # a system of dN <= 160 rows takes the dense solve, whatever t:
+        # 2 * 80 = 4 * 40 = 160, but 2 * 81 = 162 and 4 * 41 = 164 take CG
+        assert optimizer.DENSE_SIZE == 160
+        assert [step_kind(2, 12), step_kind(2, 80), step_kind(4, 40)] == ["dense"] * 3
+        assert [step_kind(2, 81), step_kind(4, 41)] == ["cg"] * 2
         _, report = find_design(FinderConfig(d=2, t=5, n=12))
         assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
-        _, report = find_design(FinderConfig(d=4, t=3, n=30))
+        _, report = find_design(FinderConfig(d=4, t=5, n=32, restarts=0))
+        assert (report.meta["step"], report.meta["cg_iterations"]) == ("dense", 0)
+        _, report = find_design(CG_CFG)
         assert (report.meta["step"], report.meta["capped_solves"]) == ("cg", 0)
         assert report.meta["cg_iterations"] > 0
 
     def test_float_budget(self, monkeypatch):
-        # the rule admits dN <= 600 only, inside the float budget of 2^22;
-        # the budget bounds the dense finish of a capped CG solve: with
-        # (dN)^2 = 128^2 just over it, (4,5,32), which switches within it
+        # the rule admits dN <= 160 only, well inside the float budget of
+        # 2^22; the budget bounds the dense finish of a capped CG solve: with
+        # (dN)^2 = 164^2 just over it, (4,5,41), which switches within it
         # (TestSolveSwitch), stays on capped CG solves
-        ratio = optimizer.DENSE_COST_RATIO
-        assert all((d * (ratio // d**3)) ** 2 <= optimizer.MAX_SYSTEM_FLOATS for d in range(1, 9))
-        monkeypatch.setattr(optimizer, "MAX_SYSTEM_FLOATS", 128**2 - 1)
-        _, capped = find_design(FinderConfig(d=4, t=5, n=32, restarts=0, seed=0))
+        assert optimizer.DENSE_SIZE**2 <= optimizer.MAX_SYSTEM_FLOATS
+        monkeypatch.setattr(optimizer, "MAX_SYSTEM_FLOATS", 164**2 - 1)
+        _, capped = find_design(FinderConfig(d=4, t=5, n=41, restarts=0, seed=0))
         assert capped.meta["step"] == "cg"
         assert capped.meta["capped_solves"] > 1
         assert capped.meta["cg_iterations"] >= optimizer.CG_CAP * capped.meta["capped_solves"]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_dense_rule_contains_the_cubic_one(self, d):
-        # the dense solve runs exactly where d^3 N <= DENSE_COST_RATIO, for
-        # every t: both forms pay the same kernel scans, so only the
-        # dense solve's (dN)^3 against a product's N^2 d flops is weighed
-        for t in (1, 5, 24):
-            for n in range(1, 2 * optimizer.DENSE_COST_RATIO // d**3 + 2):
-                expected = "dense" if d**3 * n <= optimizer.DENSE_COST_RATIO else "cg"
-                assert step_kind(d, t, n) == expected, (d, t, n)
+    def test_dense_rule_is_the_system_size(self, d):
+        # the dense solve runs exactly where dN <= DENSE_SIZE: both forms
+        # pay the same kernel scans, so t does not enter the rule
+        for n in range(1, 2 * optimizer.DENSE_SIZE // d + 2):
+            expected = "dense" if d * n <= optimizer.DENSE_SIZE else "cg"
+            assert step_kind(d, n) == expected, (d, n)
 
     @pytest.mark.parametrize(
         "cfg,step",
@@ -329,16 +325,16 @@ class TestSolveSwitch:
     @pytest.mark.parametrize(
         "cfg",
         [
-            FinderConfig(d=4, t=5, n=32, restarts=0, seed=0),
+            FinderConfig(d=4, t=5, n=41, restarts=0, seed=0),
             FinderConfig(d=5, t=5, n=45, restarts=0, seed=1),
         ],
-        ids=["4-5-32", "5-5-45"],
+        ids=["4-5-41", "5-5-45"],
     )
     def test_capped_solve_switches_once(self, monkeypatch, cfg):
         # near a local minimum that is not a design CG reaches its cap; the
         # dense form finishes that solve and takes every later one, and the
         # finish is part of the same trial
-        assert step_kind(cfg.d, cfg.t, cfg.n) == "cg"
+        assert step_kind(cfg.d, cfg.n) == "cg"
         forms = []
         real = optimizer._damped_solver
 
@@ -483,11 +479,33 @@ class TestGaussNewtonProduct:
         rhs = -0.5 * np.einsum("iac,ia->ic", bases, _section_defect(model, x)[1])
         shift = optimizer.INITIAL_DAMPING * kernel_derivative(model, 1.0) / 40**2
         product = optimizer._gauss_newton_product(model, x, bases)
-        z, iterations = optimizer._conjugate_gradients(lambda v: product(v) + shift * v, rhs)
+        z, iterations, capped = optimizer._conjugate_gradients(
+            lambda v: product(v) + shift * v, rhs
+        )
         system = optimizer._gauss_newton_matrix(model, x, bases) + shift * np.eye(z.size)
-        assert 0 < iterations < z.size
+        assert 0 < iterations < optimizer.CG_CAP and not capped
         residual = np.linalg.norm(system @ z.ravel() - rhs.ravel())
         assert residual <= optimizer.CG_TOLERANCE * np.linalg.norm(rhs)
+
+    def test_cg_cap(self, monkeypatch):
+        # a solve is capped only if it stops on the cap short of its
+        # tolerance, and the cap never passes the size of the system
+        spectrum = np.geomspace(1.0, 100.0, 30).reshape(10, 3)
+        rhs = np.ones_like(spectrum)
+
+        def solve(scale):
+            return optimizer._conjugate_gradients(lambda v: scale * v, rhs)[1:]
+
+        iterations, capped = solve(spectrum)
+        assert 1 < iterations < optimizer.CG_CAP and not capped
+        monkeypatch.setattr(optimizer, "CG_CAP", iterations)
+        assert solve(spectrum) == (iterations, False)
+        monkeypatch.setattr(optimizer, "CG_CAP", iterations - 1)
+        assert solve(spectrum) == (iterations - 1, True)
+        # rounding keeps CG on a spread spectrum short of its tolerance
+        # after as many iterations as unknowns, below the cap of 40
+        monkeypatch.setattr(optimizer, "CG_CAP", 40)
+        assert solve(spectrum**3) == (rhs.size, True)
 
 
 class TestFinderConfigValidation:
